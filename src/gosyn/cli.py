@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .arena import Arena, arena_of_type, sharing_arena
 from .automata import CompositionStall, DivergenceDetected
 from .denote import denote
@@ -28,8 +29,6 @@ from .sim import SimError, parse_stimulus, simulate
 from .syncmin import NonConfluent, minimize, minimize_under_protocol, round_abstract
 from .syntax import ParseError, functional_form, parse, parse_type, type_to_str
 from .typecheck import SciTypeError, typecheck
-
-_VERSION = "0.1.0"
 
 _DOMAIN_ERRORS = (
     ParseError, SciTypeError, DesignError, SimError, DivergenceDetected,
@@ -53,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Compile affine imperative programs to synchronous "
                     "handshake circuits; simulate and monitor them.",
     )
-    p.add_argument("--version", action="version", version=f"gosyn {_VERSION}")
+    p.add_argument("--version", action="version", version=f"gosyn {__version__}")
     sub = p.add_subparsers(dest="stage", required=True, metavar="stage")
 
     c = sub.add_parser("check", help="parse and typecheck a .sci program")

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .arena import Arena, Face, Move, arena_of_type, base_occurrences, sharing_arena, term_arena
-from .automata import (StrategyAutomaton, from_rows, glue_pair, relay,
-                       synchronize_and_hide)
+from .automata import (CompositionStall, StrategyAutomaton, SyncStats, from_rows,
+                       glue_pair, relay, synchronize_and_hide)
 from .plays import ProtocolAutomaton
 from .syntax import (App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod,
                      Snd, Term, Type, Var, CONSTANTS)
@@ -150,6 +150,13 @@ def const_automaton(name: str) -> StrategyAutomaton:
 
 # ------------------------------------------------------------- combinators
 
+def _check_stalls(what: str, stats: SyncStats) -> None:
+    """Raise when gluing left a linked pulse that the partner cannot take."""
+    if stats.stalls:
+        raise CompositionStall(
+            f"{what} stalls in {len(stats.stalls)} place(s), first: {stats.stalls[0]}")
+
+
 def _keys(ty: Type) -> list[tuple[tuple[int, ...], str]]:
     return [(m.path, m.token) for m in arena_of_type(ty).moves]
 
@@ -183,7 +190,7 @@ def apply_strategy(fn: StrategyAutomaton, arg: StrategyAutomaton,
             relabel_a[m] = m
     relabel_b = {m: m for m in arg.arena.moves if m.face != "ret"}
     auto, stats = synchronize_and_hide(fn, arg, link, out, relabel_a, relabel_b)
-    assert not stats.stalls, stats.stalls
+    _check_stalls("application", stats)
     return auto
 
 
@@ -241,7 +248,7 @@ def project_strategy(m: StrategyAutomaton, which: int,
     relabel_a = {mm: mm for mm in proj.arena.moves if mm.face == "ret"}
     relabel_b = {mm: mm for mm in m.arena.moves if mm.face != "ret"}
     auto, stats = synchronize_and_hide(proj, m, link, out, relabel_a, relabel_b)
-    assert not stats.stalls, stats.stalls
+    _check_stalls("projection", stats)
     return auto
 
 
@@ -319,7 +326,7 @@ def contraction(m: StrategyAutomaton, first: str, second: str, merged: str,
         for mm in diag.arena.moves if mm.face == "p0"
     }
     auto, stats = synchronize_and_hide(m, diag, link, out, relabel_a, relabel_b)
-    assert not stats.stalls, stats.stalls
+    _check_stalls("contraction", stats)
     return auto
 
 

@@ -123,9 +123,14 @@ def manager_machine(ty: Type) -> SyncMachine:
     for face in ("p1", "p2"):
         init = [m for m in arena.face_moves(face)
                 if arena.is_input(m) and not arena.enablers_of(m)]
-        assert len(init) == 1
+        if len(init) != 1:
+            raise DesignError(
+                f"cannot share an identifier of type {type_to_str(ty)}: a call manager "
+                f"serves one opening request per client, this type has {len(init)}")
         entry = base.transitions[idle].get(frozenset(init))
-        assert entry is not None, "duplicator must serve an opening request when idle"
+        if entry is None:
+            raise DesignError(
+                f"the duplicator for {type_to_str(ty)} does not serve an opening request when idle")
         openers.append((init[0], entry[0], entry[1]))
 
     table = {s: dict(row) for s, row in base.transitions.items()}
@@ -386,8 +391,7 @@ def design_verilog(design: Design) -> str:
 
     if len(design.instances) == 1 and not any(
             i.kind == "share" for i in design.instances.values()):
-        (iname, inst), = design.instances.items()
-        only = netlist_of(inst.machine, design.name)
+        (iname, only), = mods.items()
         # only valid if ties are a pure renaming of the block's ports
         renames = {}
         ok = True
@@ -400,7 +404,7 @@ def design_verilog(design: Design) -> str:
                 ok = False
         if ok:
             rn = lambda p: renames.get(p, p)
-            flat = NetModule(only.name,
+            flat = NetModule(design.name,
                              tuple(rn(p) for p in only.inputs),
                              tuple(rn(p) for p in only.outputs),
                              only.state_bits,

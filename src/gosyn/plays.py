@@ -15,14 +15,20 @@ well-behaved device and environment may produce:
 
 Initial requests are the exception to Justification: they may (re)start a
 session whenever they are not already pending.  Checking is deterministic
-by resolving each move to its most recently opened pending enabler; an
-exhaustive mode tries every pending enabler instead, which matters only
-when distinct pending requests enable the same answer.
+by resolving each move to its most recently opened pending enabler.
+
+The protocol state is the pending forest, encoded as a key of (move, parent
+position) pairs, and :func:`decide` is the one transition on it that every
+checker here uses: the monitor, the protocol automaton and the round
+linearizer.  A move is legal only if one of its enablers is pending, and a
+pending enabler has been seen, so the set of moves seen so far never decides
+legality; the monitor keeps it only to name a refusal Justification (no
+enabler ever seen) rather than Fork.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .arena import Arena, Move
@@ -55,12 +61,42 @@ class Verdict:
         return self.ok and not self.pending
 
 
-@dataclass(eq=False)
-class _Open:
-    move: Move
-    at: int
-    parent: Optional["_Open"]
-    children: int = 0
+# A pending-forest key is the protocol state: the pending requests in
+# opening order, each as (move, position of the request that justified it
+# in the same tuple, or -1 for an initial request).
+Key = tuple
+
+
+def decide(arena: Arena, key: Key, m: Move) -> tuple[Optional[Key], int, Optional[str]]:
+    """Apply the four rules to ``m`` on the pending forest ``key``.
+
+    Returns ``(next key, j, None)`` when ``m`` is legal, where ``j`` is the
+    position in ``key`` of the request that justifies it (-1 for an initial
+    request), or ``(None, -1, rule)`` naming the rule that refuses it.  The
+    rule "Fork" stands for "no enabler is pending"; telling Justification
+    apart needs the seen set, which only :class:`PlayMonitor` keeps.
+    """
+    enablers = arena.enablers_of(m)
+    if not enablers:  # initial request
+        for e, _ in key:
+            if e == m:
+                return None, -1, "Serial"
+        return key + ((m, -1),), -1, None
+    j = len(key) - 1
+    while j >= 0 and key[j][0] not in enablers:
+        j -= 1
+    if j < 0:
+        return None, -1, "Fork"
+    if arena.is_question(m):
+        for e, _ in key:
+            if e == m:
+                return None, -1, "Serial"
+        return key + ((m, j),), j, None
+    tail = key[j + 1:]  # children are opened after their parent
+    for _, p in tail:
+        if p == j:
+            return None, -1, "Wait"
+    return key[:j] + tuple((e, p - 1 if p > j else p) for e, p in tail), j, None
 
 
 class PlayMonitor:
@@ -68,7 +104,8 @@ class PlayMonitor:
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self._open: list[_Open] = []
+        self._key: Key = ()
+        self._at: list[int] = []      # play position of each pending request
         self._seen: set[Move] = set()
         self._length = 0
         self._justifier: list[Optional[int]] = []
@@ -77,24 +114,23 @@ class PlayMonitor:
     # -- queries
 
     def pending(self) -> tuple[Move, ...]:
-        return tuple(e.move for e in self._open)
+        return tuple(m for m, _ in self._key)
 
     def pending_names(self) -> tuple[str, ...]:
-        return tuple(self.arena.name(e.move) for e in self._open)
+        return tuple(self.arena.name(m) for m, _ in self._key)
 
     def complete(self) -> bool:
-        return self.failure is None and not self._open
+        return self.failure is None and not self._key
 
-    def state_key(self) -> tuple[tuple[Move, int], ...]:
-        """Canonical encoding of the pending forest (move, parent position)."""
-        pos = {id(e): i for i, e in enumerate(self._open)}
-        return tuple((e.move, pos[id(e.parent)] if e.parent else -1) for e in self._open)
+    def state_key(self) -> Key:
+        """The pending forest as (move, parent position) pairs."""
+        return self._key
 
     def would_accept(self, m: Move) -> bool:
-        return self._classify(m) is None
+        return decide(self.arena, self._key, m)[0] is not None
 
     def legal_moves(self) -> tuple[Move, ...]:
-        return tuple(m for m in self.arena.moves if self._classify(m) is None)
+        return tuple(m for m in self.arena.moves if self.would_accept(m))
 
     # -- stepping
 
@@ -105,58 +141,25 @@ class PlayMonitor:
         """
         if self.failure is not None:
             raise RuntimeError("monitor already failed; create a fresh one")
-        rule = self._classify(m)
-        if rule is not None:
+        nxt, j, rule = decide(self.arena, self._key, m)
+        if nxt is None:
+            if rule == "Fork" and not (self.arena.enablers_of(m) & self._seen):
+                rule = "Justification"
             name = self.arena.name(m)
             self.failure = Violation(rule, self._length, name, _MESSAGES[rule].format(name=name))
             return self.failure
-        self._apply(m)
+        self._seen.add(m)
+        self._justifier.append(self._at[j] if j >= 0 else None)
+        if len(nxt) > len(self._key):
+            self._at.append(self._length)
+        else:
+            del self._at[j]
+        self._key = nxt
+        self._length += 1
         return None
 
     def step_name(self, name: str) -> Optional[Violation]:
         return self.step(self.arena.by_name(name))
-
-    def _classify(self, m: Move) -> Optional[str]:
-        enablers = self.arena.enablers_of(m)
-        if not enablers:  # initial request
-            if any(e.move == m for e in self._open):
-                return "Serial"
-            return None
-        if not (enablers & self._seen):
-            return "Justification"
-        cand = self._justifying(m)
-        if cand is None:
-            return "Fork"
-        if self.arena.is_question(m):
-            if any(e.move == m for e in self._open):
-                return "Serial"
-            return None
-        if cand.children:
-            return "Wait"
-        return None
-
-    def _justifying(self, m: Move) -> Optional[_Open]:
-        enablers = self.arena.enablers_of(m)
-        for e in reversed(self._open):
-            if e.move in enablers:
-                return e
-        return None
-
-    def _apply(self, m: Move) -> None:
-        self._seen.add(m)
-        just = self._justifying(m)
-        self._justifier.append(just.at if just else None)
-        if self.arena.is_question(m):
-            entry = _Open(m, self._length, just)
-            if just:
-                just.children += 1
-            self._open.append(entry)
-        else:
-            assert just is not None and just.children == 0
-            if just.parent:
-                just.parent.children -= 1
-            self._open.remove(just)
-        self._length += 1
 
 
 _MESSAGES = {
@@ -167,73 +170,15 @@ _MESSAGES = {
 }
 
 
-def check_play(arena: Arena, play: Sequence[str], any_justifier: bool = False) -> Verdict:
-    """Check a whole play given as port names.
-
-    ``any_justifier=True`` accepts the play if *some* assignment of pending
-    enablers to answers is legal, instead of the most-recent rule.
-    """
+def check_play(arena: Arena, play: Sequence[str]) -> Verdict:
+    """Check a whole play given as port names."""
     moves = [arena.by_name(n) for n in play]
-    if any_justifier:
-        ok = _search_any(arena, moves)
-        if ok:
-            return Verdict(True, pending=(), justifier=())
-        # fall through to the deterministic pass for a concrete report
     mon = PlayMonitor(arena)
     for m in moves:
         v = mon.step(m)
         if v is not None:
             return Verdict(False, violation=v)
     return Verdict(True, pending=mon.pending_names(), justifier=tuple(mon._justifier))
-
-
-def _search_any(arena: Arena, moves: list[Move]) -> bool:
-    """Backtracking legality with free choice of pending justifier for answers."""
-    # forest as a tuple of slots (move, parent slot, open children), opening order
-
-    def close(open_: tuple, k: int) -> tuple:
-        kept = []
-        for j, (jm, jp, jc) in enumerate(open_):
-            if j == k:
-                continue
-            kept.append((jm, jp - 1 if jp > k else jp, jc))
-        _, kp, _ = open_[k]
-        if kp >= 0:  # parents open before children, so kp < k and keeps its slot
-            pm, pp, pc = kept[kp]
-            kept[kp] = (pm, pp, pc - 1)
-        return tuple(kept)
-
-    def go(i: int, open_: tuple, seen: frozenset[Move]) -> bool:
-        if i == len(moves):
-            return True
-        m = moves[i]
-        enablers = arena.enablers_of(m)
-        if not enablers:
-            if any(om == m for om, _, _ in open_):
-                return False
-            return go(i + 1, open_ + ((m, -1, 0),), seen | {m})
-        if not (enablers & seen):
-            return False
-        slots = [k for k, (om, _, _) in enumerate(open_) if om in enablers]
-        if arena.is_question(m):
-            if not slots or any(om == m for om, _, _ in open_):
-                return False
-            for k in slots:
-                nxt = list(open_)
-                om, op, oc = nxt[k]
-                nxt[k] = (om, op, oc + 1)
-                nxt.append((m, k, 0))
-                if go(i + 1, tuple(nxt), seen | {m}):
-                    return True
-            return False
-        for k in slots:
-            if open_[k][2]:
-                continue
-            if go(i + 1, close(open_, k), seen | {m}):
-                return True
-        return False
-
-    return go(0, (), frozenset())
 
 
 class ProtocolAutomaton:
@@ -256,9 +201,8 @@ class ProtocolAutomaton:
             src = index[key]
             row: dict[Move, int] = {}
             for m in arena.moves:
-                mon = _monitor_from_key(arena, key)
-                if mon.step(m) is None:
-                    nk = mon.state_key()
+                nk = decide(arena, key, m)[0]
+                if nk is not None:
                     if nk not in index:
                         index[nk] = len(self._keys)
                         self._keys.append(nk)
@@ -322,23 +266,18 @@ class ProtocolAutomaton:
 
 
 def restore_monitor(arena: Arena, key: tuple) -> PlayMonitor:
-    """Rebuild a monitor from a ``state_key()``; lineage (seen set) is inferred."""
-    return _monitor_from_key(arena, key)
+    """Rebuild a monitor from a ``state_key()``; lineage (seen set) is inferred.
 
-
-def _monitor_from_key(arena: Arena, key: tuple) -> PlayMonitor:
+    The restored play is taken to be the pending requests alone, so the
+    positions it reports count from them.
+    """
     mon = PlayMonitor(arena)
-    entries: list[_Open] = []
-    for move, parent in key:
-        e = _Open(move, len(entries), entries[parent] if parent >= 0 else None)
-        if e.parent:
-            e.parent.children += 1
-        entries.append(e)
-        mon._seen.add(move)
-    mon._open = entries
-    mon._length = len(entries)
+    mon._key = tuple(key)
+    mon._at = list(range(len(key)))
+    mon._length = len(key)
     # enablers of anything already open have necessarily been seen
     for move, _ in key:
+        mon._seen.add(move)
         mon._seen.update(arena.enablers_of(move))
     return mon
 
@@ -347,9 +286,10 @@ def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
                     complete_only: bool = False, limit: int = 500_000) -> list[tuple[str, ...]]:
     """Brute-force enumeration of legal plays, the reference for everything else.
 
-    Extends prefixes move by move through a fresh :class:`PlayMonitor`, so it
-    shares no state machinery with :class:`ProtocolAutomaton`.  By default a
-    play is single-session: each initial request fires at most once.
+    Replays every prefix through a fresh :class:`PlayMonitor`, so it does not
+    depend on :class:`ProtocolAutomaton`'s state numbering (both apply
+    :func:`decide`).  By default a play is single-session: each initial
+    request fires at most once.
     """
     results: list[tuple[str, ...]] = []
 
@@ -377,22 +317,31 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
     """Find an order of simultaneous pulses legal after ``mon``'s history.
 
     Returns the order and advances the monitor, or None (monitor untouched).
+    The order is the first legal one in ``itertools.permutations`` order.
+    Legality depends only on the pending forest, so the search runs over
+    (key, moves still to place) and remembers the pairs that fail; a
+    success ends the search, so only failures need remembering.
     """
     moves = list(round_moves)
+    failed: set[tuple[Key, int]] = set()
 
-    def search(state_key: tuple, rest: list[Move]) -> Optional[list[Move]]:
+    def search(key: Key, rest: int) -> Optional[list[Move]]:
+        # ``rest`` has bit i set while moves[i] is still to be placed
         if not rest:
             return []
-        for i, m in enumerate(rest):
-            probe = _monitor_from_key(arena, state_key)
-            probe._seen |= mon._seen
-            if probe.step(m) is None:
-                tail = search(probe.state_key(), rest[:i] + rest[i + 1:])
-                if tail is not None:
-                    return [m] + tail
+        if (key, rest) in failed:
+            return None
+        for i, m in enumerate(moves):
+            if rest >> i & 1:
+                nxt = decide(arena, key, m)[0]
+                if nxt is not None:
+                    tail = search(nxt, rest & ~(1 << i))
+                    if tail is not None:
+                        return [m] + tail
+        failed.add((key, rest))
         return None
 
-    order = search(mon.state_key(), moves)
+    order = search(mon.state_key(), (1 << len(moves)) - 1)
     if order is None:
         return None
     for m in order:
@@ -416,7 +365,7 @@ def check_sync_trace(arena: Arena, rounds: Sequence[Sequence[str]]) -> tuple[boo
         moves = [arena.by_name(n) for n in r]
         order = linearize_round(arena, mon, moves)
         if order is None:
-            probe = _monitor_from_key(arena, mon.state_key())
+            probe = restore_monitor(arena, mon.state_key())
             probe._seen |= mon._seen
             viol = None
             for i, m in enumerate(moves):

@@ -98,9 +98,6 @@ class SyncMachine:
     def names(self, moves: Iterable[Move]) -> tuple[str, ...]:
         return tuple(sorted(self.arena.name(m) for m in moves))
 
-    def restless_states(self) -> tuple[int, ...]:
-        return tuple(s for s, row in self.transitions.items() if frozenset() in row)
-
     def describe(self) -> str:
         lines = []
         for s in sorted(self.transitions):

@@ -5,14 +5,21 @@ Two generators and a testbench driver used across the suite:
 - ``random_term`` builds closed well-typed programs (affine by construction:
   applications split the available identifiers, pair components share them).
 - ``to_source`` prints a term back to concrete syntax, fully parenthesized.
-- ``grow_stimulus`` drives a compiled design adaptively, one legal boundary
-  input per cycle, by replaying the observed trace through a fresh monitor
-  and sampling from its legal-move set.
+- ``grow_stimulus`` drives a compiled design or a clocked machine
+  adaptively, one legal boundary input per cycle, by replaying the observed
+  trace through a fresh monitor and sampling from its legal-move set.
 - ``drive_session`` uses the same loop to steer a design through one
   complete session (every question answered), preferring answers.
+
+``ReferenceMonitor`` is the protocol monitor written as a forest of linked
+pending-request objects, kept apart from the library's key-based one so the
+two can be checked against each other.
 """
 
+import itertools
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 from gosyn.arena import Arena, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, compose_oracle
@@ -218,34 +225,34 @@ def apply_oracle(fn: StrategyAutomaton, arg: StrategyAutomaton,
 
 # ---------------------------------------------------------- adaptive driving
 
-def replay_boundary(design: Design, report: SimReport) -> PlayMonitor:
+def replay_boundary(arena: Arena, report: SimReport) -> PlayMonitor:
     """A monitor advanced through every observed boundary round."""
-    mon = PlayMonitor(design.boundary)
+    mon = PlayMonitor(arena)
     for r in report.trace:
-        moves = [design.boundary.by_name(p) for p in r]
-        assert linearize_round(design.boundary, mon, moves) is not None, r
+        moves = [arena.by_name(p) for p in r]
+        assert linearize_round(arena, mon, moves) is not None, r
     return mon
 
 
-def grow_stimulus(design: Design, rng: random.Random, rounds: int = 12,
+def grow_stimulus(device, arena: Arena, rng: random.Random, rounds: int = 12,
                   max_cycles: int = 64) -> tuple[list, SimReport]:
     """Extend a stimulus one random legal input per round.
 
-    Returns the stimulus and the report of its final run.  Stops early if
-    the run ends abnormally or no boundary input is legal.
+    ``arena`` is the device's boundary interface.  Returns the stimulus and
+    the report of its final run.  Stops early if the run ends abnormally or
+    no boundary input is legal.
     """
     stim: list[tuple[str, ...]] = []
-    report = simulate(design, stim, max_cycles=max_cycles)
+    report = simulate(device, stim, max_cycles=max_cycles)
     for _ in range(rounds):
         if report.status in ("Race", "ProtocolViolation"):
             return stim, report
-        mon = replay_boundary(design, report)
-        legal = sorted(design.boundary.name(m) for m in mon.legal_moves()
-                       if design.boundary.is_input(m))
+        mon = replay_boundary(arena, report)
+        legal = sorted(arena.name(m) for m in mon.legal_moves() if arena.is_input(m))
         if not legal:
             break
         stim.append((rng.choice(legal),))
-        report = simulate(design, stim, max_cycles=max_cycles)
+        report = simulate(device, stim, max_cycles=max_cycles)
     return stim, report
 
 
@@ -260,7 +267,7 @@ def drive_session(design: Design, max_rounds: int = 60,
     for _ in range(max_rounds):
         report = simulate(design, stim, max_cycles=max_cycles)
         assert report.status in ("Completed", "Deadlock"), report.status
-        mon = replay_boundary(design, report)
+        mon = replay_boundary(design.boundary, report)
         if stim and mon.complete():
             return stim
         legal = [m for m in mon.legal_moves() if design.boundary.is_input(m)]
@@ -276,3 +283,96 @@ def drive_session(design: Design, max_rounds: int = 60,
         raise AssertionError(
             f"session stuck: status={report.status} pending={report.pending}")
     raise AssertionError(f"session did not complete in {max_rounds} rounds")
+
+
+# ------------------------------------------------------- reference monitor
+
+@dataclass(eq=False)
+class _Open:
+    move: Move
+    at: int
+    parent: Optional["_Open"]
+    children: int = 0
+
+
+class ReferenceMonitor:
+    """Play legality over a forest of pending-request objects.
+
+    ``step`` returns None for a legal move, else ``(rule, index)``; after a
+    refusal the monitor must not be stepped again.
+    """
+
+    def __init__(self, arena: Arena):
+        self.arena = arena
+        self.open: list[_Open] = []
+        self.seen: set[Move] = set()
+        self.length = 0
+        self.justifier: list[Optional[int]] = []
+
+    @classmethod
+    def restored(cls, arena: Arena, key: tuple) -> "ReferenceMonitor":
+        """A monitor whose play is the pending requests of ``key`` alone."""
+        mon = cls(arena)
+        for move, parent in key:
+            e = _Open(move, len(mon.open), mon.open[parent] if parent >= 0 else None)
+            if e.parent:
+                e.parent.children += 1
+            mon.open.append(e)
+            mon.seen.add(move)
+            mon.seen.update(arena.enablers_of(move))
+        mon.length = len(key)
+        return mon
+
+    def pending_names(self) -> tuple[str, ...]:
+        return tuple(self.arena.name(e.move) for e in self.open)
+
+    def state_key(self) -> tuple:
+        pos = {id(e): i for i, e in enumerate(self.open)}
+        return tuple((e.move, pos[id(e.parent)] if e.parent else -1) for e in self.open)
+
+    def _justifying(self, m: Move) -> Optional[_Open]:
+        enablers = self.arena.enablers_of(m)
+        for e in reversed(self.open):
+            if e.move in enablers:
+                return e
+        return None
+
+    def classify(self, m: Move) -> Optional[str]:
+        enablers = self.arena.enablers_of(m)
+        if not enablers:
+            return "Serial" if any(e.move == m for e in self.open) else None
+        if not (enablers & self.seen):
+            return "Justification"
+        cand = self._justifying(m)
+        if cand is None:
+            return "Fork"
+        if self.arena.is_question(m):
+            return "Serial" if any(e.move == m for e in self.open) else None
+        return "Wait" if cand.children else None
+
+    def step(self, m: Move) -> Optional[tuple[str, int]]:
+        rule = self.classify(m)
+        if rule is not None:
+            return rule, self.length
+        self.seen.add(m)
+        just = self._justifying(m)
+        self.justifier.append(just.at if just else None)
+        if self.arena.is_question(m):
+            if just:
+                just.children += 1
+            self.open.append(_Open(m, self.length, just))
+        else:
+            if just.parent:
+                just.parent.children -= 1
+            self.open.remove(just)
+        self.length += 1
+        return None
+
+
+def reference_linearize(arena: Arena, key: tuple, moves: list) -> Optional[list]:
+    """The first order in ``itertools.permutations`` legal from ``key``, if any."""
+    for order in itertools.permutations(moves):
+        mon = ReferenceMonitor.restored(arena, key)
+        if all(mon.step(m) is None for m in order):
+            return list(order)
+    return None

@@ -1,0 +1,23 @@
+"""Programs the compiler cannot handle fail with a typed error, which the
+command line reports as a domain error (exit code 1) instead of a traceback."""
+
+from gosyn.cli import main
+
+
+def _run(tmp_path, capsys, stage: str, source: str) -> tuple[int, str]:
+    path = tmp_path / "prog.sci"
+    path.write_text(source + "\n")
+    code = main([stage, str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_sharing_a_product_typed_parameter_is_a_design_error(tmp_path, capsys):
+    code, err = _run(tmp_path, capsys, "compile", "fn p : com * com -> (fst p ; snd p)")
+    assert code == 1
+    assert err.startswith("error[DesignError]") and "com * com" in err
+
+
+def test_projecting_from_a_pair_with_a_cell_is_a_composition_stall(tmp_path, capsys):
+    code, err = _run(tmp_path, capsys, "ir", "fn p : com * cell -> snd p")
+    assert code == 1
+    assert err.startswith("error[CompositionStall]") and "projection" in err
