@@ -322,9 +322,52 @@ def _maximal_compatibles(compat: list[set[int]]) -> list[frozenset[int]]:
     return out
 
 
-def _closed_cover(rows, pool: list[frozenset[int]], exact: bool):
+def _cover_pool(compat: list[set[int]]) -> list[frozenset[int]]:
+    """Cover candidates: the maximal compatibles plus every singleton,
+    largest first, ties broken by member list."""
+    pool = _maximal_compatibles(compat)
+    pool.extend(frozenset([v]) for v in range(len(compat)))
+    pool = list(dict.fromkeys(pool))
+    pool.sort(key=lambda c: (-len(c), sorted(c)))
+    return pool
+
+
+def _incompatible_clique(compat: list[set[int]]) -> frozenset[int]:
+    """A largest set of pairwise-incompatible states.
+
+    No compatible holds two of them, so every cover needs at least this
+    many classes.  Branch and bound over the incompatibility graph, with
+    the states still addable as the bound.
+    """
+    n = len(compat)
+    apart = [set(range(n)) - compat[v] - {v} for v in range(n)]
+    best = frozenset()
+
+    def grow(clique: frozenset, cands: set) -> None:
+        nonlocal best
+        if not cands:
+            if len(clique) > len(best):
+                best = clique
+            return
+        for v in sorted(cands, key=lambda v: len(apart[v] & cands)):
+            if len(clique) + len(cands) <= len(best):
+                return
+            grow(clique | {v}, cands & apart[v])
+            cands = cands - {v}
+
+    grow(frozenset(), set(range(n)))
+    return best
+
+
+def _closed_cover(rows, pool: list[frozenset[int]], compat: list[set[int]], exact: bool):
     """Pick a minimum set of compatibles covering all states, closed under
-    round successors.  Exact search below a size threshold, greedy beyond."""
+    round successors.  Exact search below a size threshold, greedy beyond.
+
+    The exact search deepens from the size of a largest set of
+    pairwise-incompatible states, not from 1: no smaller cover exists, and
+    the search at each size does not depend on the sizes tried before it,
+    so the first cover found is the same as when deepening from 1.
+    """
     n = len(rows)
 
     def implied(c: frozenset[int]) -> list[frozenset[int]]:
@@ -342,8 +385,9 @@ def _closed_cover(rows, pool: list[frozenset[int]], exact: bool):
         return None
 
     if exact:
-        for size in range(1, len(pool) + 1):
-            found = _exact_cover(rows, pool, size, implied)
+        clique = _incompatible_clique(compat)
+        for size in range(len(clique), len(pool) + 1):
+            found = _exact_cover(rows, pool, size, implied, clique)
             if found is not None:
                 return found
     # greedy: cover by size, then patch closure
@@ -361,11 +405,17 @@ def _closed_cover(rows, pool: list[frozenset[int]], exact: bool):
         chosen.append(grow[0] if grow else missing)
 
 
-def _exact_cover(rows, pool, size, implied):
+def _exact_cover(rows, pool, size, implied, clique: frozenset[int]):
+    """First closed cover of at most ``size`` classes in depth-first order.
+
+    A node is cut when its uncovered ``clique`` members, which each need a
+    class of their own, cannot fit in the classes left; such a subtree holds
+    no cover, so the order in which covers are found is unchanged.
+    """
     n = len(rows)
 
     def search(chosen: list, need_cover: set, need_close: list) -> Optional[list]:
-        if len(chosen) > size:
+        if len(chosen) + len(clique & need_cover) > size:
             return None
         pending = [t for t in need_close if not any(t <= c for c in chosen)]
         if not need_cover and not pending:
@@ -397,17 +447,17 @@ def minimize_under_protocol(m: SyncMachine, exact_limit: int = 64) -> SyncMachin
     entries that no legal environment can exercise from a state simply drop
     out.  States are then merged by a compatible-cover construction (cover
     candidates are the maximal compatibles; exact minimum search up to
-    ``exact_limit`` product states, greedy above).
+    ``exact_limit`` product states, greedy above).  The exact search starts
+    at the size of a largest set of pairwise-incompatible states, a lower
+    bound on every cover, and picks the same cover as a search deepening
+    from one class.
     """
     rows, index = _product_states(m)
     if len(rows) == 1 and not rows[0]:
         return SyncMachine(m.arena, {0: {}}, 0)
     compat = _compatibility(rows)
-    pool = _maximal_compatibles(compat)
-    pool.extend(frozenset([v]) for v in range(len(rows)))
-    pool = list(dict.fromkeys(pool))
-    pool.sort(key=lambda c: (-len(c), sorted(c)))
-    chosen = _closed_cover(rows, pool, exact=len(rows) <= exact_limit)
+    pool = _cover_pool(compat)
+    chosen = _closed_cover(rows, pool, compat, exact=len(rows) <= exact_limit)
 
     # deterministic class list, initial's class first
     chosen = sorted(set(chosen), key=lambda c: sorted(c))

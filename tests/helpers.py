@@ -13,7 +13,9 @@ Two generators and a testbench driver used across the suite:
 
 ``ReferenceMonitor`` is the protocol monitor written as a forest of linked
 pending-request objects, kept apart from the library's key-based one so the
-two can be checked against each other.
+two can be checked against each other.  ``reference_closed_cover`` is the
+exact closed-cover search with no bounds, against which the library's
+bounded one is checked.
 """
 
 import itertools
@@ -375,4 +377,46 @@ def reference_linearize(arena: Arena, key: tuple, moves: list) -> Optional[list]
         mon = ReferenceMonitor.restored(arena, key)
         if all(mon.step(m) is None for m in order):
             return list(order)
+    return None
+
+
+# ------------------------------------------------- reference closed cover
+
+def reference_closed_cover(rows, pool: list, start: int = 1) -> Optional[list]:
+    """The first closed cover found by unbounded iterative deepening.
+
+    Sizes run from ``start`` up; at each size a depth-first search covers
+    the least uncovered state or, first, an implied successor set that no
+    chosen class holds yet, trying ``pool`` in order.  No bound cuts the
+    search, so with ``start=1`` every size below the result is refuted in
+    full.
+    """
+    def implied(c):
+        need = {}
+        for i in {i for p in c for i in rows[p]}:
+            need[i] = frozenset(rows[p][i][1] for p in c if i in rows[p])
+        return [t for t in need.values() if t]
+
+    def search(size, chosen, need_cover, need_close):
+        pending = [t for t in need_close if not any(t <= c for c in chosen)]
+        if not need_cover and not pending:
+            return list(chosen)
+        if len(chosen) == size:
+            return None
+        if pending:
+            cands = [c for c in pool if pending[0] <= c]
+        else:
+            v = min(need_cover)
+            cands = [c for c in pool if v in c]
+        for c in cands:
+            if c not in chosen:
+                got = search(size, chosen + [c], need_cover - c, need_close + implied(c))
+                if got is not None:
+                    return got
+        return None
+
+    for size in range(start, len(pool) + 1):
+        found = search(size, [], set(range(len(rows))), [])
+        if found is not None:
+            return found
     return None
