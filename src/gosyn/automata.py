@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .arena import Arena, Move
-from .plays import LimitExceeded, ProtocolAutomaton
+from .plays import LimitExceeded, decide
 
 
 class DivergenceDetected(Exception):
@@ -130,44 +130,46 @@ def relay(arena: Arena, twins: dict[Move, Move]) -> StrategyAutomaton:
     """Forwarder: each received move is echoed as its twin on the other face.
 
     ``twins`` is a bidirectional map between complementary moves.  States are
-    (interface protocol state, optional pending echo), so the relay never
-    offers a transition outside the legal plays of its own interface.
+    (pending-forest key, optional pending echo), built on demand by
+    :func:`~gosyn.plays.decide` from the empty key, so the relay never offers
+    a transition outside the legal plays of its own interface and visits only
+    the protocol states its echoes reach.  State ids follow this breadth-first
+    discovery over ``arena.moves``.
     """
     for a, b in twins.items():
         if arena.polarity(a) == arena.polarity(b):
             raise ValueError(f"twins must be complementary: {arena.name(a)}/{arena.name(b)}")
-    proto = ProtocolAutomaton(arena)
-    start = (proto.initial, None)
+    start = ((), None)
     index: dict[tuple, int] = {start: 0}
     order = [start]
     trans: dict[int, dict[Move, int]] = {}
     k = 0
     while k < len(order):
-        p, carry = order[k]
+        key, carry = order[k]
         row: dict[Move, int] = {}
         if carry is None:
             for m in arena.moves:
                 if not arena.is_input(m) or m not in twins:
                     continue
-                p2 = proto.step(p, m)
-                if p2 is None:
+                key2 = decide(arena, key, m)[0]
+                if key2 is None:
                     continue
-                nxt = (p2, twins[m])
+                nxt = (key2, twins[m])
                 if nxt not in index:
                     index[nxt] = len(order)
                     order.append(nxt)
                 row[m] = index[nxt]
         else:
-            p2 = proto.step(p, carry)
-            if p2 is None:
+            key2 = decide(arena, key, carry)[0]
+            if key2 is None:
                 raise AssertionError(
                     f"echo {arena.name(carry)} illegal where its twin was legal")
-            nxt = (p2, None)
+            nxt = (key2, None)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
             row[carry] = index[nxt]
-        trans[index[(p, carry)]] = row
+        trans[k] = row
         k += 1
     return StrategyAutomaton(arena, trans, 0)
 

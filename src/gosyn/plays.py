@@ -132,6 +132,18 @@ class PlayMonitor:
     def legal_moves(self) -> tuple[Move, ...]:
         return tuple(m for m in self.arena.moves if self.would_accept(m))
 
+    def probe(self) -> "PlayMonitor":
+        """A fresh monitor at this one's state, for trying moves without harm.
+
+        It has the same pending forest and seen set, so it refuses the same
+        moves under the same rules, but its play is taken to be the pending
+        requests alone (as in :func:`restore_monitor`), so the positions it
+        reports count from them.
+        """
+        mon = restore_monitor(self.arena, self._key)
+        mon._seen |= self._seen
+        return mon
+
     # -- stepping
 
     def step(self, m: Move) -> Optional[Violation]:
@@ -365,8 +377,7 @@ def check_sync_trace(arena: Arena, rounds: Sequence[Sequence[str]]) -> tuple[boo
         moves = [arena.by_name(n) for n in r]
         order = linearize_round(arena, mon, moves)
         if order is None:
-            probe = restore_monitor(arena, mon.state_key())
-            probe._seen |= mon._seen
+            probe = mon.probe()
             viol = None
             for i, m in enumerate(moves):
                 v = probe.step(m)

@@ -36,9 +36,8 @@ from typing import Optional, Sequence, Union
 from .arena import Arena, Move
 from .design import Design, Instance
 from .netlist import NetModule
-from .plays import (
-    PlayMonitor, Violation, linearize_round, restore_monitor,
-)
+from .plays import PlayMonitor, Violation, linearize_round
+from .plays import restore_monitor  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .syncmin import SyncMachine
 
 Device = Union[SyncMachine, NetModule, Design]
@@ -326,8 +325,7 @@ def simulate(
         if idx < len(stim):
             cand = stim[idx]
             if vetting and cand:
-                probe = restore_monitor(top.arena, top.monitor.state_key())
-                probe._seen |= top.monitor._seen
+                probe = top.monitor.probe()
                 moves = [top.arena.by_name(p) for p in cand]
                 if linearize_round(top.arena, probe, moves) is None:
                     deferred = True
@@ -403,8 +401,7 @@ def simulate(
             moves = [s.arena.by_name(p) for p in r]
             if linearize_round(s.arena, s.monitor, moves) is not None:
                 continue
-            probe = restore_monitor(s.arena, s.monitor.state_key())
-            probe._seen |= s.monitor._seen
+            probe = s.monitor.probe()
             v = None
             for m in moves:
                 v = probe.step(m)

@@ -15,7 +15,9 @@ Two generators and a testbench driver used across the suite:
 pending-request objects, kept apart from the library's key-based one so the
 two can be checked against each other.  ``reference_closed_cover`` is the
 exact closed-cover search with no bounds, against which the library's
-bounded one is checked.
+bounded one is checked.  ``reference_relay`` builds a forwarder over the
+whole protocol automaton of its arena, against which the library's on-demand
+relay is checked.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from typing import Optional
 from gosyn.arena import Arena, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, compose_oracle
 from gosyn.design import Design, compile_design
-from gosyn.plays import PlayMonitor, linearize_round
+from gosyn.plays import PlayMonitor, ProtocolAutomaton, linearize_round
 from gosyn.sim import SimReport, simulate
 from gosyn.syntax import (
     App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod, Snd, Term, Var,
@@ -420,3 +422,40 @@ def reference_closed_cover(rows, pool: list, start: int = 1) -> Optional[list]:
         if found is not None:
             return found
     return None
+
+
+# ------------------------------------------------------------ reference relay
+
+def reference_relay(arena: Arena, twins: dict) -> StrategyAutomaton:
+    """The forwarder of :func:`gosyn.automata.relay`, built eagerly.
+
+    The whole :class:`ProtocolAutomaton` of ``arena`` is built first and the
+    relay's states are (protocol state id, optional pending echo), numbered
+    in the same breadth-first order over ``arena.moves``.
+    """
+    proto = ProtocolAutomaton(arena)
+    start = (proto.initial, None)
+    index = {start: 0}
+    order = [start]
+    trans: dict = {}
+    k = 0
+    while k < len(order):
+        p, carry = order[k]
+        row = {}
+        if carry is None:
+            steps = [(m, twins[m]) for m in arena.moves if arena.is_input(m) and m in twins]
+        else:
+            steps = [(carry, None)]
+        for m, echo in steps:
+            p2 = proto.step(p, m)
+            if p2 is None:
+                assert carry is None, f"echo {arena.name(carry)} illegal"
+                continue
+            nxt = (p2, echo)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row[m] = index[nxt]
+        trans[k] = row
+        k += 1
+    return StrategyAutomaton(arena, trans, 0)

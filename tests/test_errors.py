@@ -21,3 +21,11 @@ def test_projecting_from_a_pair_with_a_cell_is_a_composition_stall(tmp_path, cap
     code, err = _run(tmp_path, capsys, "ir", "fn p : com * cell -> snd p")
     assert code == 1
     assert err.startswith("error[CompositionStall]") and "projection" in err
+
+
+def test_projecting_the_cell_of_a_cell_exp_pair_stalls_quickly(tmp_path, capsys, criterion):
+    # the benchmark's cell_fst case; its relay once built a 54,801-state automaton
+    with criterion(5, "fn p : cell * exp -> fst p fails with CompositionStall", 1):
+        code, err = _run(tmp_path, capsys, "ir", "fn p : cell * exp -> fst p")
+    assert code == 1
+    assert err.startswith("error[CompositionStall]") and "projection" in err

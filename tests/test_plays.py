@@ -118,6 +118,24 @@ def test_would_accept_agrees_with_step():
     assert not mon.would_accept(FN.by_name("a2"))
 
 
+def test_probe_refuses_like_the_monitor_and_leaves_it_alone():
+    mon = PlayMonitor(FN)
+    for n in ("q1", "q2", "a2", "q2"):
+        assert mon.step_name(n) is None
+    probe = mon.probe()
+    assert probe.state_key() == mon.state_key()
+    # positions count from the two pending requests, not from the four moves
+    assert str(probe.step_name("q2")) == (
+        "Serial violation at move 2 (q2): that request is still pending; re-issuing it must wait")
+    assert probe.failure is not None and mon.failure is None
+    assert mon.step_name("a2") is None
+    # q2 was seen before the probe, so a second a2 is a Fork, not a Justification
+    assert str(mon.probe().step_name("a2")) == (
+        "Fork violation at move 1 (a2): every request that enables it has already completed")
+    assert mon.step_name("a1") is None
+    assert mon.complete()
+
+
 def test_protocol_automaton_structure():
     pa = ProtocolAutomaton(FN)
     assert pa.n_states == 3
