@@ -69,6 +69,19 @@ class Move:
     path: tuple[int, ...]
     token: str
 
+    # Moves key every protocol state and transition table, so the hash is
+    # computed once.  It depends on the process's string hash seed, which is
+    # why ``__reduce__`` rebuilds a pickled or copied move from its fields
+    # rather than carrying the stored hash along.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.face, self.path, self.token)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Move, (self.face, self.path, self.token))
+
     @property
     def key(self) -> tuple[tuple[int, ...], str]:
         return (self.path, self.token)
@@ -197,6 +210,9 @@ class Arena:
             for p, tok in type_initials(f.ty):
                 for ini in result_initials:
                     enabling.add((ini, Move(f.label, p, tok)))
+        # the arena's own move objects, so set lookups succeed on identity
+        own = {m: m for m in self.moves}
+        enabling = {(own[a], own[b]) for a, b in enabling}
         self.enabling: frozenset[tuple[Move, Move]] = frozenset(enabling)
 
         self._enablers: dict[Move, frozenset[Move]] = {
@@ -209,9 +225,10 @@ class Arena:
             m for m in self.moves if not self._enablers[m]
         )
 
-        self._names: dict[Move, str] = dict(names) if names else _standard_names(self)
-        if set(self._names) != set(self.moves):
+        names = names or _standard_names(self)
+        if set(names) != set(self.moves):
             raise ValueError("name table does not cover the move set")
+        self._names: dict[Move, str] = {m: names[m] for m in self.moves}
         if len(set(self._names.values())) != len(self.moves):
             raise ValueError(f"port names collide: {sorted(self._names.values())}")
         self._by_name = {v: k for k, v in self._names.items()}

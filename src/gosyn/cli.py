@@ -19,14 +19,13 @@ from .arena import Arena, arena_of_type, sharing_arena
 from .automata import CompositionStall, DivergenceDetected
 from .denote import denote
 from .design import (
-    DesignError, compile_design, design_verilog, netlists_of_design,
+    DesignError, clock_block, compile_design, design_verilog, netlists_of_design,
     parse_wire_file,
 )
-from .netlist import emit_verilog, netlist_of
 from .plays import LimitExceeded, check_sync_trace
 from .serialize import emit_dot, emit_json, to_dict
 from .sim import SimError, parse_stimulus, simulate
-from .syncmin import NonConfluent, minimize, minimize_under_protocol, round_abstract
+from .syncmin import NonConfluent
 from .syntax import ParseError, functional_form, parse, parse_type, type_to_str
 from .typecheck import SciTypeError, typecheck
 
@@ -109,14 +108,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _machine(source: str, sync_min: str):
-    auto = denote(typecheck(parse(source)))
-    m = round_abstract(auto)
-    if sync_min == "none":
-        return m
-    return minimize(m) if sync_min == "plain" else minimize_under_protocol(m)
-
-
 def _write_or_print(text: str, path) -> None:
     if path and path != "-":
         Path(path).write_text(text)
@@ -148,7 +139,7 @@ def _run_ir(args) -> int:
     stem = Path(args.file).stem
     if args.sync:
         mode = "none" if args.no_minimize else args.min
-        x = _machine(src, mode)
+        x = clock_block(denote(typecheck(parse(src))), mode)
         print(f"{x.n_states} states, clocked rounds:")
         print(x.describe())
     else:
@@ -202,7 +193,8 @@ def _run_compile(args) -> int:
 
 def _load_block(wire_path: Path, min_mode: str = "protocol"):
     def load(rel: str):
-        return _machine((wire_path.parent / rel).read_text(), min_mode)
+        src = (wire_path.parent / rel).read_text()
+        return clock_block(denote(typecheck(parse(src))), min_mode)
     return load
 
 

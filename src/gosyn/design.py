@@ -148,7 +148,8 @@ def manager_machine(ty: Type) -> SyncMachine:
 
 # -------------------------------------------------- compiling to a design
 
-def _clock(auto, min_mode: str) -> SyncMachine:
+def clock_block(auto, min_mode: str) -> SyncMachine:
+    """Round-abstract an event automaton, then reduce it as ``min_mode`` says."""
     m = round_abstract(auto)
     if min_mode == "none":
         return m
@@ -221,7 +222,7 @@ def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -
             ctx.extend((u, pty) for u in uses[pname])
 
     tbody = typecheck(body, tuple(ctx))
-    block = Instance("body", _clock(denote(tbody), min_mode), "block", source=None)
+    block = Instance("body", clock_block(denote(tbody), min_mode), "block", source=None)
 
     full = arena_of_type(full_ty)
     inputs = [full.name(m) for m in full.moves if full.is_input(m)]

@@ -325,6 +325,31 @@ def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
     return sorted(results, key=lambda p: (len(p), p))
 
 
+def may_linearize(arena: Arena, key: Key, moves: Sequence[Move]) -> bool:
+    """Two necessary conditions for some order of ``moves`` to be legal from ``key``.
+
+    (a) Every non-initial move has an enabler pending in ``key`` or in the
+    round, since only those can be pending when it fires.  (b) A request of
+    the round that is already pending in ``key`` has one of its answers in
+    the round, since re-issuing it must wait until that occurrence is
+    answered.  False means no order exists; True decides nothing.
+    """
+    pending = {e for e, _ in key}
+    present = set(moves)
+    for m in moves:
+        enablers = arena.enablers_of(m)
+        if enablers and not (enablers & pending or enablers & present):
+            return False
+        if m in pending and not any(
+                not arena.is_question(b) for b in arena.enabled_by(m) & present):
+            return False
+    return True
+
+
+class _NoOrder(Exception):
+    """Unwinds the round search once :func:`may_linearize` refuses the round."""
+
+
 def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move]) -> Optional[list[Move]]:
     """Find an order of simultaneous pulses legal after ``mon``'s history.
 
@@ -332,9 +357,15 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
     The order is the first legal one in ``itertools.permutations`` order.
     Legality depends only on the pending forest, so the search runs over
     (key, moves still to place) and remembers the pairs that fail; a
-    success ends the search, so only failures need remembering.
+    success ends the search, so only failures need remembering.  At the
+    first dead end the round is put to :func:`may_linearize`, and a refusal
+    ends the search: most impossible rounds are refuted there instead of by
+    exhausting the permutations.  The check waits for a dead end so that a
+    round whose first choices succeed, as those of the simulated demos do,
+    never pays for it.
     """
     moves = list(round_moves)
+    start = mon.state_key()
     failed: set[tuple[Key, int]] = set()
 
     def search(key: Key, rest: int) -> Optional[list[Move]]:
@@ -350,10 +381,15 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
                     tail = search(nxt, rest & ~(1 << i))
                     if tail is not None:
                         return [m] + tail
+        if not failed and not may_linearize(arena, start, moves):
+            raise _NoOrder
         failed.add((key, rest))
         return None
 
-    order = search(mon.state_key(), (1 << len(moves)) - 1)
+    try:
+        order = search(start, (1 << len(moves)) - 1)
+    except _NoOrder:
+        return None
     if order is None:
         return None
     for m in order:

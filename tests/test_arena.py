@@ -1,5 +1,11 @@
 """Interface construction: ports, polarities, enabling, naming."""
 
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +130,41 @@ def test_move_identity_is_structural():
     assert a.name(m) == "q2"
     with pytest.raises(KeyError):
         a.by_name("zz")
+
+
+def test_enabling_tables_hold_the_arenas_own_moves():
+    a = sharing_arena(parse_type("com -> com"))
+    own = {id(m) for m in a.moves}
+    assert all(id(e) in own for m in a.moves for e in a.enablers_of(m) | a.enabled_by(m))
+    assert all(id(x) in own for pair in a.enabling for x in pair)
+    assert all(id(a.by_name(n)) in own for n in a.port_names())
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_DUMP = "import pickle, sys; from gosyn.arena import Move; " \
+        "sys.stdout.buffer.write(pickle.dumps(Move('ret', (1, 0), 'q')))"
+_LOAD = "import pickle, sys; from gosyn.arena import Move; " \
+        "m = pickle.loads(sys.stdin.buffer.read()); fresh = Move('ret', (1, 0), 'q'); " \
+        "print(hash(m) == hash(fresh), m == fresh, {fresh: 'found'}.get(m))"
+
+
+def _python(code: str, seed: str, data: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                          capture_output=True, check=True).stdout
+
+
+def test_pickled_move_rehashes_under_the_loading_process_seed():
+    # the hash is stored on the move, and string hashes differ between seeds
+    out = _python(_LOAD, "2", _python(_DUMP, "1"))
+    assert out.decode().split() == ["True", "True", "found"]
+
+
+def test_copied_move_keeps_its_hash_and_equality():
+    m = Move("ret", (1, 0), "q")
+    for c in (copy.copy(m), copy.deepcopy(m)):
+        assert c == m and hash(c) == hash(m) and {m: 1}[c] == 1
 
 
 @settings(max_examples=40, deadline=None)

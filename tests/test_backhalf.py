@@ -6,18 +6,27 @@ adaptively grown legal stimulus with idle cycles mixed in, then the same
 stimulus drives its netlist; the two runs must agree cycle for cycle.  Both
 reduced machines must also reproduce every protocol-admissible round of the
 raw one.
+
+Round linearization asks ``plays.may_linearize`` to refute a round only
+once its search hits a dead end; the rounds of the ``shared_twice`` demo,
+simulated or checked as a trace, never get there, so they never pay for it.
 """
 
 import random
 from pathlib import Path
 
 from helpers import grow_stimulus, random_program
+from gosyn import plays
+from gosyn.arena import sharing_arena
 from gosyn.denote import interpret
-from gosyn.netlist import netlist_of
-from gosyn.sim import simulate
+from gosyn.design import compile_design
+from gosyn.netlist import emit_verilog, netlist_of
+from gosyn.plays import check_sync_trace
+from gosyn.sim import parse_stimulus, simulate
 from gosyn.syncmin import (
     equivalent_under_protocol, minimize, minimize_under_protocol, round_abstract,
 )
+from gosyn.syntax import parse_type
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -53,3 +62,37 @@ def test_demo_blocks_cosimulate_with_their_netlists(criterion):
     with criterion(2, "demo blocks: netlists agree with machines, reducers exact", 60):
         for path in sorted(DEMOS.glob("*.sci")):
             _check_block(path.read_text(), rng, rounds=30)
+
+
+def test_legal_rounds_never_reach_the_refutation_check(monkeypatch):
+    design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="shared_twice")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return may_linearize(*args)
+
+    may_linearize = plays.may_linearize
+    monkeypatch.setattr(plays, "may_linearize", counted)
+    stim = parse_stimulus((DEMOS / "shared_twice.stim").read_text())
+    report = simulate(design, stim)
+    assert report.status == "Completed"
+    mgr = [r for r in report.instance_traces["mgr_f"] if r]
+    arena = sharing_arena(parse_type("com -> com"))
+    ok, _, _ = check_sync_trace(arena, mgr)
+    assert ok
+    assert calls == []
+    # the counter does see the check: an answer with nothing pending is refuted by it
+    assert plays.linearize_round(arena, plays.PlayMonitor(arena), [arena.by_name("A'1")]) is None
+    assert len(calls) == 1
+
+
+def test_seq6_block_synthesizes_quickly(criterion):
+    params = " ".join(f"fn c{i} : com ->" for i in range(6))
+    source = f"{params} " + " ; ".join(f"c{i}" for i in range(6))
+    with criterion(6, "seq6 block: denote, minimize, netlist and Verilog", 1):
+        raw = round_abstract(interpret(source))
+        small = minimize_under_protocol(raw)
+        assert "module seq6" in emit_verilog(netlist_of(small, "seq6"))
+        eq = equivalent_under_protocol(raw, small, 64)
+        assert eq.equivalent, eq.diff

@@ -12,7 +12,9 @@ import pytest
 
 from helpers import ReferenceMonitor, reference_linearize
 from gosyn.arena import arena_of_type, sharing_arena
-from gosyn.plays import PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor
+from gosyn.plays import (
+    PlayMonitor, ProtocolAutomaton, linearize_round, may_linearize, restore_monitor,
+)
 from gosyn.syntax import parse_type
 
 TYPES = ("com -> com", "exp -> exp", "cell -> com", "(com -> com) -> com")
@@ -118,7 +120,7 @@ def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
     keys = _reachable_keys(a)
     for _ in range(300):
         key = rng.choice(keys)
-        moves = rng.sample(a.moves, rng.randrange(1, min(4, len(a.moves)) + 1))
+        moves = rng.sample(a.moves, rng.randrange(1, min(6, len(a.moves)) + 1))
         if rng.random() < 0.1:
             moves.append(moves[0])  # the same pulse listed twice
         want = reference_linearize(a, key, moves)
@@ -129,3 +131,53 @@ def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
         for m in want or ():
             assert ref.step(m) is None
         assert mon.state_key() == ref.state_key()
+
+
+def _refused_rounds_have_no_order(a, key, moves) -> bool:
+    """Whether ``may_linearize`` refused the round; a refusal must be right."""
+    if may_linearize(a, key, moves):
+        return False
+    assert reference_linearize(a, key, moves) is None, (key, [a.name(m) for m in moves])
+    return True
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS)
+def test_may_linearize_refuses_only_rounds_without_an_order(tyname, kind):
+    a = _arena(tyname, kind)
+    rng = random.Random(f"may/{tyname}/{kind}")
+    keys = _reachable_keys(a)
+    refused = 0
+    for _ in range(300):
+        key = rng.choice(keys)
+        moves = rng.sample(a.moves, rng.randrange(1, min(6, len(a.moves)) + 1))
+        refused += _refused_rounds_have_no_order(a, key, moves)
+    assert refused
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS)
+def test_may_linearize_conditions_each_refuse(tyname, kind):
+    a = _arena(tyname, kind)
+    rng = random.Random(f"trip/{tyname}/{kind}")
+    keys = _reachable_keys(a)
+    tripped = {"a": 0, "b": 0}
+    for _ in range(60):
+        key = rng.choice(keys)
+        pending = {e for e, _ in key}
+        # (a): a move none of whose enablers is pending, with none in the round
+        m = rng.choice(a.moves)
+        if a.enablers_of(m) and not a.enablers_of(m) & pending:
+            others = [x for x in a.moves if x not in a.enablers_of(m)]
+            moves = [m] + rng.sample(others, min(rng.randrange(0, 6), len(others)))
+            rng.shuffle(moves)
+            assert _refused_rounds_have_no_order(a, key, moves)
+            tripped["a"] += 1
+        # (b): a pending request issued again, with none of its answers
+        if pending:
+            m = rng.choice(sorted(pending, key=a.name))
+            answers = {x for x in a.enabled_by(m) if not a.is_question(x)}
+            others = [x for x in a.moves if x not in answers]
+            moves = [m] + rng.sample(others, min(rng.randrange(0, 6), len(others)))
+            rng.shuffle(moves)
+            assert _refused_rounds_have_no_order(a, key, moves)
+            tripped["b"] += 1
+    assert tripped["a"] and tripped["b"], tripped
