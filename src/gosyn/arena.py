@@ -192,6 +192,7 @@ class Arena:
                     pol[m] = ("O", "P")[({"O": 0, "P": 1}[base_pol] + flip) % 2]
                     kind[m] = base_kind
         self.moves: tuple[Move, ...] = tuple(moves)
+        self.rank: dict[Move, int] = {m: k for k, m in enumerate(self.moves)}
         self._pol = pol
         self._kind = kind
 

@@ -28,6 +28,7 @@ every protocol-admissible round, which is the safety net for the reducers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -123,7 +124,6 @@ def _cascade(auto: StrategyAutomaton, start: int, inputs: frozenset,
     """
     outcomes: set[tuple[frozenset, int, frozenset, bool]] = set()
     seen: set[tuple[int, frozenset, frozenset]] = set()
-    rank = {m: k for k, m in enumerate(auto.arena.moves)}
 
     def go(s: int, remaining: frozenset, emitted: frozenset) -> None:
         key = (s, remaining, emitted)
@@ -140,7 +140,7 @@ def _cascade(auto: StrategyAutomaton, start: int, inputs: frozenset,
             go(auto.step(s, o), remaining, emitted | {o})
         takeable = [i for i in remaining if auto.step(s, i) is not None]
         if input_order and takeable:
-            takeable = [min(takeable, key=rank.get)]
+            takeable = [min(takeable, key=auto.arena.rank.__getitem__)]
         for i in takeable:
             progressed = True
             go(auto.step(s, i), remaining - {i}, emitted)
@@ -250,8 +250,42 @@ def minimize(m: SyncMachine) -> SyncMachine:
 
 # ----------------------------------------- protocol-aware (ISFSM) reducer
 
+# arena -> {(pending-forest key, round moves): next key or None}.  An answer
+# depends on nothing else, so every caller may share it; an entry lives as
+# long as its arena, so no size bound is needed.
+_ROUND_STEPS: "weakref.WeakKeyDictionary[Arena, dict]" = weakref.WeakKeyDictionary()
+
+
+def _round_step(arena: Arena, key: tuple, moves: frozenset) -> Optional[tuple]:
+    """The pending-forest key after the round ``moves`` from ``key``, or None.
+
+    The round is linearized in ``arena.rank`` order, so the representative
+    interleaving, and with it the key it leaves, does not depend on set
+    iteration order.  Answers are remembered per arena: a round decided
+    while minimizing a block is not decided again when its netlist prunes
+    the minimized machine.
+    """
+    memo = _ROUND_STEPS.setdefault(arena, {})
+    try:
+        return memo[key, moves]
+    except KeyError:
+        pass
+    mon = restore_monitor(arena, key)
+    order = sorted(moves, key=arena.rank.__getitem__)
+    nxt = None if linearize_round(arena, mon, order) is None else mon.state_key()
+    memo[key, moves] = nxt
+    return nxt
+
+
 def _product_states(m: SyncMachine):
-    """Reachable (machine state, protocol forest) pairs with admissible rounds."""
+    """Reachable (machine state, protocol forest) pairs with admissible rounds.
+
+    Breadth-first over ``m.transitions`` order from ``(m.initial, ())``.  A
+    round is admissible from a pair when :func:`_round_step` finds it a legal
+    order; the pair it leads to carries the key of that canonical order.
+    Returns the rows of the product (input set -> (outputs, product state))
+    and the index of each (machine state, key) pair.
+    """
     start = (m.initial, ())
     index = {start: 0}
     order = [start]
@@ -261,10 +295,10 @@ def _product_states(m: SyncMachine):
         s, key = order[k]
         row: dict[frozenset, tuple[frozenset, int]] = {}
         for i, (o, d) in m.transitions[s].items():
-            mon = restore_monitor(m.arena, key)
-            if linearize_round(m.arena, mon, i | o) is None:
+            after = _round_step(m.arena, key, i | o)
+            if after is None:
                 continue
-            nxt = (d, mon.state_key())
+            nxt = (d, after)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
@@ -360,22 +394,30 @@ def _incompatible_clique(compat: list[set[int]]) -> frozenset[int]:
 
 
 def _closed_cover(rows, pool: list[frozenset[int]], compat: list[set[int]], exact: bool):
-    """Pick a minimum set of compatibles covering all states, closed under
-    round successors.  Exact search below a size threshold, greedy beyond.
+    """Pick a set of compatibles from ``pool`` covering all states, closed
+    under round successors.  Exact search below a size threshold, greedy
+    beyond.
 
+    ``pool`` holds the maximal compatibles and the singletons, not every
+    prime compatible, so "exact" means a smallest closed cover drawn from
+    this pool; a cover using a non-maximal class outside it may be smaller.
     The exact search deepens from the size of a largest set of
     pairwise-incompatible states, not from 1: no smaller cover exists, and
     the search at each size does not depend on the sizes tried before it,
-    so the first cover found is the same as when deepening from 1.
+    so the first cover found is the same as when deepening from 1.  The
+    successor sets a class implies are computed once per class.
     """
     n = len(rows)
+    implied_by: dict[frozenset[int], list[frozenset[int]]] = {}
 
     def implied(c: frozenset[int]) -> list[frozenset[int]]:
-        need = {}
-        for i in {i for p in c for i in rows[p]}:
-            tgt = {rows[p][i][1] for p in c if i in rows[p]}
-            need[i] = frozenset(tgt)
-        return [t for t in need.values() if len(t) > 0]
+        got = implied_by.get(c)
+        if got is None:
+            need = {}
+            for i in {i for p in c for i in rows[p]}:
+                need[i] = frozenset(rows[p][i][1] for p in c if i in rows[p])
+            got = implied_by[c] = [t for t in need.values() if t]
+        return got
 
     def closure_ok(chosen: list[frozenset[int]]) -> Optional[frozenset[int]]:
         for c in chosen:
@@ -431,7 +473,8 @@ def _exact_cover(rows, pool, size, implied, clique: frozenset[int]):
         for c in cands:
             if c in chosen:
                 continue
-            nxt_close = need_close + implied(c)
+            # first occurrences keep their order, so pending[0] is unchanged
+            nxt_close = list(dict.fromkeys(need_close + implied(c)))
             got = search(chosen + [c], need_cover - c, nxt_close)
             if got is not None:
                 return got
@@ -445,12 +488,16 @@ def minimize_under_protocol(m: SyncMachine, exact_limit: int = 64) -> SyncMachin
 
     The machine is paired with the legality monitor of its own interface, so
     entries that no legal environment can exercise from a state simply drop
-    out.  States are then merged by a compatible-cover construction (cover
-    candidates are the maximal compatibles; exact minimum search up to
-    ``exact_limit`` product states, greedy above).  The exact search starts
-    at the size of a largest set of pairwise-incompatible states, a lower
-    bound on every cover, and picks the same cover as a search deepening
-    from one class.
+    out.  The product is walked by :func:`_product_states`: each round is
+    linearized in the arena's canonical move order, so the product does not
+    depend on ``PYTHONHASHSEED``, and its answers are remembered per arena
+    for the netlist's pruning pass and for :func:`equivalent_under_protocol`.
+    States are then merged by a compatible-cover construction (cover
+    candidates are the maximal compatibles and the singletons; search for a
+    smallest cover over them up to ``exact_limit`` product states, greedy
+    above).  The exact search starts at the size of a largest set of
+    pairwise-incompatible states, a lower bound on every cover, and picks
+    the same cover as a search deepening from one class.
     """
     rows, index = _product_states(m)
     if len(rows) == 1 and not rows[0]:
@@ -497,24 +544,15 @@ def prune_inadmissible(m: SyncMachine) -> SyncMachine:
     cut the false combinational paths that order-conflated rounds would
     otherwise create (an answer pulse deciding the routing of a request that
     causally preceded it).
+
+    The contexts are those of :func:`_product_states`, whose rounds are
+    linearized in the arena's canonical move order and remembered per arena,
+    so pruning a machine that :func:`minimize_under_protocol` produced
+    mostly reads rounds already decided.
     """
-    keep: set[tuple[int, frozenset]] = set()
-    reach: set[int] = set()
-    start = (m.initial, ())
-    seen = {start}
-    work = [start]
-    while work:
-        s, key = work.pop()
-        reach.add(s)
-        for i, (o, d) in m.transitions[s].items():
-            mon = restore_monitor(m.arena, key)
-            if linearize_round(m.arena, mon, i | o) is None:
-                continue
-            keep.add((s, i))
-            nxt = (d, mon.state_key())
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
+    rows, index = _product_states(m)
+    keep = {(s, i) for (s, _), p in index.items() for i in rows[p]}
+    reach = {s for s, _ in index}
 
     # renumber over reachable states, initial first
     order = [m.initial] + sorted(reach - {m.initial})
@@ -533,7 +571,8 @@ def equivalent_under_protocol(ref: SyncMachine, other: SyncMachine,
 
     Joint breadth-first run of both machines against the interface monitor.
     Admissibility is judged on the reference's round (inputs plus its
-    outputs).  ``other`` may define extra rounds; those are don't-cares.
+    outputs), stepped by :func:`_round_step` in the canonical order the
+    reducers use.  ``other`` may define extra rounds; those are don't-cares.
     """
     if ref.arena.port_names() != other.arena.port_names():
         raise ValueError("machines talk over different interfaces")
@@ -546,8 +585,8 @@ def equivalent_under_protocol(ref: SyncMachine, other: SyncMachine,
         for s1, s2, key in frontier:
             for i, (o1, d1) in sorted(ref.transitions[s1].items(),
                                       key=lambda kv: (len(kv[0]), ref.names(kv[0]))):
-                mon = restore_monitor(ref.arena, key)
-                if linearize_round(ref.arena, mon, i | o1) is None:
+                after = _round_step(ref.arena, key, i | o1)
+                if after is None:
                     continue
                 checked += 1
                 got = other.transitions[s2].get(i)
@@ -556,7 +595,7 @@ def equivalent_under_protocol(ref: SyncMachine, other: SyncMachine,
                         depth, (s1, s2), ref.names(i), ref.names(o1),
                         None if got is None else ref.names(got[0]),
                         "" if got is None else "outputs differ"))
-                state = (d1, got[1], mon.state_key())
+                state = (d1, got[1], after)
                 if state not in seen:
                     seen.add(state)
                     nxt.append(state)

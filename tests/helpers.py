@@ -15,7 +15,9 @@ Two generators and a testbench driver used across the suite:
 pending-request objects, kept apart from the library's key-based one so the
 two can be checked against each other.  ``reference_closed_cover`` is the
 exact closed-cover search with no bounds, against which the library's
-bounded one is checked.  ``reference_relay`` builds a forwarder over the
+bounded one is checked.  ``reference_prune_inadmissible`` is the
+depth-first pruning walk, against which the library's breadth-first product
+walk is checked.  ``reference_relay`` builds a forwarder over the
 whole protocol automaton of its arena, against which the library's on-demand
 relay is checked.
 """
@@ -28,8 +30,9 @@ from typing import Optional
 from gosyn.arena import Arena, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, compose_oracle
 from gosyn.design import Design, compile_design
-from gosyn.plays import PlayMonitor, ProtocolAutomaton, linearize_round
+from gosyn.plays import PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor
 from gosyn.sim import SimReport, simulate
+from gosyn.syncmin import SyncMachine
 from gosyn.syntax import (
     App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod, Snd, Term, Var,
     type_to_str,
@@ -422,6 +425,41 @@ def reference_closed_cover(rows, pool: list, start: int = 1) -> Optional[list]:
         if found is not None:
             return found
     return None
+
+
+# ------------------------------------------------ reference round pruning
+
+def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
+    """Rounds admissible in some reachable protocol context, found depth first.
+
+    Every (machine state, pending-forest key) pair is expanded once, each
+    round from a fresh restored monitor with its moves sorted by
+    ``arena.rank``; kept rounds and reached states are then renumbered with
+    the initial state first, as ``prune_inadmissible`` does.
+    """
+    keep: set = set()
+    reach: set = set()
+    start = (m.initial, ())
+    seen = {start}
+    work = [start]
+    while work:
+        s, key = work.pop()
+        reach.add(s)
+        for i, (o, d) in m.transitions[s].items():
+            mon = restore_monitor(m.arena, key)
+            if linearize_round(m.arena, mon, sorted(i | o, key=m.arena.rank.__getitem__)) is None:
+                continue
+            keep.add((s, i))
+            nxt = (d, mon.state_key())
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    order = [m.initial] + sorted(reach - {m.initial})
+    perm = {s: k for k, s in enumerate(order)}
+    table = {perm[s]: {i: (o, perm[d]) for i, (o, d) in m.transitions[s].items()
+                       if (s, i) in keep}
+             for s in order}
+    return SyncMachine(m.arena, table, 0)
 
 
 # ------------------------------------------------------------ reference relay

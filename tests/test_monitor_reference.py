@@ -1,12 +1,15 @@
 """The key-based protocol monitor, automaton and round linearizer, checked
-against the object-forest reference monitor in ``helpers``.
+against the object-forest reference monitor in ``helpers``, and the
+memoized round step of ``syncmin`` checked against the linearizer.
 
 Arenas are the single-face and sharing interfaces of small types.  The
 sharing interface of a type with a ``cell`` argument is left out: its
 protocol automaton takes minutes to build.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -15,6 +18,7 @@ from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.plays import (
     PlayMonitor, ProtocolAutomaton, linearize_round, may_linearize, restore_monitor,
 )
+from gosyn.syncmin import _ROUND_STEPS, _round_step
 from gosyn.syntax import parse_type
 
 TYPES = ("com -> com", "exp -> exp", "cell -> com", "(com -> com) -> com")
@@ -181,3 +185,34 @@ def test_may_linearize_conditions_each_refuse(tyname, kind):
             assert _refused_rounds_have_no_order(a, key, moves)
             tripped["b"] += 1
     assert tripped["a"] and tripped["b"], tripped
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS)
+def test_round_step_is_the_rank_sorted_linearization(tyname, kind):
+    a = _arena(tyname, kind)
+    rng = random.Random(f"step/{tyname}/{kind}")
+    keys = _reachable_keys(a)
+    rounds = []
+    for _ in range(300):
+        moves = rng.sample(a.moves, rng.randrange(1, min(6, len(a.moves)) + 1))
+        rounds.append((rng.choice(keys), frozenset(moves)))
+    want = []
+    for key, moves in rounds:
+        mon = restore_monitor(a, key)
+        order = linearize_round(a, mon, sorted(moves, key=a.rank.__getitem__))
+        want.append(None if order is None else mon.state_key())
+    assert any(w is not None for w in want) and None in want
+    assert a not in _ROUND_STEPS
+    assert [_round_step(a, key, moves) for key, moves in rounds] == want  # cold memo
+    assert len(_ROUND_STEPS[a]) == len(set(rounds))
+    assert [_round_step(a, key, moves) for key, moves in rounds] == want  # warm memo
+
+
+def test_round_step_memo_dies_with_its_arena():
+    a = _arena("com -> com", "sharing")
+    assert _round_step(a, (), frozenset([a.by_name("Q'1")])) is not None
+    assert a in _ROUND_STEPS
+    alive = weakref.ref(a)
+    del a
+    gc.collect()
+    assert alive() is None

@@ -1,0 +1,92 @@
+"""The one (machine state x pending-forest key) product walk of ``syncmin``.
+
+``_product_states`` steps every round through ``_round_step``, which
+linearizes it in the arena's canonical move order and remembers the answer
+per arena.  ``prune_inadmissible`` reads that walk instead of running its
+own, so it must keep exactly the rounds the depth-first walk it replaced
+keeps; and since no step depends on set iteration order, neither the
+product nor the Verilog may depend on ``PYTHONHASHSEED``.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from helpers import random_program, reference_prune_inadmissible
+from gosyn.denote import interpret
+from gosyn.syncmin import (
+    _product_states, equivalent_under_protocol, minimize_under_protocol, prune_inadmissible,
+    round_abstract,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+
+
+def _chain(n: int, op: str) -> str:
+    params = " ".join(f"fn c{i} : com ->" for i in range(n))
+    return f"{params} " + f" {op} ".join(f"c{i}" for i in range(n))
+
+
+# ``fn p : cell * exp -> fst p``, the fourth benchmark cliff, stalls in
+# denote and has no machine to prune.
+CLIFFS = (_chain(5, ";"), _chain(4, "||"), "fn v : exp -> ((v and v) and v) and v")
+
+
+def _shape(m) -> tuple:
+    return m.describe(), m.n_states, m.initial
+
+
+def _check_prune(source: str) -> None:
+    raw = round_abstract(interpret(source))
+    for m in (raw, minimize_under_protocol(raw)):
+        assert _shape(prune_inadmissible(m)) == _shape(reference_prune_inadmissible(m)), source
+
+
+def test_prune_matches_depth_first_walk_on_demos_and_cliffs():
+    for path in sorted(DEMOS.glob("*.sci")):
+        _check_prune(path.read_text())
+    for source in CLIFFS:
+        _check_prune(source)
+
+
+def test_prune_matches_depth_first_walk_on_random_blocks():
+    rng = random.Random(2024)
+    for _ in range(40):
+        _check_prune(random_program(rng, depth=3))
+
+
+_PAR4 = f"""
+import hashlib, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from gosyn.denote import interpret
+from gosyn.netlist import emit_verilog, netlist_of
+from gosyn.syncmin import _product_states, minimize_under_protocol, round_abstract
+raw = round_abstract(interpret({_chain(4, "||")!r}))
+text = emit_verilog(netlist_of(minimize_under_protocol(raw), "par4"))
+print(len(_product_states(raw)[0]), hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_par4_product_and_verilog_do_not_depend_on_hash_seed():
+    seen = set()
+    for seed in ("0", "1", "2"):
+        out = subprocess.run([sys.executable, "-c", _PAR4], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed}, check=True, timeout=60)
+        states, digest = out.stdout.split()
+        assert states == "16", seed
+        seen.add(digest)
+    assert len(seen) == 1
+
+
+def test_seq10_product_walk_is_quick(criterion):
+    raw = round_abstract(interpret(_chain(10, ";")))
+    with criterion(7, "seq10 block: product walk, pruning and protocol equivalence", 1):
+        rows, _ = _product_states(raw)
+        assert len(rows) == 11
+        pruned = prune_inadmissible(raw)
+        assert pruned.n_states == raw.n_states
+        eq = equivalent_under_protocol(raw, minimize_under_protocol(raw), 64)
+        assert eq.equivalent, eq.diff
