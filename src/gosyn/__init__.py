@@ -43,7 +43,6 @@ from .automata import (
     CompositionStall,
     DivergenceDetected,
     StrategyAutomaton,
-    compose_oracle,
     glue_pair,
     synchronize_and_hide,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "check_play",
     "check_sync_trace",
     "compile_design",
-    "compose_oracle",
     "const_automaton",
     "denote",
     "design_verilog",

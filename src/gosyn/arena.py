@@ -29,7 +29,7 @@ automata together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import Arrow, Cell, Com, Exp, Prod, Type, type_to_str
 
@@ -56,31 +56,22 @@ _BASE_INITIALS: dict[type, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A port, identified by its face, its path into the type, and a token.
 
     ``path`` descends the type tree (arrow: 0 = argument, 1 = result;
     product: 0 = left, 1 = right) and ends at a ground type.  Two faces of
     the same type expose moves with equal (path, token) keys, i.e. twins.
+
+    Moves key every protocol state and transition table.  As a named tuple
+    a move hashes and compares as its three fields, in C; no hash is
+    stored, so a pickled or copied move rehashes under the loading
+    process's seed.
     """
 
     face: str
     path: tuple[int, ...]
     token: str
-
-    # Moves key every protocol state and transition table, so the hash is
-    # computed once.  It depends on the process's string hash seed, which is
-    # why ``__reduce__`` rebuilds a pickled or copied move from its fields
-    # rather than carrying the stored hash along.
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.face, self.path, self.token)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Move, (self.face, self.path, self.token))
 
     @property
     def key(self) -> tuple[tuple[int, ...], str]:

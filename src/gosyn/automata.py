@@ -346,48 +346,3 @@ def glue_pair(
                 raise ValueError(f"pair components clash on {out_arena.name(mm)} at the idle state")
             dst[mm] = ids_b[d]
     return StrategyAutomaton(out_arena, trans, 0).trimmed()
-
-
-def compose_oracle(
-    a: StrategyAutomaton,
-    b: StrategyAutomaton,
-    link: dict[Move, Move],
-    relabel_a: dict[Move, Move],
-    relabel_b: dict[Move, Move],
-    out_arena: Arena,
-    max_len: int,
-) -> set[tuple[str, ...]]:
-    """External-trace language of the interaction, computed string by string.
-
-    Walks interleavings of the two automata directly, never building the
-    hidden product automaton, so it cross-checks :func:`synchronize_and_hide`
-    by an independent route.  Deliberately capped: this is a test oracle.
-    """
-    if max_len > 16:
-        raise LimitExceeded("the interaction oracle is capped at traces of length 16")
-    linked_a = set(link)
-    linked_b = set(link.values())
-    out: set[tuple[str, ...]] = set()
-    seen: set[tuple[int, int, tuple[str, ...]]] = set()
-
-    def go(sa: int, sb: int, prefix: tuple[str, ...]) -> None:
-        key = (sa, sb, prefix)
-        if key in seen:
-            return
-        seen.add(key)
-        out.add(prefix)
-        for ma, da in a.transitions[sa].items():
-            if ma in linked_a:
-                db = b.transitions[sb].get(link[ma])
-                if db is not None:
-                    go(da, db, prefix)
-            elif len(prefix) < max_len:
-                go(da, sb, prefix + (out_arena.name(relabel_a[ma]),))
-        for mb, db in b.transitions[sb].items():
-            if mb in linked_b:
-                continue
-            if len(prefix) < max_len:
-                go(sa, db, prefix + (out_arena.name(relabel_b[mb]),))
-
-    go(a.initial, b.initial, ())
-    return out

@@ -304,32 +304,6 @@ def diagonal(ty: Type) -> StrategyAutomaton:
     return StrategyAutomaton(sa, trans, 0)
 
 
-def contraction(m: StrategyAutomaton, first: str, second: str, merged: str,
-                out_ctx: tuple[tuple[str, Type], ...]) -> StrategyAutomaton:
-    """Merge two same-typed faces through the serializing duplicator.
-
-    The face named ``first`` (the earlier syntactic use) is wired to client
-    face 2 and ``second`` to client face 1; the shared face is re-exported
-    under ``merged``.
-    """
-    ty = m.arena.face(first).ty
-    assert m.arena.face(second).ty == ty
-    diag = diagonal(ty)
-    link: dict[Move, Move] = {}
-    for p, tok in _keys(ty):
-        link[Move(first, p, tok)] = Move("p2", p, tok)
-        link[Move(second, p, tok)] = Move("p1", p, tok)
-    out = term_arena(m.arena.face("ret").ty, out_ctx)
-    relabel_a = {mm: mm for mm in m.arena.moves if mm.face not in (first, second)}
-    relabel_b = {
-        mm: Move(merged, mm.path, mm.token)
-        for mm in diag.arena.moves if mm.face == "p0"
-    }
-    auto, stats = synchronize_and_hide(m, diag, link, out, relabel_a, relabel_b)
-    _check_stalls("contraction", stats)
-    return auto
-
-
 # ------------------------------------------------------------ the semantics
 
 def denote(t: Typed) -> StrategyAutomaton:

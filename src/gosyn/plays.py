@@ -326,22 +326,34 @@ def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
 
 
 def may_linearize(arena: Arena, key: Key, moves: Sequence[Move]) -> bool:
-    """Two necessary conditions for some order of ``moves`` to be legal from ``key``.
+    """Necessary conditions for some order of ``moves`` to be legal from ``key``.
 
     (a) Every non-initial move has an enabler pending in ``key`` or in the
-    round, since only those can be pending when it fires.  (b) A request of
-    the round that is already pending in ``key`` has one of its answers in
-    the round, since re-issuing it must wait until that occurrence is
-    answered.  False means no order exists; True decides nothing.
+    round, since only those can be pending when it fires.  (c) A request
+    pending in ``key`` is *stuck* when none of its answers is in the round,
+    and so is every ancestor of a stuck request, since by Wait it cannot be
+    answered before its children; a stuck request stays pending all round.
+    So every answer in the round needs an enabler that is pending and not
+    stuck, or in the round, and a request of the round must not be pending
+    and stuck, since re-issuing it must wait until it is answered.  False
+    means no order exists; True decides nothing.
     """
-    pending = {e for e, _ in key}
     present = set(moves)
+    stuck = [not any(not arena.is_question(b) for b in arena.enabled_by(e) & present)
+             for e, _ in key]
+    for j in range(len(key) - 1, -1, -1):  # children sit after their parents
+        if stuck[j] and key[j][1] >= 0:
+            stuck[key[j][1]] = True
+    pending = {e for e, _ in key}
+    live = {e for (e, _), s in zip(key, stuck) if not s}
     for m in moves:
         enablers = arena.enablers_of(m)
-        if enablers and not (enablers & pending or enablers & present):
-            return False
-        if m in pending and not any(
-                not arena.is_question(b) for b in arena.enabled_by(m) & present):
+        if arena.is_question(m):
+            if m in pending and m not in live:
+                return False
+            if enablers and not (enablers & pending or enablers & present):
+                return False
+        elif not (enablers & live or enablers & present):
             return False
     return True
 
@@ -358,11 +370,13 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
     Legality depends only on the pending forest, so the search runs over
     (key, moves still to place) and remembers the pairs that fail; a
     success ends the search, so only failures need remembering.  At the
-    first dead end the round is put to :func:`may_linearize`, and a refusal
-    ends the search: most impossible rounds are refuted there instead of by
-    exhausting the permutations.  The check waits for a dead end so that a
-    round whose first choices succeed, as those of the simulated demos do,
-    never pays for it.
+    first dead end the whole round is put to :func:`may_linearize`, and a
+    refusal ends the search; from then on every node is put to it too, and
+    a refused node is remembered as failed without being expanded.  Only
+    subtrees holding no legal order are cut, so the order found is
+    unchanged.  The checks wait for a dead end so that a round whose first
+    choices succeed, as those of the simulated demos do, never pays for
+    them.
     """
     moves = list(round_moves)
     start = mon.state_key()
@@ -373,6 +387,10 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
         if not rest:
             return []
         if (key, rest) in failed:
+            return None
+        if failed and not may_linearize(
+                arena, key, [m for i, m in enumerate(moves) if rest >> i & 1]):
+            failed.add((key, rest))
             return None
         for i, m in enumerate(moves):
             if rest >> i & 1:

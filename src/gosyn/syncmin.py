@@ -429,7 +429,7 @@ def _closed_cover(rows, pool: list[frozenset[int]], compat: list[set[int]], exac
     if exact:
         clique = _incompatible_clique(compat)
         for size in range(len(clique), len(pool) + 1):
-            found = _exact_cover(rows, pool, size, implied, clique)
+            found = _exact_cover(rows, pool, size, implied, clique, compat)
             if found is not None:
                 return found
     # greedy: cover by size, then patch closure
@@ -447,23 +447,34 @@ def _closed_cover(rows, pool: list[frozenset[int]], compat: list[set[int]], exac
         chosen.append(grow[0] if grow else missing)
 
 
-def _exact_cover(rows, pool, size, implied, clique: frozenset[int]):
+def _exact_cover(rows, pool, size, implied, clique: frozenset[int], compat: list[set[int]]):
     """First closed cover of at most ``size`` classes in depth-first order.
 
     A node is cut when its uncovered ``clique`` members, which each need a
-    class of their own, cannot fit in the classes left; such a subtree holds
-    no cover, so the order in which covers are found is unchanged.
+    class of their own, cannot fit in the classes left.  At zero slack,
+    when they exactly fill the classes left, every class still to choose
+    holds one of them, so a node is cut too when some uncovered state or
+    pending closure target lies in no pool set that meets them.  Targets
+    are compatibles and the pool holds every maximal compatible, so a pool
+    set holds member ``u`` and target ``t`` exactly when ``t - {u}`` lies
+    in ``compat[u]``.  Such subtrees hold no cover, so the order in which
+    covers are found is unchanged.
     """
     n = len(rows)
 
     def search(chosen: list, need_cover: set, need_close: list) -> Optional[list]:
-        if len(chosen) + len(clique & need_cover) > size:
+        left = clique & need_cover
+        if len(chosen) + len(left) > size:
             return None
         pending = [t for t in need_close if not any(t <= c for c in chosen)]
         if not need_cover and not pending:
             return list(chosen)
         if len(chosen) == size:
             return None
+        if len(chosen) + len(left) == size:
+            needs = [frozenset([v]) for v in need_cover] + pending
+            if not all(any(t - {u} <= compat[u] for u in left) for t in needs):
+                return None
         if pending:
             target = pending[0]
             cands = [c for c in pool if target <= c]

@@ -19,7 +19,10 @@ bounded one is checked.  ``reference_prune_inadmissible`` is the
 depth-first pruning walk, against which the library's breadth-first product
 walk is checked.  ``reference_relay`` builds a forwarder over the
 whole protocol automaton of its arena, against which the library's on-demand
-relay is checked.
+relay is checked.  ``compose_oracle`` walks the interleavings of two glued
+automata string by string, against which ``synchronize_and_hide`` is
+checked, and ``contraction`` merges two faces of a denotation through the
+duplicator, against which sharing in the source is checked.
 """
 
 import itertools
@@ -28,9 +31,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from gosyn.arena import Arena, Move, arena_of_type, term_arena
-from gosyn.automata import StrategyAutomaton, compose_oracle
+from gosyn.automata import StrategyAutomaton, synchronize_and_hide
+from gosyn.denote import diagonal
 from gosyn.design import Design, compile_design
-from gosyn.plays import PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor
+from gosyn.plays import (
+    LimitExceeded, PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor,
+)
 from gosyn.sim import SimReport, simulate
 from gosyn.syncmin import SyncMachine
 from gosyn.syntax import (
@@ -206,6 +212,45 @@ def random_program(rng: random.Random, ty=None, depth: int = 3,
 
 # ------------------------------------------------------- composition oracle
 
+def compose_oracle(a: StrategyAutomaton, b: StrategyAutomaton, link: dict,
+                   relabel_a: dict, relabel_b: dict, out_arena: Arena,
+                   max_len: int) -> set:
+    """External-trace language of the interaction, computed string by string.
+
+    Walks interleavings of the two automata directly, never building the
+    hidden product automaton, so it cross-checks ``synchronize_and_hide``
+    by an independent route.  Capped at traces of length 16.
+    """
+    if max_len > 16:
+        raise LimitExceeded("the interaction oracle is capped at traces of length 16")
+    linked_a = set(link)
+    linked_b = set(link.values())
+    out: set = set()
+    seen: set = set()
+
+    def go(sa: int, sb: int, prefix: tuple) -> None:
+        key = (sa, sb, prefix)
+        if key in seen:
+            return
+        seen.add(key)
+        out.add(prefix)
+        for ma, da in a.transitions[sa].items():
+            if ma in linked_a:
+                db = b.transitions[sb].get(link[ma])
+                if db is not None:
+                    go(da, db, prefix)
+            elif len(prefix) < max_len:
+                go(da, sb, prefix + (out_arena.name(relabel_a[ma]),))
+        for mb, db in b.transitions[sb].items():
+            if mb in linked_b:
+                continue
+            if len(prefix) < max_len:
+                go(sa, db, prefix + (out_arena.name(relabel_b[mb]),))
+
+    go(a.initial, b.initial, ())
+    return out
+
+
 def apply_oracle(fn: StrategyAutomaton, arg: StrategyAutomaton,
                  out_ctx: tuple, max_len: int) -> set:
     """Language of an application, walked string by string.
@@ -228,6 +273,32 @@ def apply_oracle(fn: StrategyAutomaton, arg: StrategyAutomaton,
             relabel_a[m] = m
     relabel_b = {m: m for m in arg.arena.moves if m.face != "ret"}
     return compose_oracle(fn, arg, link, relabel_a, relabel_b, out, max_len)
+
+
+def contraction(m: StrategyAutomaton, first: str, second: str, merged: str,
+                out_ctx: tuple) -> StrategyAutomaton:
+    """Merge two same-typed faces through the serializing duplicator.
+
+    The face named ``first`` (the earlier syntactic use) is wired to client
+    face 2 and ``second`` to client face 1; the shared face is re-exported
+    under ``merged``.
+    """
+    ty = m.arena.face(first).ty
+    assert m.arena.face(second).ty == ty
+    diag = diagonal(ty)
+    link = {}
+    for x in arena_of_type(ty).moves:
+        link[Move(first, x.path, x.token)] = Move("p2", x.path, x.token)
+        link[Move(second, x.path, x.token)] = Move("p1", x.path, x.token)
+    out = term_arena(m.arena.face("ret").ty, out_ctx)
+    relabel_a = {mm: mm for mm in m.arena.moves if mm.face not in (first, second)}
+    relabel_b = {
+        mm: Move(merged, mm.path, mm.token)
+        for mm in diag.arena.moves if mm.face == "p0"
+    }
+    auto, stats = synchronize_and_hide(m, diag, link, out, relabel_a, relabel_b)
+    assert not stats.stalls, stats.stalls
+    return auto
 
 
 # ---------------------------------------------------------- adaptive driving

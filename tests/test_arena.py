@@ -156,7 +156,7 @@ def _python(code: str, seed: str, data: bytes = b"") -> bytes:
 
 
 def test_pickled_move_rehashes_under_the_loading_process_seed():
-    # the hash is stored on the move, and string hashes differ between seeds
+    # string hashes differ between seeds, so a hash carried along would go stale
     out = _python(_LOAD, "2", _python(_DUMP, "1"))
     assert out.decode().split() == ["True", "True", "found"]
 

@@ -3,11 +3,9 @@
 import random
 
 from hypothesis import given, settings, strategies as st
-from helpers import random_program
+from helpers import contraction, random_program
 
-from gosyn.denote import (
-    const_automaton, contraction, denote, diagonal, interpret,
-)
+from gosyn.denote import const_automaton, denote, diagonal, interpret
 from gosyn.plays import check_play
 from gosyn.syntax import CONSTANTS, Com, parse
 from gosyn.typecheck import typecheck

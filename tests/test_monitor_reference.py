@@ -4,7 +4,9 @@ memoized round step of ``syncmin`` checked against the linearizer.
 
 Arenas are the single-face and sharing interfaces of small types.  The
 sharing interface of a type with a ``cell`` argument is left out: its
-protocol automaton takes minutes to build.
+protocol automaton takes minutes to build.  The round linearizer is also
+checked on the interface of ``par4``, whose rounds of one request and its
+four children are where refuting dead branches pays.
 """
 
 import gc
@@ -13,12 +15,14 @@ import weakref
 
 import pytest
 
+import gosyn.plays
 from helpers import ReferenceMonitor, reference_linearize
 from gosyn.arena import arena_of_type, sharing_arena
+from gosyn.denote import interpret
 from gosyn.plays import (
-    PlayMonitor, ProtocolAutomaton, linearize_round, may_linearize, restore_monitor,
+    PlayMonitor, ProtocolAutomaton, decide, linearize_round, may_linearize, restore_monitor,
 )
-from gosyn.syncmin import _ROUND_STEPS, _round_step
+from gosyn.syncmin import _ROUND_STEPS, _product_states, _round_step, round_abstract
 from gosyn.syntax import parse_type
 
 TYPES = ("com -> com", "exp -> exp", "cell -> com", "(com -> com) -> com")
@@ -117,14 +121,18 @@ def test_automaton_rows_match_reference_stepping(tyname, kind):
     assert len(set(state_of.values())) == len(state_of) == pa.n_states
 
 
-@pytest.mark.parametrize("tyname,kind", ARENAS)
+PAR4 = "com -> com -> com -> com -> com"
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS + [(PAR4, "single")])
 def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
     a = _arena(tyname, kind)
+    most, rounds = (7, 150) if tyname == PAR4 else (6, 300)
     rng = random.Random(f"lin/{tyname}/{kind}")
     keys = _reachable_keys(a)
-    for _ in range(300):
+    for _ in range(rounds):
         key = rng.choice(keys)
-        moves = rng.sample(a.moves, rng.randrange(1, min(6, len(a.moves)) + 1))
+        moves = rng.sample(a.moves, rng.randrange(1, min(most, len(a.moves)) + 1))
         if rng.random() < 0.1:
             moves.append(moves[0])  # the same pulse listed twice
         want = reference_linearize(a, key, moves)
@@ -135,6 +143,42 @@ def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
         for m in want or ():
             assert ref.step(m) is None
         assert mon.state_key() == ref.state_key()
+
+
+def test_par4_round_is_linearized_past_its_dead_branches():
+    a = _arena(PAR4, "single")
+    q1, a1, q2, a2 = (a.by_name(n) for n in ("q1", "a1", "q2", "a2"))
+    key = ((q1, -1),) + tuple((a.by_name(f"q{k}"), 0) for k in range(2, 6))
+    order = linearize_round(a, restore_monitor(a, key), a.moves)
+    assert [a.name(m) for m in order] == "a2 a3 a4 a5 a1 q1 q2 q3 q4 q5".split()
+    ref = ReferenceMonitor.restored(a, key)
+    assert all(ref.step(m) is None for m in order)
+    # after a2 and a fresh q2, q2 can no longer be answered, so neither can
+    # q1, and q1 cannot be issued again: the node holds no legal order
+    node = decide(a, decide(a, key, a2)[0], q2)[0]
+    rest = [m for m in a.moves if m not in (a2, q2)]
+    assert not may_linearize(a, node, rest)
+    assert may_linearize(a, key, a.moves)
+
+
+def test_product_walk_refutes_dead_branches(monkeypatch):
+    """``plays.decide`` calls of the product walk; the count repeats exactly."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return decide(*args)
+
+    monkeypatch.setattr(gosyn.plays, "decide", counting)
+    for n, most in ((4, 4_000), (6, 100_000)):
+        params = " ".join(f"fn c{i} : com ->" for i in range(n))
+        raw = round_abstract(interpret(f"{params} " + " || ".join(f"c{i}" for i in range(n))))
+        _ROUND_STEPS.pop(raw.arena, None)
+        calls = 0
+        rows, _ = _product_states(raw)
+        assert len(rows) == 2 ** n
+        assert calls <= most, (n, calls)
 
 
 def _refused_rounds_have_no_order(a, key, moves) -> bool:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from helpers import random_program, reference_prune_inadmissible
 from gosyn.denote import interpret
+from gosyn.netlist import emit_verilog, netlist_of
 from gosyn.syncmin import (
     _product_states, equivalent_under_protocol, minimize_under_protocol, prune_inadmissible,
     round_abstract,
@@ -90,3 +91,36 @@ def test_seq10_product_walk_is_quick(criterion):
         assert pruned.n_states == raw.n_states
         eq = equivalent_under_protocol(raw, minimize_under_protocol(raw), 64)
         assert eq.equivalent, eq.diff
+
+
+def test_par5_block_compiles_quickly(criterion):
+    with criterion(8, "par5 block: denote, minimize, netlist and Verilog", 1):
+        raw = round_abstract(interpret(_chain(5, "||")))
+        small = minimize_under_protocol(raw)
+        assert small.n_states == 5
+        assert emit_verilog(netlist_of(small, "par5"))
+        eq = equivalent_under_protocol(raw, small, 64)
+        assert eq.equivalent, eq.diff
+
+
+_PAR5_COVER = f"""
+import sys, time
+sys.path.insert(0, {str(ROOT / "src")!r})
+from gosyn.denote import interpret
+from gosyn.syncmin import _product_states, minimize_under_protocol, round_abstract
+raw = round_abstract(interpret({_chain(5, "||")!r}))
+_product_states(raw)
+t = time.perf_counter()
+small = minimize_under_protocol(raw)
+print(small.n_states, time.perf_counter() - t)
+"""
+
+
+def test_par5_cover_is_quick_under_hash_seed_0():
+    # the cover search's closure targets come in set order; under seed 0 the
+    # search without its zero-slack cut takes about 6 s
+    out = subprocess.run([sys.executable, "-c", _PAR5_COVER], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": "0"}, check=True, timeout=60)
+    states, seconds = out.stdout.split()
+    assert states == "5"
+    assert float(seconds) < 1.0
