@@ -154,13 +154,6 @@ def _flips(path: tuple[int, ...], t: Type) -> int:
     return n
 
 
-def _ground_at(t: Type, path: tuple[int, ...]) -> Type:
-    cur = t
-    for step in path:
-        cur = (cur.arg, cur.res)[step] if isinstance(cur, Arrow) else (cur.left, cur.right)[step]
-    return cur
-
-
 class Arena:
     """Moves, labelling and enabling for a (possibly multi-face) interface."""
 

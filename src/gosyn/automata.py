@@ -63,9 +63,6 @@ class StrategyAutomaton:
     def step(self, s: int, m: Move) -> Optional[int]:
         return self.transitions[s].get(m)
 
-    def inputs_from(self, s: int) -> tuple[Move, ...]:
-        return tuple(m for m in self.transitions[s] if self.arena.is_input(m))
-
     def outputs_from(self, s: int) -> tuple[Move, ...]:
         return tuple(m for m in self.transitions[s] if not self.arena.is_input(m))
 

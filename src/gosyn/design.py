@@ -102,9 +102,6 @@ class Design:
     def drivers_of(self) -> dict[PortRef, PortRef]:
         return {dst: src for src, dst in self.ties}
 
-    def fanout(self, src: PortRef) -> list[PortRef]:
-        return [d for s, d in self.ties if s == src]
-
 
 # ------------------------------------------------------------ call manager
 
@@ -384,12 +381,7 @@ def design_verilog(design: Design) -> str:
     round table (see netlist.synthesis_view), which is what keeps the tied
     modules free of combinational cycles.
     """
-    mods: dict[str, NetModule] = {
-        iname: netlist_of(inst.machine, f"{design.name}_{iname}")
-        for iname, inst in design.instances.items()
-    }
-    _check_comb_cycles(design, mods)
-
+    mods = dict(zip(sorted(design.instances), netlists_of_design(design)))
     if len(design.instances) == 1 and not any(
             i.kind == "share" for i in design.instances.values()):
         (iname, only), = mods.items()

@@ -144,6 +144,19 @@ class PlayMonitor:
         mon._seen |= self._seen
         return mon
 
+    def blame(self, moves: Sequence[Move]) -> tuple[int, Violation]:
+        """Where a round with no legal order breaks when stepped as given.
+
+        Returns the index in ``moves`` of the first refused move and the
+        violation a :meth:`probe` reports for it.
+        """
+        probe = self.probe()
+        for i, m in enumerate(moves):
+            v = probe.step(m)
+            if v is not None:
+                return i, v
+        raise ValueError("the round is legal in the given order")
+
     # -- stepping
 
     def step(self, m: Move) -> Optional[Violation]:
@@ -431,15 +444,8 @@ def check_sync_trace(arena: Arena, rounds: Sequence[Sequence[str]]) -> tuple[boo
         moves = [arena.by_name(n) for n in r]
         order = linearize_round(arena, mon, moves)
         if order is None:
-            probe = mon.probe()
-            viol = None
-            for i, m in enumerate(moves):
-                v = probe.step(m)
-                if v is not None:
-                    viol = Violation(v.rule, consumed + i, v.move, v.message)
-                    break
-            assert viol is not None
-            return False, lin, viol
+            i, v = mon.blame(moves)
+            return False, lin, Violation(v.rule, consumed + i, v.move, v.message)
         lin.append([arena.name(m) for m in order])
         consumed += len(order)
     return True, lin, None

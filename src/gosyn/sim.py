@@ -401,13 +401,7 @@ def simulate(
             moves = [s.arena.by_name(p) for p in r]
             if linearize_round(s.arena, s.monitor, moves) is not None:
                 continue
-            probe = s.monitor.probe()
-            v = None
-            for m in moves:
-                v = probe.step(m)
-                if v is not None:
-                    break
-            assert v is not None
+            _, v = s.monitor.blame(moves)
             s.alive = False
             blamed_input = s.name == "boundary" and s.arena.is_input(s.arena.by_name(v.move))
             if vetting and blamed_input:

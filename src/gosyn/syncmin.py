@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 from .arena import Arena, Move
 from .automata import StrategyAutomaton
-from .plays import LimitExceeded, linearize_round, restore_monitor
+from .plays import linearize_round, restore_monitor
 
 
 class NonConfluent(Exception):
@@ -116,8 +116,9 @@ def _cascade(auto: StrategyAutomaton, start: int, inputs: frozenset,
              input_order: bool = False):
     """All maximal same-cycle runs from ``start`` with ``inputs`` presented.
 
-    Returns a set of outcomes (emitted, landing state, leftover, blocked):
-    ``blocked`` marks a run cut short because a port would pulse twice.
+    Returns the set of outcomes (emitted, landing state, leftover, blocked),
+    where ``blocked`` marks a run cut short because a port would pulse
+    twice, and the set of nodes (state, leftover, emitted) the runs visit.
     With ``input_order`` the presented inputs are consumed in a fixed order
     (outputs still interleave freely), which isolates genuine output-order
     ambiguity from mere input-arrival ambiguity.
@@ -148,23 +149,25 @@ def _cascade(auto: StrategyAutomaton, start: int, inputs: frozenset,
             outcomes.add((emitted, s, remaining, blocked))
 
     go(start, inputs, frozenset())
-    return outcomes
+    return outcomes, seen
 
 
-def round_abstract(auto: StrategyAutomaton, max_inputs: int = 12) -> SyncMachine:
+def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
     """Synchronous view of an asynchronous automaton.
 
     States are the quiescent (no output pending) automaton states reachable
-    by whole rounds, plus restless split points.  Undefined entries mean the
-    input set cannot be fully consumed in that state.
+    by whole rounds, plus restless split points.  Per state, one cascade
+    with every input presented proposes the sets to try: the inputs consumed
+    at each of its nodes where every enabled output has been emitted.  A run
+    that consumes a set in full ends at such a node of that cascade, so a
+    set not proposed cannot be consumed in one round and its entry stays
+    undefined.  Sets are tried by size, then in ``arena.rank`` order, so
+    rows and state numbers are those of trying every input subset in turn.
     """
-    ins = [m for m in auto.arena.moves if auto.arena.is_input(m)]
-    if len(ins) > max_inputs:
-        raise LimitExceeded(f"{len(ins)} input ports; rounds are capped at {max_inputs}")
     if auto.outputs_from(auto.initial):
         raise ValueError("initial state must be quiescent")
-
-    subsets = [frozenset(c) for k in range(1, len(ins) + 1) for c in combinations(ins, k)]
+    every = frozenset(m for m in auto.arena.moves if auto.arena.is_input(m))
+    rank = auto.arena.rank.__getitem__
 
     index: dict[int, int] = {auto.initial: 0}
     order = [auto.initial]
@@ -172,17 +175,22 @@ def round_abstract(auto: StrategyAutomaton, max_inputs: int = 12) -> SyncMachine
     k = 0
     while k < len(order):
         s = order[k]
-        restless = bool(auto.outputs_from(s))
+        _, seen = _cascade(auto, s, every)
+        proposed = {every - left for t, left, emitted in seen
+                    if left != every and emitted.issuperset(auto.outputs_from(t))}
+        tried = sorted(proposed, key=lambda i: (len(i), sorted(map(rank, i))))
+        if auto.outputs_from(s):
+            tried.insert(0, frozenset())  # restless: the leftover runs on empty input
         row: dict[frozenset, tuple[frozenset, int]] = {}
-        for inputs in ([frozenset()] if restless else []) + subsets:
-            outs = _cascade(auto, s, inputs)
+        for inputs in tried:
+            outs, _ = _cascade(auto, s, inputs)
             complete = {(e, t) for e, t, left, blocked in outs if not left and not blocked}
             if len(complete) > 1:
                 # Input-arrival order alone may not decide a round: such a
                 # set is simply not presentable as one round and the entry
                 # stays undefined.  Ambiguity among output orders for a fixed
                 # arrival order is a real error.
-                ordered = _cascade(auto, s, inputs, input_order=True)
+                ordered, _ = _cascade(auto, s, inputs, input_order=True)
                 ocomplete = {(e, t) for e, t, left, blocked in ordered
                              if not left and not blocked}
                 if len(ocomplete) <= 1:
@@ -405,7 +413,8 @@ def _closed_cover(rows, pool: list[frozenset[int]], compat: list[set[int]], exac
     pairwise-incompatible states, not from 1: no smaller cover exists, and
     the search at each size does not depend on the sizes tried before it,
     so the first cover found is the same as when deepening from 1.  The
-    successor sets a class implies are computed once per class.
+    successor sets a class implies are computed once per class, in the row
+    order of its members, so the search does not depend on the hash seed.
     """
     n = len(rows)
     implied_by: dict[frozenset[int], list[frozenset[int]]] = {}
@@ -414,7 +423,7 @@ def _closed_cover(rows, pool: list[frozenset[int]], compat: list[set[int]], exac
         got = implied_by.get(c)
         if got is None:
             need = {}
-            for i in {i for p in c for i in rows[p]}:
+            for i in dict.fromkeys(i for p in sorted(c) for i in rows[p]):
                 need[i] = frozenset(rows[p][i][1] for p in c if i in rows[p])
             got = implied_by[c] = [t for t in need.values() if t]
         return got

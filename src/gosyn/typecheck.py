@@ -40,9 +40,6 @@ class Typed:
     ctx: tuple[tuple[str, Type], ...]
     children: tuple["Typed", ...] = ()
 
-    def ctx_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.ctx)
-
 
 def _merge_disjoint(a, b, node: Term):
     names = {n for n, _ in a}

@@ -5,6 +5,7 @@ Two generators and a testbench driver used across the suite:
 - ``random_term`` builds closed well-typed programs (affine by construction:
   applications split the available identifiers, pair components share them).
 - ``to_source`` prints a term back to concrete syntax, fully parenthesized.
+- ``chain`` writes the one-line ``seqN`` and ``parN`` programs.
 - ``grow_stimulus`` drives a compiled design or a clocked machine
   adaptively, one legal boundary input per cycle, by replaying the observed
   trace through a fresh monitor and sampling from its legal-move set.
@@ -15,7 +16,9 @@ Two generators and a testbench driver used across the suite:
 pending-request objects, kept apart from the library's key-based one so the
 two can be checked against each other.  ``reference_closed_cover`` is the
 exact closed-cover search with no bounds, against which the library's
-bounded one is checked.  ``reference_prune_inadmissible`` is the
+bounded one is checked.  ``reference_round_abstract`` tries every input
+subset at every state, against which the library's cascade-proposed round
+sets are checked.  ``reference_prune_inadmissible`` is the
 depth-first pruning walk, against which the library's breadth-first product
 walk is checked.  ``reference_relay`` builds a forwarder over the
 whole protocol automaton of its arena, against which the library's on-demand
@@ -38,7 +41,7 @@ from gosyn.plays import (
     LimitExceeded, PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor,
 )
 from gosyn.sim import SimReport, simulate
-from gosyn.syncmin import SyncMachine
+from gosyn.syncmin import NonConfluent, SyncMachine, _cascade
 from gosyn.syntax import (
     App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod, Snd, Term, Var,
     type_to_str,
@@ -51,6 +54,12 @@ CELL = Cell()
 
 
 # ----------------------------------------------------------- source printing
+
+def chain(n: int, op: str) -> str:
+    """``fn c0 : com -> ... c0 op ... op c{n-1}``: ``seqN`` for ``;``, ``parN`` for ``||``."""
+    params = " ".join(f"fn c{i} : com ->" for i in range(n))
+    return f"{params} " + f" {op} ".join(f"c{i}" for i in range(n))
+
 
 def to_source(t: Term) -> str:
     """Concrete syntax for a term; parses back to the same tree.
@@ -469,7 +478,7 @@ def reference_closed_cover(rows, pool: list, start: int = 1) -> Optional[list]:
     """
     def implied(c):
         need = {}
-        for i in {i for p in c for i in rows[p]}:
+        for i in dict.fromkeys(i for p in sorted(c) for i in rows[p]):
             need[i] = frozenset(rows[p][i][1] for p in c if i in rows[p])
         return [t for t in need.values() if t]
 
@@ -496,6 +505,59 @@ def reference_closed_cover(rows, pool: list, start: int = 1) -> Optional[list]:
         if found is not None:
             return found
     return None
+
+
+# ------------------------------------------------ reference round abstraction
+
+def reference_round_abstract(auto: StrategyAutomaton) -> SyncMachine:
+    """``round_abstract`` trying every nonempty input subset at every state.
+
+    Subsets come in ``itertools.combinations`` order over the arena's input
+    moves, by size, and each goes through the same cascade checks as in the
+    library, so the table, its row order and its state numbers are the ones
+    the library's cascade-proposed sets must reproduce.
+    """
+    ins = [m for m in auto.arena.moves if auto.arena.is_input(m)]
+    if auto.outputs_from(auto.initial):
+        raise ValueError("initial state must be quiescent")
+
+    subsets = [frozenset(c) for k in range(1, len(ins) + 1)
+               for c in itertools.combinations(ins, k)]
+
+    index: dict[int, int] = {auto.initial: 0}
+    order = [auto.initial]
+    table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {}
+    k = 0
+    while k < len(order):
+        s = order[k]
+        restless = bool(auto.outputs_from(s))
+        row: dict[frozenset, tuple[frozenset, int]] = {}
+        for inputs in ([frozenset()] if restless else []) + subsets:
+            outs, _ = _cascade(auto, s, inputs)
+            complete = {(e, t) for e, t, left, blocked in outs if not left and not blocked}
+            if len(complete) > 1:
+                ordered, _ = _cascade(auto, s, inputs, input_order=True)
+                ocomplete = {(e, t) for e, t, left, blocked in ordered
+                             if not left and not blocked}
+                if len(ocomplete) <= 1:
+                    continue
+                raise NonConfluent(
+                    f"round {{{','.join(sorted(auto.arena.name(m) for m in inputs))}}} from "
+                    f"state {s} has {len(complete)} outcomes")
+            if complete:
+                (emitted, target), = complete
+            else:
+                split = {(e, t) for e, t, left, blocked in outs if not left and blocked}
+                if len(split) != 1 or any(left for _, _, left, _ in outs):
+                    continue
+                (emitted, target), = split
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            row[inputs] = (emitted, index[target])
+        table[index[s]] = row
+        k += 1
+    return SyncMachine(auto.arena, table, 0)
 
 
 # ------------------------------------------------ reference round pruning

@@ -16,7 +16,7 @@ import weakref
 import pytest
 
 import gosyn.plays
-from helpers import ReferenceMonitor, reference_linearize
+from helpers import ReferenceMonitor, chain, reference_linearize
 from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.denote import interpret
 from gosyn.plays import (
@@ -172,8 +172,7 @@ def test_product_walk_refutes_dead_branches(monkeypatch):
 
     monkeypatch.setattr(gosyn.plays, "decide", counting)
     for n, most in ((4, 4_000), (6, 100_000)):
-        params = " ".join(f"fn c{i} : com ->" for i in range(n))
-        raw = round_abstract(interpret(f"{params} " + " || ".join(f"c{i}" for i in range(n))))
+        raw = round_abstract(interpret(chain(n, "||")))
         _ROUND_STEPS.pop(raw.arena, None)
         calls = 0
         rows, _ = _product_states(raw)

@@ -5,7 +5,8 @@ linearizes it in the arena's canonical move order and remembers the answer
 per arena.  ``prune_inadmissible`` reads that walk instead of running its
 own, so it must keep exactly the rounds the depth-first walk it replaced
 keeps; and since no step depends on set iteration order, neither the
-product nor the Verilog may depend on ``PYTHONHASHSEED``.
+product, the cover search over it nor the Verilog may depend on
+``PYTHONHASHSEED``.
 """
 
 import os
@@ -14,7 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import random_program, reference_prune_inadmissible
+from helpers import chain, random_program, reference_prune_inadmissible
 from gosyn.denote import interpret
 from gosyn.netlist import emit_verilog, netlist_of
 from gosyn.syncmin import (
@@ -26,14 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-def _chain(n: int, op: str) -> str:
-    params = " ".join(f"fn c{i} : com ->" for i in range(n))
-    return f"{params} " + f" {op} ".join(f"c{i}" for i in range(n))
-
-
 # ``fn p : cell * exp -> fst p``, the fourth benchmark cliff, stalls in
 # denote and has no machine to prune.
-CLIFFS = (_chain(5, ";"), _chain(4, "||"), "fn v : exp -> ((v and v) and v) and v")
+CLIFFS = (chain(5, ";"), chain(4, "||"), "fn v : exp -> ((v and v) and v) and v")
 
 
 def _shape(m) -> tuple:
@@ -65,7 +61,7 @@ sys.path.insert(0, {str(ROOT / "src")!r})
 from gosyn.denote import interpret
 from gosyn.netlist import emit_verilog, netlist_of
 from gosyn.syncmin import _product_states, minimize_under_protocol, round_abstract
-raw = round_abstract(interpret({_chain(4, "||")!r}))
+raw = round_abstract(interpret({chain(4, "||")!r}))
 text = emit_verilog(netlist_of(minimize_under_protocol(raw), "par4"))
 print(len(_product_states(raw)[0]), hashlib.sha256(text.encode()).hexdigest())
 """
@@ -83,8 +79,9 @@ def test_par4_product_and_verilog_do_not_depend_on_hash_seed():
 
 
 def test_seq10_product_walk_is_quick(criterion):
-    raw = round_abstract(interpret(_chain(10, ";")))
-    with criterion(7, "seq10 block: product walk, pruning and protocol equivalence", 1):
+    auto = interpret(chain(10, ";"))
+    with criterion(7, "seq10 block: clocking, product walk, pruning and protocol equivalence", 1):
+        raw = round_abstract(auto)
         rows, _ = _product_states(raw)
         assert len(rows) == 11
         pruned = prune_inadmissible(raw)
@@ -95,7 +92,7 @@ def test_seq10_product_walk_is_quick(criterion):
 
 def test_par5_block_compiles_quickly(criterion):
     with criterion(8, "par5 block: denote, minimize, netlist and Verilog", 1):
-        raw = round_abstract(interpret(_chain(5, "||")))
+        raw = round_abstract(interpret(chain(5, "||")))
         small = minimize_under_protocol(raw)
         assert small.n_states == 5
         assert emit_verilog(netlist_of(small, "par5"))
@@ -108,7 +105,7 @@ import sys, time
 sys.path.insert(0, {str(ROOT / "src")!r})
 from gosyn.denote import interpret
 from gosyn.syncmin import _product_states, minimize_under_protocol, round_abstract
-raw = round_abstract(interpret({_chain(5, "||")!r}))
+raw = round_abstract(interpret({chain(5, "||")!r}))
 _product_states(raw)
 t = time.perf_counter()
 small = minimize_under_protocol(raw)
@@ -124,3 +121,34 @@ def test_par5_cover_is_quick_under_hash_seed_0():
     states, seconds = out.stdout.split()
     assert states == "5"
     assert float(seconds) < 1.0
+
+
+_PAR6_COVER = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from gosyn.denote import interpret
+from gosyn.syncmin import _product_states, minimize_under_protocol, round_abstract
+raw = round_abstract(interpret({chain(6, "||")!r}))
+_product_states(raw)
+nodes = 0
+def count(frame, event, arg):
+    global nodes
+    if frame.f_code.co_name == "search" and frame.f_code.co_filename.endswith("syncmin.py"):
+        nodes += 1
+sys.settrace(count)
+small = minimize_under_protocol(raw)
+sys.settrace(None)
+print(small.n_states, nodes)
+"""
+
+
+def test_par6_cover_search_does_not_depend_on_hash_seed():
+    # closure targets are listed in row order; in set order seed 1 took
+    # 5,691 search nodes to seed 0's 860
+    procs = [subprocess.Popen([sys.executable, "-c", _PAR6_COVER], stdout=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+             for seed in ("0", "1")]
+    outs = [p.communicate(timeout=120)[0].split() for p in procs]
+    assert all(p.returncode == 0 for p in procs)
+    assert outs[0] == outs[1], outs
+    assert outs[0][0] == "6"
