@@ -16,6 +16,7 @@ again); that is reported rather than silently producing a stuck machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .arena import Arena, Move
@@ -64,7 +65,14 @@ class StrategyAutomaton:
         return self.transitions[s].get(m)
 
     def outputs_from(self, s: int) -> tuple[Move, ...]:
-        return tuple(m for m in self.transitions[s] if not self.arena.is_input(m))
+        """The output moves of ``s``'s row, in row order."""
+        return self._outputs[s]
+
+    @cached_property
+    def _outputs(self) -> dict[int, tuple[Move, ...]]:
+        # built once, on first use: the round cascade asks at every node
+        return {s: tuple(m for m in row if not self.arena.is_input(m))
+                for s, row in self.transitions.items()}
 
     def remapped(self, arena: Arena, move_map: dict[Move, Move]) -> "StrategyAutomaton":
         """Same states and structure, moves renamed into another arena."""

@@ -179,15 +179,14 @@ def _run_compile(args) -> int:
     name = args.top or Path(args.file).stem
     mode = "none" if args.no_minimize else args.min
     design = compile_design(src, name=name, min_mode=mode)
-    _write_or_print(design_verilog(design), args.output)
-    if args.json or args.dot:
-        mods = netlists_of_design(design)
-        if args.json:
-            doc = {"kind": "design", "name": design.name,
-                   "modules": [to_dict(m) for m in mods]}
-            _write_or_print(json.dumps(doc, indent=2) + "\n", args.json)
-        if args.dot:
-            _write_or_print("".join(emit_dot(m, m.name) for m in mods), args.dot)
+    mods = netlists_of_design(design)
+    _write_or_print(design_verilog(design, mods), args.output)
+    if args.json:
+        doc = {"kind": "design", "name": design.name,
+               "modules": [to_dict(m) for m in mods]}
+        _write_or_print(json.dumps(doc, indent=2) + "\n", args.json)
+    if args.dot:
+        _write_or_print("".join(emit_dot(m, m.name) for m in mods), args.dot)
     return 0
 
 

@@ -374,14 +374,17 @@ def netlists_of_design(design: Design) -> list[NetModule]:
     return [mods[n] for n in sorted(mods)]
 
 
-def design_verilog(design: Design) -> str:
+def design_verilog(design: Design, netlists: Optional[list[NetModule]] = None) -> str:
     """Multi-module Verilog; a single unshared block flattens to one module.
 
-    Synthesis itself reduces each machine to its admissible, order-resolved
-    round table (see netlist.synthesis_view), which is what keeps the tied
-    modules free of combinational cycles.
+    ``netlists`` are the design's :func:`netlists_of_design`, synthesized
+    here when not given.  Synthesis itself reduces each machine to its
+    admissible, order-resolved round table (see netlist.synthesis_view),
+    which is what keeps the tied modules free of combinational cycles.
     """
-    mods = dict(zip(sorted(design.instances), netlists_of_design(design)))
+    if netlists is None:
+        netlists = netlists_of_design(design)
+    mods = dict(zip(sorted(design.instances), netlists))
     if len(design.instances) == 1 and not any(
             i.kind == "share" for i in design.instances.values()):
         (iname, only), = mods.items()

@@ -19,6 +19,7 @@ all and comes out as pure continuous assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .syncmin import SyncMachine, prune_inadmissible
@@ -84,17 +85,18 @@ def expr_to_verilog(e: Expr, rename) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def expr_eval(e: Expr, env: dict[str, bool]) -> bool:
+def expr_to_python(e: Expr) -> str:
+    """A Python expression over the dict ``v``; every net is named through repr()."""
     if isinstance(e, EVar):
-        return env[e.name]
+        return f"v[{e.name!r}]"
     if isinstance(e, EConst):
-        return e.val
+        return repr(e.val)
     if isinstance(e, ENot):
-        return not expr_eval(e.x, env)
+        return f"(not {expr_to_python(e.x)})"
     if isinstance(e, EAnd):
-        return all(expr_eval(x, env) for x in e.xs)
+        return "(" + (" and ".join(map(expr_to_python, e.xs)) or "True") + ")"
     if isinstance(e, EOr):
-        return any(expr_eval(x, env) for x in e.xs)
+        return "(" + (" or ".join(map(expr_to_python, e.xs)) or "False") + ")"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -134,12 +136,22 @@ class NetModule:
         return {b: i == 0 for i, b in enumerate(self.state_bits)}
 
     def eval(self, state: dict[str, bool], pulses: dict[str, bool]):
-        """One cycle: returns (output pulses, next state bits)."""
+        """One cycle: returns (output pulses, next state bits).
+
+        The cones are compiled into one Python function once per module, on
+        its first evaluation, rather than walked as expression trees.
+        """
         env = dict(state)
         env.update({p: pulses.get(p, False) for p in self.inputs})
-        outs = {o: expr_eval(e, env) for o, e in self.assigns}
-        nxt = {b: expr_eval(e, env) for b, e in self.nexts}
-        return outs, nxt
+        return self._cones(env)
+
+    @cached_property
+    def _cones(self):
+        """``lambda v: ({output: value}, {state bit: next value})`` for every cone."""
+        def body(pairs) -> str:
+            return "{" + ", ".join(f"{n!r}: {expr_to_python(e)}" for n, e in pairs) + "}"
+        src = f"lambda v: ({body(self.assigns)}, {body(self.nexts)})"
+        return eval(compile(src, f"<cones of {self.name}>", "eval"))
 
 
 def _minterm(vars_order: tuple[str, ...], on: frozenset) -> Expr:

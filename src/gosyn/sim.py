@@ -10,6 +10,13 @@ round can be replayed as a causally ordered move list: environment pulses
 first, then everything a given wave of outputs enabled.  Concatenating the
 per-cycle orders yields the linear trace a waveform viewer would show.
 
+The settle loop only does work where pulses change: within a cycle, pulses
+only accumulate and a unit's preview is a pure function of its state and
+its input pulses, so a unit is previewed again only when its input pulses
+have grown since its last preview.  Skipping the others is exact, because
+their outputs are already stamped and the round they hold is the one a
+repeat preview would pick.
+
 Status semantics:
 
 - Completed: stimulus exhausted, device quiet, nothing pending anywhere.
@@ -291,7 +298,7 @@ def simulate(
     inst_traces: dict[str, list[tuple[str, ...]]] = {
         s.name: [] for s in scopes if s.prefix is not None
     }
-    waves: list[dict[str, bool]] = []      # per cycle, per net key "inst.port"/"port"
+    waves: list[dict[str, bool]] = []      # per cycle, per net key "inst.port"/"port"; VCD only
     idx = 0
 
     def finish(status, cyc, cycles, race=(), viol=None):
@@ -318,6 +325,18 @@ def simulate(
 
     budget = sum(len(u.inputs) + len(u.outputs) for u in units.values()) + 2
 
+    # each round lists the pulses of one net scope, ordered by stamp and
+    # then by the port's rank in the scope's port tuple
+    def rank_of(ports) -> dict[str, int]:
+        return {p: k for k, p in enumerate(ports)}
+
+    boundary_rank = rank_of(tuple(bound_in) + tuple(bound_out))
+    scope_ranks = [rank_of(s.arena.port_names()) for s in scopes]
+    openers = {
+        s.name: [s.arena.name(m) for m in s.arena.initials if s.arena.is_input(m)]
+        for s in scopes if s.is_share
+    }
+
     for cycle in range(1, max_cycles + 1):
         # -- 1. pick this cycle's stimulus
         presented: tuple[str, ...] = ()
@@ -336,67 +355,69 @@ def simulate(
         # -- 2. settle combinational pulses, stamping causality: a pulse is
         # stamped one past the latest pulse that caused it (row inputs for a
         # machine output, the driver for a tied sink), so sorting a round by
-        # stamp replays the cycle as the paper's traces linearize it
-        stamp: dict[tuple, int] = {}
+        # stamp replays the cycle as the paper's traces linearize it.  Stamps
+        # are bucketed by scope (None = boundary).  A unit is previewed again
+        # only when its input pulses have grown: pulses only accumulate and a
+        # preview is a pure function of (state, input pulses), so a repeat
+        # would pulse what is already stamped and pick the round it holds.
+        stamp: dict[Optional[str], dict[str, int]] = {None: {}}
+        stamp.update((name, {}) for name in units)
 
-        def pulse(key: tuple, st: int) -> None:
-            if key in stamp:
+        def pulse(inst: Optional[str], port: str, st: int) -> None:
+            here = stamp[inst]
+            if port in here:
                 return
-            stamp[key] = st
-            for sink in ties.get(key, ()):
-                pulse(sink, st + 1)
+            here[port] = st
+            for sink in ties.get((inst, port), ()):
+                pulse(*sink, st + 1)
 
         for p in presented:
-            pulse((None, p), 0)
+            pulse(None, p, 0)
+        seen: dict[str, frozenset[str]] = {}
         settled = False
         for _ in range(budget + 1):
-            before = len(stamp)
+            before = sum(map(len, stamp.values()))
             for name, u in units.items():
-                got = frozenset(p for (i, p) in stamp if i == name and p in u.inputs)
+                here = stamp[name]
+                got = u.inputs.intersection(here)
+                if seen.get(name) == got:
+                    continue
+                seen[name] = got
                 outs, used = u.preview(got)
                 if outs:
-                    base = 1 + max((stamp[(name, p)] for p in used), default=0)
+                    base = 1 + max((here[p] for p in used), default=0)
                     for o in outs:
-                        pulse((name, o), base)
-            if len(stamp) == before:
+                        pulse(name, o, base)
+            if sum(map(len, stamp.values())) == before:
                 settled = True
                 break
         if not settled:
             raise SimError(f"cycle {cycle}: pulses never settle (combinational loop)")
 
         # -- 3. record the observed rounds, causally ordered
-        def round_of(prefix: Optional[str], ports) -> tuple[str, ...]:
-            here = [(i, p) for (i, p) in stamp if i == prefix and p in ports]
-            order = {p: k for k, p in enumerate(ports)}
-            here.sort(key=lambda ip: (stamp[ip], order[ip[1]]))
-            return tuple(p for _, p in here)
+        def round_of(prefix: Optional[str], rank: dict[str, int]) -> tuple[str, ...]:
+            here = stamp[prefix]
+            return tuple(sorted((p for p in here if p in rank),
+                                key=lambda p: (here[p], rank[p])))
 
-        bports = tuple(bound_in) + tuple(bound_out)
-        trace.append(round_of(None, bports))
-        for s in scopes:
+        trace.append(round_of(None, boundary_rank))
+        rounds = [round_of(s.prefix, rank) for s, rank in zip(scopes, scope_ranks)]
+        for s, r in zip(scopes, rounds):
             if s.name in inst_traces:
-                ports = tuple(s.arena.port_names())
-                inst_traces[s.name].append(round_of(s.prefix, ports))
-        waves.append({f"{i}.{p}" if i else p: True for (i, p) in stamp})
+                inst_traces[s.name].append(r)
+        if vcd:
+            waves.append({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here})
 
         # -- 4. race check on shared sub-interfaces
         for s in scopes:
-            if not s.is_share:
-                continue
-            opened = [
-                s.arena.name(m) for m in s.arena.initials
-                if s.arena.is_input(m) and (s.prefix, s.arena.name(m)) in stamp
-            ]
-            if len(opened) >= 2:
-                return finish("Race", cycle, cycle, race=tuple(sorted(opened)))
+            if s.is_share:
+                opened = [p for p in openers[s.name] if p in stamp[s.prefix]]
+                if len(opened) >= 2:
+                    return finish("Race", cycle, cycle, race=tuple(sorted(opened)))
 
         # -- 5. feed the monitors
-        for s in scopes:
-            if not s.alive:
-                continue
-            src = s.prefix if s.prefix is not None else None
-            r = round_of(src, tuple(s.arena.port_names()))
-            if not r:
+        for s, r in zip(scopes, rounds):
+            if not s.alive or not r:
                 continue
             moves = [s.arena.by_name(p) for p in r]
             if linearize_round(s.arena, s.monitor, moves) is not None:
@@ -416,7 +437,7 @@ def simulate(
             u.commit()
 
         # -- 7. quiet-cycle resolution
-        if not stamp:
+        if not any(stamp.values()):
             pending = any(
                 s.arena.is_question(s.arena.by_name(n))
                 for s in scopes for n in s.monitor.pending_names()

@@ -18,9 +18,11 @@ two can be checked against each other.  ``reference_closed_cover`` is the
 exact closed-cover search with no bounds, against which the library's
 bounded one is checked.  ``reference_round_abstract`` tries every input
 subset at every state, against which the library's cascade-proposed round
-sets are checked.  ``reference_prune_inadmissible`` is the
-depth-first pruning walk, against which the library's breadth-first product
-walk is checked.  ``reference_relay`` builds a forwarder over the
+sets are checked.  ``expr_eval`` walks a netlist expression tree, against
+which the library's compiled cones are checked.
+``reference_prune_inadmissible`` is the depth-first pruning walk, against
+which the library's breadth-first product walk is checked.
+``reference_relay`` builds a forwarder over the
 whole protocol automaton of its arena, against which the library's on-demand
 relay is checked.  ``compose_oracle`` walks the interleavings of two glued
 automata string by string, against which ``synchronize_and_hide`` is
@@ -37,6 +39,7 @@ from gosyn.arena import Arena, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, synchronize_and_hide
 from gosyn.denote import diagonal
 from gosyn.design import Design, compile_design
+from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr
 from gosyn.plays import (
     LimitExceeded, PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor,
 )
@@ -630,3 +633,20 @@ def reference_relay(arena: Arena, twins: dict) -> StrategyAutomaton:
         trans[k] = row
         k += 1
     return StrategyAutomaton(arena, trans, 0)
+
+
+# ------------------------------------------------ reference cone evaluation
+
+def expr_eval(e: Expr, env: dict[str, bool]) -> bool:
+    """Evaluate a netlist expression by walking its tree."""
+    if isinstance(e, EVar):
+        return env[e.name]
+    if isinstance(e, EConst):
+        return e.val
+    if isinstance(e, ENot):
+        return not expr_eval(e.x, env)
+    if isinstance(e, EAnd):
+        return all(expr_eval(x, env) for x in e.xs)
+    if isinstance(e, EOr):
+        return any(expr_eval(x, env) for x in e.xs)
+    raise TypeError(f"not an expression: {e!r}")

@@ -32,6 +32,13 @@ def test_transitions_must_point_at_states():
         StrategyAutomaton(a, {0: {a.by_name("q"): 7}})
 
 
+def test_outputs_from_is_each_rows_outputs_built_once():
+    m = denote(typecheck(parse("fn c0 : com -> fn c1 : com -> c0 || c1")))
+    for s, row in m.transitions.items():
+        want = tuple(x for x in row if not m.arena.is_input(x))
+        assert m.outputs_from(s) == want
+        assert m.outputs_from(s) is m.outputs_from(s)
+
 def test_copycat_forwards_both_ways():
     cc = identity_strategy(COM, "x")
     assert cc.language(4) == {

@@ -12,14 +12,15 @@ once its search hits a dead end; the rounds of the ``shared_twice`` demo,
 simulated or checked as a trace, never get there, so they never pay for it.
 """
 
+import itertools
 import random
 from pathlib import Path
 
-from helpers import grow_stimulus, random_program
+from helpers import chain, expr_eval, grow_stimulus, random_program
 from gosyn import plays
 from gosyn.arena import sharing_arena
 from gosyn.denote import interpret
-from gosyn.design import compile_design
+from gosyn.design import compile_design, netlists_of_design
 from gosyn.netlist import emit_verilog, netlist_of
 from gosyn.plays import check_sync_trace
 from gosyn.sim import parse_stimulus, simulate
@@ -96,3 +97,19 @@ def test_seq6_block_synthesizes_quickly(criterion):
         assert "module seq6" in emit_verilog(netlist_of(small, "seq6"))
         eq = equivalent_under_protocol(raw, small, 64)
         assert eq.equivalent, eq.diff
+
+
+def test_compiled_cones_agree_with_the_reference_evaluator():
+    designs = [compile_design(path.read_text(), name=path.stem)
+               for path in sorted(DEMOS.glob("*.sci"))]
+    designs.append(compile_design(chain(4, "||"), name="par4"))
+    for mod in (m for d in designs for m in netlists_of_design(d)):
+        states = [{b: b == hot for b in mod.state_bits} for hot in mod.state_bits] or [{}]
+        for state in states:
+            for k in range(len(mod.inputs) + 1):
+                for on in itertools.combinations(mod.inputs, k):
+                    pulses = {p: p in on for p in mod.inputs}
+                    env = {**state, **pulses}
+                    want = ({o: expr_eval(e, env) for o, e in mod.assigns},
+                            {b: expr_eval(e, env) for b, e in mod.nexts})
+                    assert mod.eval(state, pulses) == want, f"{mod.name}: {state} {on}"

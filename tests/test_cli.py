@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import chain
+from gosyn import design
 from gosyn.cli import main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -74,3 +75,19 @@ def test_compile_takes_more_than_twelve_inputs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("module seq12") and out.rstrip().endswith("endmodule")
     assert not err
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--dot"]])
+def test_compile_synthesizes_each_instance_once(tmp_path, capsys, monkeypatch, extra):
+    calls = []
+
+    def counted(machine, name="top"):
+        calls.append(name)
+        return netlist_of(machine, name)
+
+    netlist_of = design.netlist_of
+    monkeypatch.setattr(design, "netlist_of", counted)
+    argv = ["compile", str(DEMOS / "shared_twice.sci"), "-o", str(tmp_path / "out.v")]
+    argv += [a for flag in extra for a in (flag, str(tmp_path / "dump"))]
+    assert main(argv) == 0
+    assert sorted(calls) == ["shared_twice_body", "shared_twice_mgr_f"]

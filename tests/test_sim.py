@@ -2,7 +2,9 @@
 
 The VCD goldens in ``tests/golden`` pin ``gosyn sim --vcd`` on the
 ``shared_twice`` design and the dump of the gate-level ``loop.sci`` netlist
-byte for byte, idle cycle included.
+byte for byte, idle cycle included.  A unit is previewed again within a
+cycle only when its input pulses grow; a counter on the machine units'
+previews checks that the settle loop skips the others.
 """
 
 from pathlib import Path
@@ -39,3 +41,33 @@ def test_loop_netlist_vcd_golden(tmp_path):
                           arena=machine.arena, vcd=str(vcd))
     assert (report.status, report.cycles) == ("Completed", 10)
     assert vcd.read_bytes() == (GOLDEN / "loop_gates.vcd").read_bytes()
+
+
+def test_settle_previews_a_unit_only_when_its_inputs_grow(monkeypatch):
+    design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="shared_twice")
+    stim = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text())
+    calls = []
+
+    def counted(self, pulsed):
+        calls.append(self.name)
+        return preview(self, pulsed)
+
+    preview = sim._MachineUnit.preview
+    monkeypatch.setattr(sim._MachineUnit, "preview", counted)
+    report = sim.simulate(design, stim * 20, max_cycles=1000)
+    assert (report.status, report.cycles) == ("Completed", 101)
+    # previewing every unit on every settle pass took 562 calls; skipping the
+    # units whose inputs did not grow takes 342
+    assert len(calls) <= 400
+
+
+def test_a_unit_fed_the_same_pulses_again_next_cycle_is_previewed_again():
+    # each true guard asks again, so the block sees {t2} cycle after cycle
+    source = "fn guard : exp -> while guard do skip"
+    machine = clock_block(denote(typecheck(parse(source))), "protocol")
+    stim = [("q1",), ("t2",), ("t2",), ("t2",), ("f2",)]
+    want = (("q1", "q2"), ("t2", "q2"), ("t2", "q2"), ("t2", "q2"), ("f2", "a1"), ())
+    for device, kw in ((machine, {}), (netlist_of(machine, "busy"), {"arena": machine.arena}),
+                       (compile_design(source, name="busy"), {})):
+        report = sim.simulate(device, stim, **kw)
+        assert (report.status, report.trace) == ("Completed", want)
