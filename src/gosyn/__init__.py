@@ -35,9 +35,9 @@ from .plays import (
     Violation,
     check_play,
     check_sync_trace,
+    decide_round,
     enumerate_plays,
     linearize_round,
-    restore_monitor,
 )
 from .automata import (
     CompositionStall,
@@ -106,6 +106,7 @@ __all__ = [
     "check_sync_trace",
     "compile_design",
     "const_automaton",
+    "decide_round",
     "denote",
     "design_verilog",
     "diagonal",
@@ -130,7 +131,6 @@ __all__ = [
     "parse_type",
     "parse_wire_file",
     "prune_inadmissible",
-    "restore_monitor",
     "round_abstract",
     "sharing_arena",
     "simulate",

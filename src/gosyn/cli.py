@@ -45,6 +45,12 @@ def main(argv=None) -> int:
         return 1
 
 
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gosyn",
@@ -90,7 +96,8 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("design", help="a .sci program or (with --unsafe-wire) a wiring file")
     s.add_argument("--stimulus", required=True, metavar="PATH",
                    help="one round per line; '.' is a quiet cycle")
-    s.add_argument("--max-cycles", type=int, default=200)
+    s.add_argument("--max-cycles", type=_positive, default=200, metavar="N",
+                   help="stop after N cycles (at least 1)")
     s.add_argument("--vcd", metavar="PATH", help="write waveforms here")
     s.add_argument("--unsafe-wire", action="store_true",
                    help="treat the design as a raw wiring file and force the "

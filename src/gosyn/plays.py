@@ -18,16 +18,18 @@ session whenever they are not already pending.  Checking is deterministic
 by resolving each move to its most recently opened pending enabler.
 
 The protocol state is the pending forest, encoded as a key of (move, parent
-position) pairs, and :func:`decide` is the one transition on it that every
-checker here uses: the monitor, the protocol automaton and the round
-linearizer.  A move is legal only if one of its enablers is pending, and a
-pending enabler has been seen, so the set of moves seen so far never decides
-legality; the monitor keeps it only to name a refusal Justification (no
-enabler ever seen) rather than Fork.
+position) pairs.  :func:`decide` is the one transition on it per move, and
+:func:`decide_round` the one per round of simultaneous pulses; it remembers
+its answers per arena, so the monitor, the simulator and ``syncmin`` search
+a round once however often it recurs.  A move is legal only if one of its
+enablers is pending, and a pending enabler has been seen, so the set of
+moves seen so far never decides legality; the monitor keeps it only to name
+a refusal Justification (no enabler ever seen) rather than Fork.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -100,14 +102,18 @@ def decide(arena: Arena, key: Key, m: Move) -> tuple[Optional[Key], int, Optiona
 
 
 class PlayMonitor:
-    """Incremental legality checker; one instance tracks one interface."""
+    """Incremental legality checker; one instance tracks one interface.
 
-    def __init__(self, arena: Arena):
+    ``PlayMonitor(arena, key)`` restores one at a ``state_key()``: its play is
+    the pending requests alone, whose enablers count as seen.
+    """
+
+    def __init__(self, arena: Arena, key: Key = ()):
         self.arena = arena
-        self._key: Key = ()
-        self._at: list[int] = []      # play position of each pending request
-        self._seen: set[Move] = set()
-        self._length = 0
+        self._key: Key = tuple(key)
+        self._at: list[int] = list(range(len(self._key)))   # play position of each pending request
+        self._seen: set[Move] = {x for m, _ in self._key for x in (m, *arena.enablers_of(m))}
+        self._length = len(self._key)
         self._justifier: list[Optional[int]] = []
         self.failure: Optional[Violation] = None
 
@@ -126,6 +132,10 @@ class PlayMonitor:
         """The pending forest as (move, parent position) pairs."""
         return self._key
 
+    def justifiers(self) -> tuple[Optional[int], ...]:
+        """Per move played, the play position of its justifier (None if initial)."""
+        return tuple(self._justifier)
+
     def would_accept(self, m: Move) -> bool:
         return decide(self.arena, self._key, m)[0] is not None
 
@@ -135,12 +145,9 @@ class PlayMonitor:
     def probe(self) -> "PlayMonitor":
         """A fresh monitor at this one's state, for trying moves without harm.
 
-        It has the same pending forest and seen set, so it refuses the same
-        moves under the same rules, but its play is taken to be the pending
-        requests alone (as in :func:`restore_monitor`), so the positions it
-        reports count from them.
-        """
-        mon = restore_monitor(self.arena, self._key)
+        It refuses the same moves under the same rules, but as a restored
+        monitor it reports positions counted from the pending requests."""
+        mon = PlayMonitor(self.arena, self._key)
         mon._seen |= self._seen
         return mon
 
@@ -173,15 +180,22 @@ class PlayMonitor:
             name = self.arena.name(m)
             self.failure = Violation(rule, self._length, name, _MESSAGES[rule].format(name=name))
             return self.failure
-        self._seen.add(m)
-        self._justifier.append(self._at[j] if j >= 0 else None)
-        if len(nxt) > len(self._key):
-            self._at.append(self._length)
-        else:
-            del self._at[j]
-        self._key = nxt
-        self._length += 1
+        self._take(((m, j, nxt),))
         return None
+
+    def _take(self, steps: Sequence[tuple]) -> None:
+        """Play the (move, j, next key) steps of :func:`decide_round`."""
+        if self.failure is not None:
+            raise RuntimeError("monitor already failed; create a fresh one")
+        for m, j, nxt in steps:
+            self._seen.add(m)
+            self._justifier.append(self._at[j] if j >= 0 else None)
+            if len(nxt) > len(self._key):
+                self._at.append(self._length)
+            else:
+                del self._at[j]
+            self._key = nxt
+            self._length += 1
 
     def step_name(self, name: str) -> Optional[Violation]:
         return self.step(self.arena.by_name(name))
@@ -203,7 +217,7 @@ def check_play(arena: Arena, play: Sequence[str]) -> Verdict:
         v = mon.step(m)
         if v is not None:
             return Verdict(False, violation=v)
-    return Verdict(True, pending=mon.pending_names(), justifier=tuple(mon._justifier))
+    return Verdict(True, pending=mon.pending_names(), justifier=mon.justifiers())
 
 
 class ProtocolAutomaton:
@@ -275,36 +289,8 @@ class ProtocolAutomaton:
         go(self.initial, frozenset(), ())
         return out
 
-    def language(self, max_len: int) -> set[tuple[str, ...]]:
-        """All legal plays up to ``max_len``, sessions free to restart."""
-        out: set[tuple[str, ...]] = set()
 
-        def go(state: int, prefix: tuple[str, ...]) -> None:
-            out.add(prefix)
-            if len(prefix) == max_len:
-                return
-            for m, dst in self.transitions[state].items():
-                go(dst, prefix + (self.arena.name(m),))
-
-        go(self.initial, ())
-        return out
-
-
-def restore_monitor(arena: Arena, key: tuple) -> PlayMonitor:
-    """Rebuild a monitor from a ``state_key()``; lineage (seen set) is inferred.
-
-    The restored play is taken to be the pending requests alone, so the
-    positions it reports count from them.
-    """
-    mon = PlayMonitor(arena)
-    mon._key = tuple(key)
-    mon._at = list(range(len(key)))
-    mon._length = len(key)
-    # enablers of anything already open have necessarily been seen
-    for move, _ in key:
-        mon._seen.add(move)
-        mon._seen.update(arena.enablers_of(move))
-    return mon
+restore_monitor = PlayMonitor  # the older name; perfbench/tracer.py counts its calls
 
 
 def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
@@ -375,11 +361,18 @@ class _NoOrder(Exception):
     """Unwinds the round search once :func:`may_linearize` refuses the round."""
 
 
-def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move]) -> Optional[list[Move]]:
-    """Find an order of simultaneous pulses legal after ``mon``'s history.
+# arena -> {(key, round moves): steps or None}.  An answer depends on nothing
+# else, so every caller shares it, and it lives only as long as its arena.
+_ROUNDS: "weakref.WeakKeyDictionary[Arena, dict]" = weakref.WeakKeyDictionary()
 
-    Returns the order and advances the monitor, or None (monitor untouched).
-    The order is the first legal one in ``itertools.permutations`` order.
+
+def decide_round(arena: Arena, key: Key, moves: Iterable[Move]) -> Optional[tuple[tuple, ...]]:
+    """:func:`decide` lifted to a round of simultaneous pulses.
+
+    Returns the first legal order of ``moves`` from ``key``, in
+    ``itertools.permutations`` order, as the (move, j, next key) steps
+    :func:`decide` takes along it, or None; answers are remembered per arena.
+
     Legality depends only on the pending forest, so the search runs over
     (key, moves still to place) and remembers the pairs that fail; a
     success ends the search, so only failures need remembering.  At the
@@ -391,42 +384,53 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
     choices succeed, as those of the simulated demos do, never pays for
     them.
     """
-    moves = list(round_moves)
-    start = mon.state_key()
+    moves = tuple(moves)
+    memo = _ROUNDS.setdefault(arena, {})
+    if (key, moves) in memo:
+        return memo[key, moves]
     failed: set[tuple[Key, int]] = set()
 
-    def search(key: Key, rest: int) -> Optional[list[Move]]:
+    def search(at: Key, rest: int) -> Optional[list[tuple]]:
         # ``rest`` has bit i set while moves[i] is still to be placed
         if not rest:
             return []
-        if (key, rest) in failed:
+        if (at, rest) in failed:
             return None
         if failed and not may_linearize(
-                arena, key, [m for i, m in enumerate(moves) if rest >> i & 1]):
-            failed.add((key, rest))
+                arena, at, [m for i, m in enumerate(moves) if rest >> i & 1]):
+            failed.add((at, rest))
             return None
         for i, m in enumerate(moves):
             if rest >> i & 1:
-                nxt = decide(arena, key, m)[0]
+                nxt, j, _ = decide(arena, at, m)
                 if nxt is not None:
                     tail = search(nxt, rest & ~(1 << i))
                     if tail is not None:
-                        return [m] + tail
-        if not failed and not may_linearize(arena, start, moves):
+                        return [(m, j, nxt)] + tail
+        if not failed and not may_linearize(arena, key, moves):
             raise _NoOrder
-        failed.add((key, rest))
+        failed.add((at, rest))
         return None
 
     try:
-        order = search(start, (1 << len(moves)) - 1)
+        steps = search(key, (1 << len(moves)) - 1)
     except _NoOrder:
+        steps = None
+    memo[key, moves] = got = None if steps is None else tuple(steps)
+    return got
+
+
+def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move]) -> Optional[list[Move]]:
+    """Find an order of simultaneous pulses legal after ``mon``'s history.
+
+    Returns the order of :func:`decide_round` and advances the monitor along
+    its steps, or None (monitor untouched).
+    """
+    steps = decide_round(arena, mon.state_key(), round_moves)
+    if steps is None:
         return None
-    if order is None:
-        return None
-    for m in order:
-        v = mon.step(m)
-        assert v is None
-    return order
+    mon._take(steps)
+    return [m for m, _, _ in steps]
 
 
 def check_sync_trace(arena: Arena, rounds: Sequence[Sequence[str]]) -> tuple[bool, list[list[str]], Optional[Violation]]:

@@ -32,7 +32,8 @@ Status semantics:
 
 In safe mode the testbench holds a stimulus round back until the boundary
 monitor would accept it, so driving a device faster than the protocol
-allows defers pulses instead of corrupting the run.
+allows defers pulses instead of corrupting the run: :func:`plays.decide_round`
+answers at the monitor's key, and the monitor reads that answer again.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Optional, Sequence, Union
 from .arena import Arena, Move
 from .design import Design, Instance
 from .netlist import NetModule
-from .plays import PlayMonitor, Violation, linearize_round
+from .plays import PlayMonitor, Violation, decide_round, linearize_round
 from .plays import restore_monitor  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .syncmin import SyncMachine
 
@@ -344,10 +345,8 @@ def simulate(
         if idx < len(stim):
             cand = stim[idx]
             if vetting and cand:
-                probe = top.monitor.probe()
                 moves = [top.arena.by_name(p) for p in cand]
-                if linearize_round(top.arena, probe, moves) is None:
-                    deferred = True
+                deferred = decide_round(top.arena, top.monitor.state_key(), moves) is None
             if not deferred:
                 presented = cand
                 idx += 1

@@ -28,14 +28,14 @@ every protocol-admissible round, which is the safety net for the reducers.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
 from .arena import Arena, Move
 from .automata import StrategyAutomaton
-from .plays import linearize_round, restore_monitor
+from .plays import decide_round
+from .plays import linearize_round, restore_monitor  # noqa: F401 (perfbench/tracer.py wraps these)
 
 
 class NonConfluent(Exception):
@@ -89,9 +89,6 @@ class SyncMachine:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def row(self, s: int) -> dict[frozenset, tuple[frozenset, int]]:
-        return self.transitions[s]
 
     def step(self, s: int, inputs: frozenset) -> Optional[tuple[frozenset, int]]:
         return self.transitions[s].get(frozenset(inputs))
@@ -258,31 +255,18 @@ def minimize(m: SyncMachine) -> SyncMachine:
 
 # ----------------------------------------- protocol-aware (ISFSM) reducer
 
-# arena -> {(pending-forest key, round moves): next key or None}.  An answer
-# depends on nothing else, so every caller may share it; an entry lives as
-# long as its arena, so no size bound is needed.
-_ROUND_STEPS: "weakref.WeakKeyDictionary[Arena, dict]" = weakref.WeakKeyDictionary()
-
-
 def _round_step(arena: Arena, key: tuple, moves: frozenset) -> Optional[tuple]:
     """The pending-forest key after the round ``moves`` from ``key``, or None.
 
-    The round is linearized in ``arena.rank`` order, so the representative
-    interleaving, and with it the key it leaves, does not depend on set
-    iteration order.  Answers are remembered per arena: a round decided
-    while minimizing a block is not decided again when its netlist prunes
-    the minimized machine.
+    :func:`plays.decide_round` decides the round in ``arena.rank`` order, so
+    the key it leaves does not depend on set iteration order, and remembers
+    it: a round decided while minimizing a block is not decided again when
+    its netlist prunes the minimized machine.
     """
-    memo = _ROUND_STEPS.setdefault(arena, {})
-    try:
-        return memo[key, moves]
-    except KeyError:
-        pass
-    mon = restore_monitor(arena, key)
-    order = sorted(moves, key=arena.rank.__getitem__)
-    nxt = None if linearize_round(arena, mon, order) is None else mon.state_key()
-    memo[key, moves] = nxt
-    return nxt
+    steps = decide_round(arena, key, sorted(moves, key=arena.rank.__getitem__))
+    if steps is None:
+        return None
+    return steps[-1][2] if steps else key
 
 
 def _product_states(m: SyncMachine):
@@ -503,28 +487,33 @@ def _exact_cover(rows, pool, size, implied, clique: frozenset[int], compat: list
     return search([], set(range(n)), [])
 
 
-def minimize_under_protocol(m: SyncMachine, exact_limit: int = 64) -> SyncMachine:
+# Product sizes up to which the cover search is exact; greedy above.
+EXACT_LIMIT = 64
+
+
+def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
     """Reduce using protocol-impossible rounds as don't-cares.
 
     The machine is paired with the legality monitor of its own interface, so
     entries that no legal environment can exercise from a state simply drop
     out.  The product is walked by :func:`_product_states`: each round is
     linearized in the arena's canonical move order, so the product does not
-    depend on ``PYTHONHASHSEED``, and its answers are remembered per arena
-    for the netlist's pruning pass and for :func:`equivalent_under_protocol`.
-    States are then merged by a compatible-cover construction (cover
-    candidates are the maximal compatibles and the singletons; search for a
-    smallest cover over them up to ``exact_limit`` product states, greedy
-    above).  The exact search starts at the size of a largest set of
-    pairwise-incompatible states, a lower bound on every cover, and picks
-    the same cover as a search deepening from one class.
+    depend on ``PYTHONHASHSEED``, and ``plays`` remembers its answers per
+    arena for the netlist's pruning pass and for
+    :func:`equivalent_under_protocol`.  States are then merged by a
+    compatible-cover construction (cover candidates are the maximal
+    compatibles and the singletons; search for a smallest cover over them
+    up to 64 product states, ``EXACT_LIMIT``, greedy above).  The exact
+    search starts at the size of a largest set of pairwise-incompatible
+    states, a lower bound on every cover, and picks the same cover as a
+    search deepening from one class.
     """
     rows, index = _product_states(m)
     if len(rows) == 1 and not rows[0]:
         return SyncMachine(m.arena, {0: {}}, 0)
     compat = _compatibility(rows)
     pool = _cover_pool(compat)
-    chosen = _closed_cover(rows, pool, compat, exact=len(rows) <= exact_limit)
+    chosen = _closed_cover(rows, pool, compat, exact=len(rows) <= EXACT_LIMIT)
 
     # deterministic class list, initial's class first
     chosen = sorted(set(chosen), key=lambda c: sorted(c))
@@ -566,9 +555,9 @@ def prune_inadmissible(m: SyncMachine) -> SyncMachine:
     causally preceded it).
 
     The contexts are those of :func:`_product_states`, whose rounds are
-    linearized in the arena's canonical move order and remembered per arena,
-    so pruning a machine that :func:`minimize_under_protocol` produced
-    mostly reads rounds already decided.
+    linearized in the arena's canonical move order and remembered per arena
+    by ``plays``, so pruning a machine that :func:`minimize_under_protocol`
+    produced mostly reads rounds already decided.
     """
     rows, index = _product_states(m)
     keep = {(s, i) for (s, _), p in index.items() for i in rows[p]}

@@ -41,7 +41,7 @@ from gosyn.denote import diagonal
 from gosyn.design import Design, compile_design
 from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr
 from gosyn.plays import (
-    LimitExceeded, PlayMonitor, ProtocolAutomaton, linearize_round, restore_monitor,
+    LimitExceeded, PlayMonitor, ProtocolAutomaton, linearize_round,
 )
 from gosyn.sim import SimReport, simulate
 from gosyn.syncmin import NonConfluent, SyncMachine, _cascade
@@ -582,7 +582,7 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
         s, key = work.pop()
         reach.add(s)
         for i, (o, d) in m.transitions[s].items():
-            mon = restore_monitor(m.arena, key)
+            mon = PlayMonitor(m.arena, key)
             if linearize_round(m.arena, mon, sorted(i | o, key=m.arena.rank.__getitem__)) is None:
                 continue
             keep.add((s, i))

@@ -46,7 +46,10 @@ def test_check_reports_a_missing_file(tmp_path, capsys):
     assert err.startswith("error[FileNotFoundError]")
 
 
-@pytest.mark.parametrize("argv", [[], ["check"], ["check", "x.sci", "--bogus"], ["build"]])
+@pytest.mark.parametrize("argv", [
+    [], ["check"], ["check", "x.sci", "--bogus"], ["build"],
+    ["sim", "x.sci", "--stimulus", "x.stim", "--max-cycles", "-3"],
+])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,6 +1,7 @@
 """The key-based protocol monitor, automaton and round linearizer, checked
 against the object-forest reference monitor in ``helpers``, and the
-memoized round step of ``syncmin`` checked against the linearizer.
+round step of ``syncmin``, which reads the per-arena memo of
+``plays.decide_round``, checked against the reference too.
 
 Arenas are the single-face and sharing interfaces of small types.  The
 sharing interface of a type with a ``cell`` argument is left out: its
@@ -20,9 +21,9 @@ from helpers import ReferenceMonitor, chain, reference_linearize
 from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.denote import interpret
 from gosyn.plays import (
-    PlayMonitor, ProtocolAutomaton, decide, linearize_round, may_linearize, restore_monitor,
+    _ROUNDS, PlayMonitor, ProtocolAutomaton, decide, linearize_round, may_linearize,
 )
-from gosyn.syncmin import _ROUND_STEPS, _product_states, _round_step, round_abstract
+from gosyn.syncmin import _product_states, _round_step, round_abstract
 from gosyn.syntax import parse_type
 
 TYPES = ("com -> com", "exp -> exp", "cell -> com", "(com -> com) -> com")
@@ -80,7 +81,7 @@ def test_monitor_matches_reference_on_random_sequences(tyname, kind):
             assert v is None
             assert mine.pending_names() == ref.pending_names()
             assert mine.state_key() == ref.state_key()
-            assert tuple(mine._justifier) == tuple(ref.justifier)
+            assert mine.justifiers() == tuple(ref.justifier)
 
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
@@ -88,12 +89,12 @@ def test_restored_monitor_matches_reference(tyname, kind):
     a = _arena(tyname, kind)
     for key in _reachable_keys(a):
         for m in a.moves:
-            mine, ref = restore_monitor(a, key), ReferenceMonitor.restored(a, key)
+            mine, ref = PlayMonitor(a, key), ReferenceMonitor.restored(a, key)
             v, want = mine.step(m), ref.step(m)
             assert (None if v is None else (v.rule, v.index)) == want
             if v is None:
                 assert mine.state_key() == ref.state_key()
-                assert tuple(mine._justifier) == tuple(ref.justifier)
+                assert mine.justifiers() == tuple(ref.justifier)
 
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
@@ -136,20 +137,22 @@ def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
         if rng.random() < 0.1:
             moves.append(moves[0])  # the same pulse listed twice
         want = reference_linearize(a, key, moves)
-        mon = restore_monitor(a, key)
-        got = linearize_round(a, mon, moves)
-        assert got == want
         ref = ReferenceMonitor.restored(a, key)
         for m in want or ():
             assert ref.step(m) is None
-        assert mon.state_key() == ref.state_key()
+        # the second ask, on a fresh monitor, reads the remembered answer
+        for _ in range(2):
+            mon = PlayMonitor(a, key)
+            assert linearize_round(a, mon, moves) == want
+            assert mon.state_key() == ref.state_key()
+            assert mon.justifiers() == tuple(ref.justifier)
 
 
 def test_par4_round_is_linearized_past_its_dead_branches():
     a = _arena(PAR4, "single")
     q1, a1, q2, a2 = (a.by_name(n) for n in ("q1", "a1", "q2", "a2"))
     key = ((q1, -1),) + tuple((a.by_name(f"q{k}"), 0) for k in range(2, 6))
-    order = linearize_round(a, restore_monitor(a, key), a.moves)
+    order = linearize_round(a, PlayMonitor(a, key), a.moves)
     assert [a.name(m) for m in order] == "a2 a3 a4 a5 a1 q1 q2 q3 q4 q5".split()
     ref = ReferenceMonitor.restored(a, key)
     assert all(ref.step(m) is None for m in order)
@@ -173,7 +176,7 @@ def test_product_walk_refutes_dead_branches(monkeypatch):
     monkeypatch.setattr(gosyn.plays, "decide", counting)
     for n, most in ((4, 4_000), (6, 100_000)):
         raw = round_abstract(interpret(chain(n, "||")))
-        _ROUND_STEPS.pop(raw.arena, None)
+        _ROUNDS.pop(raw.arena, None)
         calls = 0
         rows, _ = _product_states(raw)
         assert len(rows) == 2 ** n
@@ -241,20 +244,22 @@ def test_round_step_is_the_rank_sorted_linearization(tyname, kind):
         rounds.append((rng.choice(keys), frozenset(moves)))
     want = []
     for key, moves in rounds:
-        mon = restore_monitor(a, key)
-        order = linearize_round(a, mon, sorted(moves, key=a.rank.__getitem__))
-        want.append(None if order is None else mon.state_key())
+        order = reference_linearize(a, key, sorted(moves, key=a.rank.__getitem__))
+        ref = ReferenceMonitor.restored(a, key)
+        for m in order or ():
+            ref.step(m)
+        want.append(None if order is None else ref.state_key())
     assert any(w is not None for w in want) and None in want
-    assert a not in _ROUND_STEPS
+    assert a not in _ROUNDS
     assert [_round_step(a, key, moves) for key, moves in rounds] == want  # cold memo
-    assert len(_ROUND_STEPS[a]) == len(set(rounds))
+    assert len(_ROUNDS[a]) == len(set(rounds))
     assert [_round_step(a, key, moves) for key, moves in rounds] == want  # warm memo
 
 
 def test_round_step_memo_dies_with_its_arena():
     a = _arena("com -> com", "sharing")
     assert _round_step(a, (), frozenset([a.by_name("Q'1")])) is not None
-    assert a in _ROUND_STEPS
+    assert a in _ROUNDS
     alive = weakref.ref(a)
     del a
     gc.collect()

@@ -4,12 +4,14 @@ The VCD goldens in ``tests/golden`` pin ``gosyn sim --vcd`` on the
 ``shared_twice`` design and the dump of the gate-level ``loop.sci`` netlist
 byte for byte, idle cycle included.  A unit is previewed again within a
 cycle only when its input pulses grow; a counter on the machine units'
-previews checks that the settle loop skips the others.
+previews checks that the settle loop skips the others.  A round the
+monitors have decided once is not decided again; a counter on
+``plays.decide`` checks that twenty sessions cost no more than one.
 """
 
 from pathlib import Path
 
-from gosyn import sim
+from gosyn import plays, sim
 from gosyn.cli import main
 from gosyn.design import clock_block, compile_design
 from gosyn.denote import denote
@@ -71,3 +73,27 @@ def test_a_unit_fed_the_same_pulses_again_next_cycle_is_previewed_again():
                        (compile_design(source, name="busy"), {})):
         report = sim.simulate(device, stim, **kw)
         assert (report.status, report.trace) == ("Completed", want)
+
+
+def test_repeated_sessions_are_decided_once(monkeypatch):
+    stim = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text())
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return decide(*args)
+
+    decide = plays.decide
+    monkeypatch.setattr(plays, "decide", counted)
+    counts = []
+    for sessions in (1, 20):
+        # a fresh compile has fresh arenas, so no simulated round is remembered yet
+        design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="shared_twice")
+        calls = 0
+        report = sim.simulate(design, stim * sessions, max_cycles=1000)
+        assert report.status == "Completed"
+        counts.append(calls)
+    # deciding every round of every session took 82 calls for one session
+    # and 1,640 for twenty
+    assert 0 < counts[1] <= counts[0], counts
