@@ -231,7 +231,8 @@ class Arena:
         return self._by_name[name]
 
     def port_names(self) -> tuple[str, ...]:
-        return tuple(self._names[m] for m in self.moves)
+        # of a list, not a generator: see the note in sim.simulate
+        return tuple([self._names[m] for m in self.moves])
 
     # -- structure
 

@@ -23,8 +23,9 @@ position) pairs.  :func:`decide` is the one transition on it per move, and
 its answers per arena, so the monitor, the simulator and ``syncmin`` search
 a round once however often it recurs.  A move is legal only if one of its
 enablers is pending, and a pending enabler has been seen, so the set of
-moves seen so far never decides legality; the monitor keeps it only to name
-a refusal Justification (no enabler ever seen) rather than Fork.
+moves seen so far never decides legality; the monitor derives it from its
+log of rounds only to name a refusal Justification (no enabler ever seen)
+rather than Fork.
 """
 
 from __future__ import annotations
@@ -110,11 +111,11 @@ class PlayMonitor:
 
     def __init__(self, arena: Arena, key: Key = ()):
         self.arena = arena
-        self._key: Key = tuple(key)
-        self._at: list[int] = list(range(len(self._key)))   # play position of each pending request
-        self._seen: set[Move] = {x for m, _ in self._key for x in (m, *arena.enablers_of(m))}
-        self._length = len(self._key)
-        self._justifier: list[Optional[int]] = []
+        self._start: Key = tuple(key)
+        self._key: Key = self._start
+        self._rounds: list[Sequence[tuple]] = []   # the steps of each round played, in order
+        self._known = frozenset(x for m, _ in self._start for x in (m, *arena.enablers_of(m)))
+        self._length = len(self._start)
         self.failure: Optional[Violation] = None
 
     # -- queries
@@ -123,7 +124,8 @@ class PlayMonitor:
         return tuple(m for m, _ in self._key)
 
     def pending_names(self) -> tuple[str, ...]:
-        return tuple(self.arena.name(m) for m, _ in self._key)
+        # of a list, not a generator: see the note in sim.simulate
+        return tuple([self.arena.name(m) for m, _ in self._key])
 
     def complete(self) -> bool:
         return self.failure is None and not self._key
@@ -134,7 +136,7 @@ class PlayMonitor:
 
     def justifiers(self) -> tuple[Optional[int], ...]:
         """Per move played, the play position of its justifier (None if initial)."""
-        return tuple(self._justifier)
+        return tuple(self._replay()[0])
 
     def would_accept(self, m: Move) -> bool:
         return decide(self.arena, self._key, m)[0] is not None
@@ -148,7 +150,7 @@ class PlayMonitor:
         It refuses the same moves under the same rules, but as a restored
         monitor it reports positions counted from the pending requests."""
         mon = PlayMonitor(self.arena, self._key)
-        mon._seen |= self._seen
+        mon._known |= self._replay()[1]
         return mon
 
     def blame(self, moves: Sequence[Move]) -> tuple[int, Violation]:
@@ -164,6 +166,25 @@ class PlayMonitor:
                 return i, v
         raise ValueError("the round is legal in the given order")
 
+    def _replay(self) -> tuple[list[Optional[int]], set[Move]]:
+        """The justifier position of each move played, and every move seen,
+        derived from the logged rounds when asked."""
+        at = list(range(len(self._start)))   # play position of each pending request
+        justifiers: list[Optional[int]] = []
+        seen = set(self._known)
+        size = length = len(self._start)
+        for steps in self._rounds:
+            for m, j, nxt in steps:
+                seen.add(m)
+                justifiers.append(at[j] if j >= 0 else None)
+                if len(nxt) > size:
+                    at.append(length)
+                else:
+                    del at[j]
+                size = len(nxt)
+                length += 1
+        return justifiers, seen
+
     # -- stepping
 
     def step(self, m: Move) -> Optional[Violation]:
@@ -175,27 +196,24 @@ class PlayMonitor:
             raise RuntimeError("monitor already failed; create a fresh one")
         nxt, j, rule = decide(self.arena, self._key, m)
         if nxt is None:
-            if rule == "Fork" and not (self.arena.enablers_of(m) & self._seen):
+            if rule == "Fork" and not (self.arena.enablers_of(m) & self._replay()[1]):
                 rule = "Justification"
             name = self.arena.name(m)
             self.failure = Violation(rule, self._length, name, _MESSAGES[rule].format(name=name))
             return self.failure
-        self._take(((m, j, nxt),))
+        self.take(((m, j, nxt),))
         return None
 
-    def _take(self, steps: Sequence[tuple]) -> None:
-        """Play the (move, j, next key) steps of :func:`decide_round`."""
+    def take(self, steps: Sequence[tuple]) -> None:
+        """Play one round: the (move, j, next key) steps :func:`decide_round`
+        returned at this monitor's key.  The steps are only logged, so a
+        round costs the same however long the play has grown."""
         if self.failure is not None:
             raise RuntimeError("monitor already failed; create a fresh one")
-        for m, j, nxt in steps:
-            self._seen.add(m)
-            self._justifier.append(self._at[j] if j >= 0 else None)
-            if len(nxt) > len(self._key):
-                self._at.append(self._length)
-            else:
-                del self._at[j]
-            self._key = nxt
-            self._length += 1
+        if steps:
+            self._rounds.append(steps)
+            self._key = steps[-1][2]
+            self._length += len(steps)
 
     def step_name(self, name: str) -> Optional[Violation]:
         return self.step(self.arena.by_name(name))
@@ -416,6 +434,7 @@ def decide_round(arena: Arena, key: Key, moves: Iterable[Move]) -> Optional[tupl
         steps = search(key, (1 << len(moves)) - 1)
     except _NoOrder:
         steps = None
+    del search  # break the closure's reference cycle
     memo[key, moves] = got = None if steps is None else tuple(steps)
     return got
 
@@ -429,7 +448,7 @@ def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move])
     steps = decide_round(arena, mon.state_key(), round_moves)
     if steps is None:
         return None
-    mon._take(steps)
+    mon.take(steps)
     return [m for m, _, _ in steps]
 
 

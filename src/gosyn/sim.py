@@ -17,6 +17,20 @@ have grown since its last preview.  Skipping the others is exact, because
 their outputs are already stamped and the round they hold is the one a
 repeat preview would pick.
 
+A run simulates each distinct cycle once.  A cycle is a pure function of
+its key: the stimulus round offered (``()`` once the stimulus is
+exhausted), each unit's state (a netlist's as its bits in ``state_bits``
+order) and each monitor scope's pending-forest key and alive flag, since
+whether rounds are vetted (``unsafe``) and whether waves are kept (``vcd``)
+is fixed for the run.  So the run remembers each cycle's outcome under its
+key, and a remembered outcome is played onto the traces, the monitors and
+the units by the same step that plays a fresh one.  A finite-state device
+under a finite protocol state revisits few keys: twenty sessions of the
+``shared_twice`` demo are 101 cycles but 6 keys.  A cycle that raises, that
+ends the run (a Race, or a violation in safe mode) or that kills a scope is
+never stored: a refusal is named Justification or Fork from the moves seen
+so far, which the key does not hold.  The memo lives as long as the run.
+
 Status semantics:
 
 - Completed: stimulus exhausted, device quiet, nothing pending anywhere.
@@ -39,12 +53,13 @@ answers at the monitor's key, and the monitor reads that answer again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .arena import Arena, Move
 from .design import Design, Instance
 from .netlist import NetModule
-from .plays import PlayMonitor, Violation, decide_round, linearize_round
+from .plays import PlayMonitor, Violation, decide_round
+from .plays import linearize_round  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .plays import restore_monitor  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .syncmin import SyncMachine
 
@@ -154,12 +169,13 @@ class _MachineUnit:
         self.inputs = frozenset(a.name(x) for x in a.moves if a.is_input(x))
         self.outputs = frozenset(a.name(x) for x in a.moves if not a.is_input(x))
         self.state = machine.initial
-        self._chosen: Optional[tuple[frozenset, int]] = None
+        self.next_state = self.state
 
     def preview(self, pulsed: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
         """Pick this state's round for the pulses seen so far.
 
-        Returns (output ports, the input ports of the row that fired).  An
+        Returns (output ports, the input ports of the row that fired), and
+        sets ``next_state`` to the state the clock edge would commit.  An
         exact row wins; otherwise the largest defined subset of what arrived
         fires (ties broken by name so reruns agree), which is also how a
         quiet row of a restless state gets to act spontaneously.
@@ -177,22 +193,18 @@ class _MachineUnit:
                     if best is None or rank < best[0]:
                         best = (rank, i, entry)
             if best is None:
-                self._chosen = None
+                self.next_state = self.state
                 return frozenset(), frozenset()
             _, used, hit = best
-        outs, nxt = hit
-        self._chosen = (outs, nxt)
+        outs, self.next_state = hit
         return (frozenset(a.name(x) for x in outs),
                 frozenset(a.name(x) for x in used))
 
-    def commit(self) -> None:
-        if self._chosen is not None:
-            self.state = self._chosen[1]
-        self._chosen = None
+    def key_of(self, state: int) -> int:
+        return state
 
-    def reset(self) -> None:
-        self.state = self.m.initial
-        self._chosen = None
+    def at_reset(self) -> bool:
+        return self.state == self.m.initial
 
 
 class _NetUnit:
@@ -202,22 +214,20 @@ class _NetUnit:
         self.inputs = frozenset(mod.inputs)
         self.outputs = frozenset(mod.outputs)
         self.state = mod.reset_state()
-        self._nxt: Optional[dict[str, bool]] = None
+        self.next_state = self.state
 
     def preview(self, pulsed: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
         ins = {p: (p in pulsed) for p in self.mod.inputs}
-        outs, nxt = self.mod.eval(self.state, ins)
-        self._nxt = nxt
+        outs, self.next_state = self.mod.eval(self.state, ins)
         return frozenset(o for o, v in outs.items() if v), pulsed & self.inputs
 
-    def commit(self) -> None:
-        if self._nxt is not None:
-            self.state = self._nxt
-        self._nxt = None
+    def key_of(self, state: dict[str, bool]) -> tuple[bool, ...]:
+        # in ``state_bits`` order: the cones' dicts need not list the bits
+        # in the order ``reset_state`` does
+        return tuple([state[b] for b in self.mod.state_bits])
 
-    def reset(self) -> None:
-        self.state = self.mod.reset_state()
-        self._nxt = None
+    def at_reset(self) -> bool:
+        return self.state == self.mod.reset_state()
 
 
 @dataclass
@@ -255,10 +265,10 @@ def _build(device: Device, arena: Optional[Arena]):
         if isinstance(device, SyncMachine):
             unit = _MachineUnit("dev", device)
             mon_arena: Optional[Arena] = device.arena
-            ins = tuple(device.arena.name(m) for m in device.arena.moves
-                        if device.arena.is_input(m))
-            outs = tuple(device.arena.name(m) for m in device.arena.moves
-                         if not device.arena.is_input(m))
+            ins = tuple([device.arena.name(m) for m in device.arena.moves
+                         if device.arena.is_input(m)])
+            outs = tuple([device.arena.name(m) for m in device.arena.moves
+                          if not device.arena.is_input(m)])
         else:
             unit = _NetUnit("dev", device)
             mon_arena = arena
@@ -274,6 +284,32 @@ def _build(device: Device, arena: Optional[Arena]):
     raise TypeError(f"cannot simulate {type(device).__name__}")
 
 
+class _Outcome(NamedTuple):
+    """What one cycle does; a pure function of the cycle's key (see :func:`simulate`)."""
+
+    deferred: bool                             # the offered stimulus round was held back
+    trace: tuple[str, ...]                     # the boundary round, causally ordered
+    rounds: tuple[tuple[str, ...], ...]        # per scope, its round
+    wave: Optional[dict[str, bool]]            # pulses per net "inst.port"/"port"; VCD only
+    steps: tuple[tuple, ...]                   # per scope, the decide_round steps it takes
+    died: tuple[tuple[int, Violation], ...]    # scopes whose monitor refused, unsafe mode
+    end: Optional[tuple]                       # ("Race", ports) or ("ProtocolViolation", v)
+    states: tuple                              # per unit, its state after the clock edge
+    state_keys: tuple                          # per unit, the key of that state
+    quiet: bool                                # no pulse anywhere
+    pending: bool                              # quiet, with a question pending somewhere
+
+
+def _pulse(stamp: dict, ties: dict, inst: Optional[str], port: str, st: int) -> None:
+    """Stamp a pulse and, one stamp later, every sink tied to it."""
+    here = stamp[inst]
+    if port in here:
+        return
+    here[port] = st
+    for sink in ties.get((inst, port), ()):
+        _pulse(stamp, ties, *sink, st + 1)
+
+
 def simulate(
     device: Device,
     stimulus: Sequence[Sequence[str]],
@@ -282,7 +318,14 @@ def simulate(
     arena: Optional[Arena] = None,
     vcd: Optional[str] = None,
 ) -> SimReport:
-    """Drive ``device`` with one stimulus round per cycle; see module doc."""
+    """Drive ``device`` with one stimulus round per cycle; see module doc.
+
+    Each distinct cycle is simulated once per run.  Its key is the stimulus
+    round offered, each unit's state and each scope's monitor key and alive
+    flag; that is exact because a cycle reads nothing else and ``unsafe``
+    and ``vcd`` are fixed for the run.  A cycle that raises, ends the run
+    or kills a scope is never stored.
+    """
     units, ties, bound_in, bound_out, scopes = _build(device, arena)
     stim = [tuple(r) for r in stimulus]
     for r in stim:
@@ -299,37 +342,37 @@ def simulate(
     inst_traces: dict[str, list[tuple[str, ...]]] = {
         s.name: [] for s in scopes if s.prefix is not None
     }
-    waves: list[dict[str, bool]] = []      # per cycle, per net key "inst.port"/"port"; VCD only
+    waves: list[dict[str, bool]] = []      # per cycle; VCD only
     idx = 0
 
     def finish(status, cyc, cycles, race=(), viol=None):
         if vcd:
             _write_vcd(vcd, bound_in, bound_out, units, waves,
                        hierarchical=isinstance(device, Design))
-        pend = tuple(
+        pend = tuple([
             f"{s.name}:{n}" for s in scopes for n in s.monitor.pending_names()
             if s.arena.is_question(s.arena.by_name(n))
-        )
-        finals = {n: u.state for n, u in units.items()}
-        at_reset = all(
-            u.state == (u.m.initial if isinstance(u, _MachineUnit) else u.mod.reset_state())
-            for u in units.values()
-        )
+        ])
         return SimReport(
             status=status, cycles=cycles, cycle=cyc,
             trace=tuple(trace),
             instance_traces={k: tuple(v) for k, v in inst_traces.items()},
             race_ports=tuple(race), violation=viol,
             diagnostics=tuple(diag), pending=pend,
-            final_states=finals, at_reset=at_reset,
+            final_states={n: u.state for n, u in units.items()},
+            at_reset=all(u.at_reset() for u in units.values()),
         )
 
-    budget = sum(len(u.inputs) + len(u.outputs) for u in units.values()) + 2
+    unit_list = list(units.values())
+    budget = sum(len(u.inputs) + len(u.outputs) for u in unit_list) + 2
 
     # each round lists the pulses of one net scope, ordered by stamp and
     # then by the port's rank in the scope's port tuple
     def rank_of(ports) -> dict[str, int]:
         return {p: k for k, p in enumerate(ports)}
+
+    def round_of(here: dict[str, int], rank: dict[str, int]) -> tuple[str, ...]:
+        return tuple(sorted((p for p in here if p in rank), key=lambda p: (here[p], rank[p])))
 
     boundary_rank = rank_of(tuple(bound_in) + tuple(bound_out))
     scope_ranks = [rank_of(s.arena.port_names()) for s in scopes]
@@ -338,18 +381,16 @@ def simulate(
         for s in scopes if s.is_share
     }
 
-    for cycle in range(1, max_cycles + 1):
-        # -- 1. pick this cycle's stimulus
-        presented: tuple[str, ...] = ()
+    def outcome(offered: tuple[str, ...], cycle: int) -> _Outcome:
+        """Steps 1-6 of one cycle, from the units' states and the monitors' keys.
+
+        Changes none of them; ``cycle`` only names an error.
+        """
+        # -- 1. hold back a stimulus round the boundary monitor would refuse
         deferred = False
-        if idx < len(stim):
-            cand = stim[idx]
-            if vetting and cand:
-                moves = [top.arena.by_name(p) for p in cand]
-                deferred = decide_round(top.arena, top.monitor.state_key(), moves) is None
-            if not deferred:
-                presented = cand
-                idx += 1
+        if vetting and offered:
+            moves = [top.arena.by_name(p) for p in offered]
+            deferred = decide_round(top.arena, top.monitor.state_key(), moves) is None
 
         # -- 2. settle combinational pulses, stamping causality: a pulse is
         # stamped one past the latest pulse that caused it (row inputs for a
@@ -361,19 +402,9 @@ def simulate(
         # would pulse what is already stamped and pick the round it holds.
         stamp: dict[Optional[str], dict[str, int]] = {None: {}}
         stamp.update((name, {}) for name in units)
-
-        def pulse(inst: Optional[str], port: str, st: int) -> None:
-            here = stamp[inst]
-            if port in here:
-                return
-            here[port] = st
-            for sink in ties.get((inst, port), ()):
-                pulse(*sink, st + 1)
-
-        for p in presented:
-            pulse(None, p, 0)
+        for p in () if deferred else offered:
+            _pulse(stamp, ties, None, p, 0)
         seen: dict[str, frozenset[str]] = {}
-        settled = False
         for _ in range(budget + 1):
             before = sum(map(len, stamp.values()))
             for name, u in units.items():
@@ -386,66 +417,101 @@ def simulate(
                 if outs:
                     base = 1 + max((here[p] for p in used), default=0)
                     for o in outs:
-                        pulse(name, o, base)
+                        _pulse(stamp, ties, name, o, base)
             if sum(map(len, stamp.values())) == before:
-                settled = True
                 break
-        if not settled:
+        else:
             raise SimError(f"cycle {cycle}: pulses never settle (combinational loop)")
 
-        # -- 3. record the observed rounds, causally ordered
-        def round_of(prefix: Optional[str], rank: dict[str, int]) -> tuple[str, ...]:
-            here = stamp[prefix]
-            return tuple(sorted((p for p in here if p in rank),
-                                key=lambda p: (here[p], rank[p])))
-
-        trace.append(round_of(None, boundary_rank))
-        rounds = [round_of(s.prefix, rank) for s, rank in zip(scopes, scope_ranks)]
-        for s, r in zip(scopes, rounds):
-            if s.name in inst_traces:
-                inst_traces[s.name].append(r)
-        if vcd:
-            waves.append({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here})
+        # -- 3. the observed rounds, causally ordered
+        boundary = round_of(stamp[None], boundary_rank)
+        rounds = tuple([round_of(stamp[s.prefix], rank) for s, rank in zip(scopes, scope_ranks)])
+        wave = ({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here}
+                if vcd else None)
 
         # -- 4. race check on shared sub-interfaces
         for s in scopes:
             if s.is_share:
                 opened = [p for p in openers[s.name] if p in stamp[s.prefix]]
                 if len(opened) >= 2:
-                    return finish("Race", cycle, cycle, race=tuple(sorted(opened)))
+                    return _Outcome(deferred, boundary, rounds, wave, (), (),
+                                    ("Race", tuple(sorted(opened))), (), (), False, False)
 
-        # -- 5. feed the monitors
-        for s, r in zip(scopes, rounds):
-            if not s.alive or not r:
-                continue
-            moves = [s.arena.by_name(p) for p in r]
-            if linearize_round(s.arena, s.monitor, moves) is not None:
-                continue
-            _, v = s.monitor.blame(moves)
-            s.alive = False
-            blamed_input = s.name == "boundary" and s.arena.is_input(s.arena.by_name(v.move))
-            if vetting and blamed_input:
-                raise SimError(f"cycle {cycle}: stimulus move {v.move} is illegal: {v}")
-            if unsafe:
-                diag.append((s.name, v))
-            else:
-                return finish("ProtocolViolation", cycle, cycle, viol=v)
+        # -- 5. decide each live monitor's round
+        steps: list[tuple] = []
+        died: list[tuple[int, Violation]] = []
+        for k, (s, r) in enumerate(zip(scopes, rounds)):
+            took: tuple = ()
+            if s.alive and r:
+                moves = [s.arena.by_name(p) for p in r]
+                took = decide_round(s.arena, s.monitor.state_key(), moves) or ()
+                if not took:
+                    _, v = s.monitor.blame(moves)
+                    blamed_input = (s.name == "boundary"
+                                    and s.arena.is_input(s.arena.by_name(v.move)))
+                    if vetting and blamed_input:
+                        raise SimError(f"cycle {cycle}: stimulus move {v.move} is illegal: {v}")
+                    if not unsafe:
+                        return _Outcome(deferred, boundary, rounds, wave, tuple(steps), (),
+                                        ("ProtocolViolation", v), (), (), False, False)
+                    died.append((k, v))
+            steps.append(took)
 
-        # -- 6. clock edge
-        for u in units.values():
-            u.commit()
+        # -- 6. the clock edge; a quiet cycle moves no monitor
+        states = tuple([u.next_state for u in unit_list])
+        quiet = not any(stamp.values())
+        pending = quiet and any(s.arena.is_question(m) for s in scopes for m in s.monitor.pending())
+        return _Outcome(deferred, boundary, rounds, wave, tuple(steps), tuple(died), None,
+                        states, tuple([u.key_of(st) for u, st in zip(unit_list, states)]),
+                        quiet, pending)
+
+    memo: dict[tuple, _Outcome] = {}
+    # tuple() of a list, not of a generator, on every per-run path: a
+    # generator's tuple is allocated for ten items and shrunk, which over
+    # thousands of runs fills the interpreter's tuple free lists (about
+    # 1.2 MB of them, measured on the benchmark's sim rounds)
+    unit_keys = tuple([u.key_of(u.state) for u in unit_list])
+    inst_lists = [inst_traces.get(s.name) for s in scopes]
+    for cycle in range(1, max_cycles + 1):
+        offered = stim[idx] if idx < len(stim) else ()
+        key = (offered, unit_keys, tuple([(s.monitor.state_key(), s.alive) for s in scopes]))
+        o = memo.get(key)
+        if o is None:
+            o = outcome(offered, cycle)
+            if o.end is None and not o.died:
+                memo[key] = o
+
+        # -- play the outcome onto the traces, the monitors and the units
+        if idx < len(stim) and not o.deferred:
+            idx += 1
+        trace.append(o.trace)
+        for lst, r in zip(inst_lists, o.rounds):
+            if lst is not None:
+                lst.append(r)
+        if vcd:
+            waves.append(o.wave)
+        for s, took in zip(scopes, o.steps):
+            if took:
+                s.monitor.take(took)
+        for k, v in o.died:
+            scopes[k].alive = False
+            diag.append((scopes[k].name, v))
+        if o.end is not None:
+            status, what = o.end
+            if status == "Race":
+                return finish(status, cycle, cycle, race=what)
+            return finish(status, cycle, cycle, viol=what)
+        for u, st in zip(unit_list, o.states):
+            u.state = st
+        unit_keys = o.state_keys
 
         # -- 7. quiet-cycle resolution
-        if not any(stamp.values()):
-            pending = any(
-                s.arena.is_question(s.arena.by_name(n))
-                for s in scopes for n in s.monitor.pending_names()
-            )
+        if o.quiet:
             if idx >= len(stim):
-                return finish("Completed" if not pending else "Deadlock",
-                              cycle if pending else None, cycle)
-            if deferred:
-                if pending:
+                return finish("Completed" if not o.pending else "Deadlock",
+                              cycle if o.pending else None, cycle)
+            if o.deferred:
+                if o.pending:
                     return finish("Deadlock", cycle, cycle)
                 raise SimError(
                     f"cycle {cycle}: stimulus round {' '.join(stim[idx])!r} can never "

@@ -146,6 +146,7 @@ def _cascade(auto: StrategyAutomaton, start: int, inputs: frozenset,
             outcomes.add((emitted, s, remaining, blocked))
 
     go(start, inputs, frozenset())
+    del go  # a recursive closure is a reference cycle: unbind it so the sets die with their users
     return outcomes, seen
 
 
@@ -345,6 +346,7 @@ def _maximal_compatibles(compat: list[set[int]]) -> list[frozenset[int]]:
             x.add(v)
 
     bron(set(), set(range(n)), set())
+    del bron  # break the closure's reference cycle
     return out
 
 
@@ -382,6 +384,7 @@ def _incompatible_clique(compat: list[set[int]]) -> frozenset[int]:
             cands = cands - {v}
 
     grow(frozenset(), set(range(n)))
+    del grow  # break the closure's reference cycle
     return best
 
 
@@ -484,7 +487,9 @@ def _exact_cover(rows, pool, size, implied, clique: frozenset[int], compat: list
                 return got
         return None
 
-    return search([], set(range(n)), [])
+    found = search([], set(range(n)), [])
+    del search  # break the closure's reference cycle
+    return found
 
 
 # Product sizes up to which the cover search is exact; greedy above.

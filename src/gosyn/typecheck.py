@@ -109,7 +109,9 @@ def freshen(t: Term) -> Term:
             seed(t.arg, bound)
 
     seed(t, frozenset())
-    return walk(t, {})
+    fresh_t = walk(t, {})
+    del seed, walk  # break the closures' reference cycles
+    return fresh_t
 
 
 def typecheck(t: Term, ctx: tuple[tuple[str, Type], ...] = ()) -> Typed:

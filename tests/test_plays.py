@@ -189,6 +189,9 @@ def test_check_sync_trace():
     ok, lin, viol = check_sync_trace(FN, [("q1", "q2"), ("a2", "a2")])
     assert not ok and viol.rule == "Fork"
     assert lin == [["q1", "q2"]]
+    # a quiet round is legal anywhere and moves nothing
+    ok, lin, viol = check_sync_trace(FN, [(), ("q1",), (), ("q2",), ("a2", "a1")])
+    assert ok and lin == [[], ["q1"], [], ["q2"], ["a2", "a1"]]
 
 
 ARENAS = ["com", "exp", "cell", "com -> com", "exp -> exp",
