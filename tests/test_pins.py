@@ -1,0 +1,205 @@
+"""Digests of what the compiler and the command line emit, pinned byte for byte.
+
+Each program below is compiled with ``compile_design`` and printed with
+``design_verilog``; the digest covers ``repr(design.ties)`` and the Verilog,
+or the type and message of the error either step raises.  The corpus is
+the benchmark's ``compile`` and ``cliffs`` programs plus programs whose
+three or four uses of one parameter sit in exclusive branches (they
+compile through a chain of call managers), sequenced uses (they end in a
+combinational cycle) and a dropped parameter.
+
+The command-line digests cover ``compile`` (alone, and with ``--json`` and
+``--dot``), ``ir`` and ``ir --sync`` on every demo program, ``sim --json``
+on the demos that have a stimulus, and ``monitor --json`` on the demo
+traces: exit code, stdout, stderr and each file written, in that order.
+The constant digests hold each constant machine's rows in row order,
+which ``outputs_from`` and the cascade read.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from helpers import chain
+from gosyn.cli import main
+from gosyn.denote import const_automaton
+from gosyn.design import compile_design, design_verilog
+from gosyn.syntax import CONSTANTS
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+PROGRAMS = {
+    **{p.stem: p.read_text() for p in sorted(DEMOS.glob("*.sci"))},
+    **{f"seq{n}": chain(n, ";") for n in (2, 3, 4, 5)},
+    **{f"par{n}": chain(n, "||") for n in (2, 3, 4)},
+    "if": "fn b : exp -> fn c : com -> fn d : com -> if b then c else d",
+    "newloop": "fn c : com -> new x in (x := 1 ; while !x do (c ; x := 0))",
+    "pair_seq": "fn p : com * com -> (fst p ; snd p)",
+    "and3": "fn v : exp -> (v and v) and v",
+    "and4": "fn v : exp -> ((v and v) and v) and v",
+    "cell_fst": "fn p : cell * exp -> fst p",
+    "if_if": "fn c : com -> fn b : exp -> fn d : exp -> if b then c else (if d then c else c)",
+    "while_if": "fn c : com -> fn b : exp -> fn d : exp -> while b do (if d then c else c) ; c",
+    "call_if_if": "fn f : com -> com -> fn b : exp -> fn e : exp -> "
+                  "if b then f skip else (if e then f skip else f skip)",
+    "if_if_if": "fn c : com -> fn b : exp -> fn d : exp -> fn e : exp -> "
+                "if b then c else (if d then c else (if e then c else c))",
+    "call_if": "fn f : com -> com -> fn b : exp -> if b then f skip else f skip",
+    "seq_use3": "fn c : com -> c ; c ; c",
+    "dropped": "fn c : com -> fn x : exp -> fn d : com -> c ; d",
+}
+
+DESIGN_DIGESTS = {
+    "count_to_zero": "b3e37377e9ebeeb79068ce8c364731cfb892a5de071905b814a29409865b1d49",
+    "loop": "6665863e3a786fdce0f7e07eac10e9c65a997b91de6577a9a92adc85e292d212",
+    "par_pair": "bf41d7db60f85eb5caba466595048974e427593e207038de62287ba59a95c047",
+    "seq": "5f5e20b2c737d35172f9840d930edf0e8864632a18e4713edee88f84ee523533",
+    "shared_twice": "1cfd690112fb0c732a72cbc4302ee29f2780dda872ca400ba473c6b83be0ada6",
+    "true": "c945e417d044422623a5563491398ee7cc184db548f7bf728b3df6f2c9ad578d",
+    "seq2": "001340193d65da831b8a8dc27145ad71d5c73897f78db73d10c49d3a9ce62677",
+    "seq3": "c7b3b00b55fc9fce0b78d6c64fc0ccbb8affe09083f9a6a8b1b3e59a98745992",
+    "seq4": "de3bce8b4040a7352c30ce4dc1b6636c6915ec812e06346b0f32db0a5610b93c",
+    "seq5": "12355d62886882dff58ec6491c1ae4c5b0452e3961cd13f0a3f13935bb6ceea4",
+    "par2": "1e180d832d7af8f55dd0f56c4081fe1bbcb855853e27b79b7d435c4dd3632e35",
+    "par3": "04c0993f7457a4bd01f0e541263bd37051bb293563f84ff78542feb6b28f5a75",
+    "par4": "398e0720e8a30b2ae2f9bbc56a2b2f31ebcb1a2feee9e78d33005802d81a5c52",
+    "if": "d3a3fb569dcc2d3ddb26e0e3e7e02a5d7b7bb8369740882faf8bb98dcb3fea08",
+    "newloop": "485e9a5d96931201ee0e3ddd544a92d88e76d7c02b6fd1f28ac7e744df9d17bf",
+    "pair_seq": "4ad642d7d197904ec73ea9717b642f6061f71c61d612785255dc6735db28fcb1",
+    "and3": "08e9ed666eefb7f1571aaa3abc0a48fab9e9447c1081afe302618df9ca29a935",
+    "and4": "4812f69c8ea0d5bb43bde18770f2cef5aca66a83fc9a13817b005dd07fd6a186",
+    "cell_fst": "69f518424f3173f74c2cf9f18536a44d8c1dff01489d79070f50f019abcb2a33",
+    "if_if": "7e5311cbff8577610b8f74684724be92d734e27503395dbab365f511bcc33350",
+    "while_if": "eec1db03f44f468eeff03f21d59f0b53c19155e7b2eae2199bb0f1ee78e3cc3e",
+    "call_if_if": "19deeb4a54538d3d5ff26b50ba1003bc9378fc9a26d2e9b4018a63b1f3bb3ee6",
+    "if_if_if": "692ac3a69180b03631ddf58d33e06239eeb483baff114e8f23821baf3ee10bcb",
+    "call_if": "8d60fb4937bc5c5d39791eaa037d970fe625b6665ed055a9836bd18cfa9de1e8",
+    "seq_use3": "34693864cbd79d591a7113ab186a83caa972af54e54c58e5cf59828d7b4c5ec0",
+    "dropped": "2fe2be1ed8d75c31079335691c7b02dfc782a6903b92fdc5615b4a2cd6a1ecb2",
+}
+
+CLI_DIGESTS = {
+    "compile count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
+    "compile --json --dot count_to_zero": "bc5408fa35493fd25c082b65965532153f19d34211a52810b2f151b4a505f7a1",
+    "ir count_to_zero": "a4c38d11ee2dd6583cb1b81645be54e26700a231c1085adb857ca6777dc5608c",
+    "ir --sync count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
+    "compile loop": "4cfd25f0b488e55f4a029b984da1c0542d6607288ce5e4e16d3de0968da64e93",
+    "compile --json --dot loop": "b9f287846b7cd7dce99eff2a89fba5faab40bb7df798651b8dcaafe07230373c",
+    "ir loop": "fe579f71b39a72533b3422e26d2df24b292128f94e602bdb038e36a12ad0b692",
+    "ir --sync loop": "c365c6a35e93dba8f994eab6becc439002a164e083d0a57083a5829c74c35777",
+    "compile par_pair": "e15473ef470a864181aa91940527b44d7bb0a405da542145900bb6f112dd0d9c",
+    "compile --json --dot par_pair": "80758fbe0f02bba40e727d7608e95a32ad2894a10e98040d18f2a7f56716ed83",
+    "ir par_pair": "dc5eda12041231885092586b5de2e36ae629f9884610b216e37713f307b48e19",
+    "ir --sync par_pair": "bf354967bd9fa1311adc724874bc5accb1a3bf62d8f88ee6303967cb219d815d",
+    "compile seq": "f46fb5e56ed2f4958984f17e1fd9619c271ce1b4d39e78a44acafdfd2cb12d39",
+    "compile --json --dot seq": "7ea614e1d9c55d265640063079c3749f8aed4c2608f194d77dd83ad0cf593b79",
+    "ir seq": "eab6ae10bd83e6d36912c6996a906994d98452fca956ef720e4ca33f26d87a2b",
+    "ir --sync seq": "b6db562b33b059e5807e45046f38373321e3b986b8c35aa9d5a7aeda3df02e1d",
+    "compile shared_twice": "f1cd797b650eb229324e57649a9f1463e0ef080b4c28981e8f59a0fba1217236",
+    "compile --json --dot shared_twice": "3be6b6d89a44c20e51923ad38f84d7b2768edf37a57f97880172f00d009d9cf2",
+    "ir shared_twice": "0dc3b723972b64b3aff1d4912f6916d460b62e730f437be114f93a455b8e0179",
+    "ir --sync shared_twice": "6e3d4b79f9ba58b6cb132e12c5d84fcc4458fc57a804c9009cfecd038d90e303",
+    "compile true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
+    "compile --json --dot true": "59cb40dcf332f0ff046ae2862caec96b3fdfcf178c400a91536d58cc16579c9f",
+    "ir true": "da2d3d9f0e7cce34e945d957f34a0cadd7d80e07377cb2e08bbc70ea6eaa276c",
+    "ir --sync true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
+    "sim --json shared_twice": "27346e37809407dfed4cc015ba75999a1fbac4d896054e03f100f032fb567c72",
+    "sim --json concurrent_calls": "7f07488277226592420693eaf6ffba7622dc41a5d42fae9cb2186c057bd4ad50",
+    "sim --json nested_call": "2c392c47ab524bd9337d1d4e00c9f450f32a49bc9ce7dd37a6e328f750064f03",
+    "monitor --json nested_call": "375a657815a0f3d379c745ca3e27e27b86edf43549419c141980ea6f21e14356",
+    "monitor --json shared_twice": "cead92c72aef72228cce017525b92b4f641495578ebc757090a1c0c87afa25b4",
+}
+
+CONST_DIGESTS = {
+    "skip": "7fe6a6a2a9b8d9316df1ad1347518a6c66bb121cc29fd29dc8231bd9d62b554a",
+    "1": "9853b9e8588dff67dd2b27b3362197d33a3f53af720d07d0fed8a69c38032458",
+    "0": "779f040dd2a4ec78171224cdaf6f7496f3a2913dda05d76f0fbc49193f2435b7",
+    "seq": "94555d52da6931e24bc3f72420d63da777756f77d3bb439dd6dd7f686d29b75c",
+    "par": "cbe5bbb5298924d097b316e55ca93a227566c12e9147472fe9fa8fd70a8b88f8",
+    "and": "498bfb2869d1d81e0f70b22295274669aa911c669cb56ed2cdf77846168b4c4a",
+    "or": "8fd54b49b890a06345602a10061e912bb0f89c4e6f2d1c149e9e4c56875dbc24",
+    "xor": "4e42f33c954c1267c298eaeab7f365e4b2fe7d2d3fa436f81962ae34e47521a1",
+    "eq": "ab5421be823c12d39bb5cd7a09fd4eaca18f09057a1876e6b83628a34e1a3efe",
+    "not": "d9f2e8cd90b873279537ad706a2c9a43b81d59a5011b6abbea646d93c98bc101",
+    "if": "cadaa439e41d1bcea2c2ae6fac0475a0cb68b4209abb0cf9b6574b993c16be09",
+    "while": "daf073f2ddaa28cd41dd7b7871ec80f0b7020615afbce57d5dc47789f0b5bd6e",
+    "asg": "3805ba4c0e9282896da6e7e41e56e985645df55fafed88bf186b5ba57b29ce7b",
+    "der": "2e4d3ad691b45d69b2962eccdd1428fea0ce34f7faa50520adf8d35c62e03c4d",
+    "newvar": "7371ad3066d20533ba62651bf41f672fc3d3d14bb525365f8fbb4d26e51b69de",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _error(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def design_text(name: str) -> str:
+    """``repr(design.ties)`` and the Verilog, or the error that stopped them."""
+    try:
+        design = compile_design(PROGRAMS[name], name=name)
+    except Exception as e:
+        return _error(e)
+    try:
+        verilog = design_verilog(design)
+    except Exception as e:
+        verilog = _error(e)
+    return repr(design.ties) + "\n" + verilog
+
+
+def _demo_runs() -> dict[str, list[str]]:
+    runs = {}
+    for p in sorted(DEMOS.glob("*.sci")):
+        runs[f"compile {p.stem}"] = ["compile", str(p)]
+        runs[f"compile --json --dot {p.stem}"] = ["compile", str(p), "--json", "@json",
+                                                 "--dot", "@dot"]
+        runs[f"ir {p.stem}"] = ["ir", str(p)]
+        runs[f"ir --sync {p.stem}"] = ["ir", "--sync", str(p)]
+    runs["sim --json shared_twice"] = [
+        "sim", str(DEMOS / "shared_twice.sci"),
+        "--stimulus", str(DEMOS / "shared_twice.stim"), "--json", "@json"]
+    for wire in ("concurrent_calls", "nested_call"):
+        runs[f"sim --json {wire}"] = [
+            "sim", str(DEMOS / f"{wire}.wire"), "--stimulus", str(DEMOS / f"{wire}.stim"),
+            "--unsafe-wire", "--json", "@json"]
+    for trace in ("nested_call", "shared_twice"):
+        runs[f"monitor --json {trace}"] = [
+            "monitor", str(DEMOS / f"{trace}.trace"), "--share", "com -> com",
+            "--json", "@json"]
+    return runs
+
+
+DEMO_RUNS = _demo_runs()
+
+
+def cli_text(argv: list[str], tmp_path: Path, capsys) -> str:
+    """Exit code, stdout, stderr and each ``@name`` file the run wrote."""
+    files = [tmp_path / a[1:] for a in argv if a.startswith("@")]
+    code = main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+    out, err = capsys.readouterr()
+    return "\n".join([str(code), out, err] + [f.read_text() for f in files])
+
+
+def const_text(name: str) -> str:
+    m = const_automaton(name)
+    return repr([(s, [(m.arena.name(mv), t) for mv, t in row.items()])
+                 for s, row in m.transitions.items()])
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_design_digest(name):
+    assert _sha(design_text(name)) == DESIGN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("run", DEMO_RUNS)
+def test_cli_digest(run, tmp_path, capsys):
+    assert _sha(cli_text(DEMO_RUNS[run], tmp_path, capsys)) == CLI_DIGESTS[run]
+
+
+@pytest.mark.parametrize("name", CONSTANTS)
+def test_constant_rows_digest(name):
+    assert _sha(const_text(name)) == CONST_DIGESTS[name]
