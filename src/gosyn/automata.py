@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .arena import Arena, Move
 from .plays import LimitExceeded, decide
@@ -57,9 +57,6 @@ class StrategyAutomaton:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def row(self, s: int) -> dict[Move, int]:
-        return self.transitions[s]
 
     def step(self, s: int, m: Move) -> Optional[int]:
         return self.transitions[s].get(m)

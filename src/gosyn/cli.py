@@ -10,6 +10,7 @@ byte-deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -72,8 +73,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="describe the interface of a type instead of a program")
     i.add_argument("--sync", action="store_true",
                    help="dump the clocked machine instead of the event automaton")
-    i.add_argument("--async", dest="asynchronous", action="store_true",
-                   help="dump the event automaton (the default)")
     i.add_argument("--min", choices=("plain", "protocol"), default="protocol",
                    help="state minimization applied with --sync")
     i.add_argument("--no-minimize", action="store_true",
@@ -237,8 +236,7 @@ def _run_monitor(args) -> int:
         doc["linearization"] = lin
     else:
         print(f"illegal: {viol}")
-        doc["violation"] = {"rule": viol.rule, "index": viol.index,
-                            "move": viol.move, "message": viol.message}
+        doc["violation"] = dataclasses.asdict(viol)
     if args.json:
         _write_or_print(json.dumps(doc, indent=2) + "\n", args.json)
     return 0 if ok else 1

@@ -22,14 +22,11 @@ of sharing that the tests hold against the glued one.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .arena import Arena, Face, Move, arena_of_type, base_occurrences, sharing_arena, term_arena
+from .arena import Move, arena_of_type, sharing_arena, term_arena
 from .automata import (CompositionStall, StrategyAutomaton, SyncStats, from_rows,
                        glue_pair, relay, synchronize_and_hide)
 from .plays import ProtocolAutomaton
-from .syntax import (App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod,
-                     Snd, Term, Type, Var, CONSTANTS)
+from .syntax import App, Arrow, Const, Fst, Lam, Pair, Prod, Snd, Type, Var, CONSTANTS
 from .typecheck import Typed, typecheck
 
 
@@ -62,35 +59,11 @@ def const_automaton(name: str) -> StrategyAutomaton:
         })
     if name == "par":
         # fork q2/q3 in either order, join on both acknowledgements
-        rows: dict[int, dict[str, int]] = {0: {"q1": 1}}
-        states: dict[tuple[bool, bool, bool, bool], int] = {}
-
-        def sid(asked2, asked3, done2, done3):
-            key = (asked2, asked3, done2, done3)
-            if key not in states:
-                states[key] = len(states) + 1  # 0 is idle
-            return states[key]
-
-        for asked2 in (False, True):
-            for asked3 in (False, True):
-                for done2 in (False,) if not asked2 else (False, True):
-                    for done3 in (False,) if not asked3 else (False, True):
-                        sid(asked2, asked3, done2, done3)
-        rows[0] = {"q1": sid(False, False, False, False)}
-        for (a2, a3, d2, d3), s in states.items():
-            row: dict[str, int] = {}
-            if not a2:
-                row["q2"] = sid(True, a3, d2, d3)
-            if not a3:
-                row["q3"] = sid(a2, True, d2, d3)
-            if a2 and not d2:
-                row["a2"] = sid(a2, a3, True, d3)
-            if a3 and not d3:
-                row["a3"] = sid(a2, a3, d2, True)
-            if d2 and d3:
-                row = {"a1": 0}
-            rows[s] = row
-        return from_rows(a, rows)
+        return from_rows(a, {
+            0: {"q1": 1}, 1: {"q2": 4, "q3": 2}, 2: {"q2": 6, "a3": 3}, 3: {"q2": 7},
+            4: {"q3": 6, "a2": 5}, 5: {"q3": 8}, 6: {"a2": 8, "a3": 7},
+            7: {"a2": 9}, 8: {"a3": 9}, 9: {"a1": 0},
+        })
     if name in ("and", "or", "xor", "eq"):
         op = _bool_op(name)
         out = {True: "t1", False: "f1"}

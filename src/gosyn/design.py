@@ -23,16 +23,15 @@ would fall on the floor silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .arena import Arena, Move, arena_of_type, base_occurrences, sharing_arena
+from .arena import Arena, Move, arena_of_type
 from .denote import denote, diagonal
 from .netlist import NetModule, emit_verilog, expr_vars, netlist_of, verilog_name
 from .syncmin import (SyncMachine, minimize, minimize_under_protocol,
                       round_abstract)
-from .syntax import (App, Arrow, Const, Fst, Lam, Pair, ParseError, Snd, Term,
+from .syntax import (App, Const, Fst, Lam, Pair, ParseError, Snd, Term,
                      Type, Var, parse, parse_type, type_to_str)
 from .typecheck import typecheck
 
@@ -191,123 +190,60 @@ def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -
     serialized inside the block machine and stays flattened.
     """
     typed = typecheck(parse(source))
-    full_ty = typed.ty
-
     params: list[tuple[str, Type]] = []
-    term = typed.term
-    while isinstance(term, Lam):
-        params.append((term.name, term.ty))
-        term = term.body
+    body = typed.term
+    while isinstance(body, Lam):
+        params.append((body.name, body.ty))
+        body = body.body
 
-    # split multi-use parameters apart
+    # a parameter used more than once gets one context entry per use
     uses: dict[str, list[str]] = {}
-    body = term
+    ctx: list[tuple[str, Type]] = []
     for pname, pty in params:
         got: list[str] = []
-        body = _rename_uses(body, pname, lambda: f"{pname}__{len(got) + 1}", got)
+        split = _rename_uses(body, pname, lambda: f"{pname}__{len(got) + 1}", got)
+        if len(got) > 1:
+            body = split
+        elif got:
+            got = [pname]
         uses[pname] = got
+        ctx.extend((u, pty) for u in got or [pname])
 
-    ctx = []
-    for pname, pty in params:
-        if len(uses[pname]) <= 1:
-            # keep the original face name for the single (or zeroth) use
-            if uses[pname]:
-                body = _rename_uses(body, uses[pname][0],
-                                    lambda: pname, [])
-            ctx.append((pname, pty))
-        else:
-            ctx.extend((u, pty) for u in uses[pname])
-
-    tbody = typecheck(body, tuple(ctx))
-    block = Instance("body", clock_block(denote(tbody), min_mode), "block", source=None)
-
-    full = arena_of_type(full_ty)
+    block = Instance("body", clock_block(denote(typecheck(body, tuple(ctx))), min_mode), "block")
+    full = arena_of_type(typed.ty)
     inputs = [full.name(m) for m in full.moves if full.is_input(m)]
     outputs = [full.name(m) for m in full.moves if not full.is_input(m)]
     design = Design(name, {"body": block}, [], inputs, outputs, boundary=full)
 
-    barena = block.machine.arena
+    def wire(inst: str, face: str, to: Optional[str], to_face: str, prefix: tuple = ()) -> None:
+        """Tie each move of ``inst``'s ``face`` to its twin, the move with the
+        same path (under ``prefix``) and token on ``to``'s ``to_face`` or, when
+        ``to`` is None, on the boundary; the side that outputs a move drives."""
+        arena = design.instances[inst].machine.arena
+        far = full if to is None else design.instances[to].machine.arena
+        for m in arena.face_moves(face):
+            ref = PortRef(inst, arena.name(m))
+            twin = PortRef(to, far.name(Move(to_face, prefix + m.path, m.token)))
+            design.ties.append((twin, ref) if arena.is_input(m) else (ref, twin))
 
-    def tie(src: PortRef, dst: PortRef) -> None:
-        design.ties.append((src, dst))
-
-    def tie_pair(a_ref: PortRef, a_is_output: bool, b_ref: PortRef) -> None:
-        if a_is_output:
-            tie(a_ref, b_ref)
-        else:
-            tie(b_ref, a_ref)
-
-    # boundary <-> block result face
-    nres = len(params)
-    for m in barena.face_moves("ret"):
-        top = Move("ret", (1,) * nres + m.path, m.token)
-        bref = PortRef("body", barena.name(m))
-        tref = PortRef(None, full.name(top))
-        tie_pair(bref, not barena.is_input(m), tref)
-
-    # parameters
+    wire("body", "ret", None, "ret", (1,) * len(params))
     for k, (pname, pty) in enumerate(params):
-        prefix = (1,) * k + (0,)
         used = uses[pname]
-        if len(used) <= 1:
-            if not used:
-                continue  # dropped argument: boundary ports stay unwired
-            for m in barena.face_moves(pname):
-                top = Move("ret", prefix + m.path, m.token)
-                bref = PortRef("body", barena.name(m))
-                tref = PortRef(None, full.name(top))
-                tie_pair(bref, not barena.is_input(m), tref)
-            continue
-
-        # chain of managers: client 2 takes the earlier use at each level
-        mgr_total = len(used) - 1
-        lower: Optional[str] = None  # instance whose p0 face is the "first uses" bundle
-        for level in range(mgr_total):
-            mname = f"mgr_{pname}" if mgr_total == 1 else f"mgr_{pname}_{level + 1}"
-            inst = Instance(mname, manager_machine(pty), "share", share_type=pty)
-            design.instances[mname] = inst
-            marena = inst.machine.arena
-            # client faces: p2 <- earlier traffic, p1 <- the next use
-            if level == 0:
-                _tie_face_to_block(design, barena, used[0], marena, mname, "p2")
-            else:
-                _tie_face_to_manager(design, design.instances[lower], marena, mname)
-            _tie_face_to_block(design, barena, used[level + 1], marena, mname, "p1")
-            lower = mname
-        # topmost manager's shared face goes to the boundary
-        marena = design.instances[lower].machine.arena
-        for m in marena.face_moves("p0"):
-            top = Move("ret", prefix + m.path, m.token)
-            mref = PortRef(lower, marena.name(m))
-            tref = PortRef(None, full.name(top))
-            tie_pair(mref, not marena.is_input(m), tref)
+        if not used:
+            continue  # dropped argument: boundary ports stay unwired
+        # a chain of managers: client 2 takes the earlier uses, client 1 the next
+        earlier = ("body", used[0])
+        for level in range(1, len(used)):
+            mname = f"mgr_{pname}" if len(used) == 2 else f"mgr_{pname}_{level}"
+            design.instances[mname] = Instance(mname, manager_machine(pty), "share",
+                                               share_type=pty)
+            wire(*earlier, mname, "p2")
+            wire("body", used[level], mname, "p1")
+            earlier = (mname, "p0")
+        wire(*earlier, None, "ret", (1,) * k + (0,))
 
     design.validate()
     return design
-
-
-def _tie_face_to_block(design: Design, barena: Arena, face: str,
-                       marena: Arena, mname: str, client: str) -> None:
-    for m in barena.face_moves(face):
-        twin = Move(client, m.path, m.token)
-        bref = PortRef("body", barena.name(m))
-        mref = PortRef(mname, marena.name(twin))
-        if barena.is_input(m):
-            design.ties.append((mref, bref))
-        else:
-            design.ties.append((bref, mref))
-
-
-def _tie_face_to_manager(design: Design, lower: Instance, marena: Arena, mname: str) -> None:
-    larena = lower.machine.arena
-    for m in larena.face_moves("p0"):
-        twin = Move("p2", m.path, m.token)
-        lref = PortRef(lower.name, larena.name(m))
-        mref = PortRef(mname, marena.name(twin))
-        if larena.is_input(m):
-            design.ties.append((mref, lref))
-        else:
-            design.ties.append((lref, mref))
 
 
 # --------------------------------------------------------------- wire files
@@ -339,9 +275,9 @@ def parse_wire_file(text: str, name: str = "top",
         parts = line.split()
         try:
             if parts[0] == "share" and len(parts) >= 3:
-                instances[parts[1]] = Instance(
-                    parts[1], manager_machine(parse_type(" ".join(parts[2:]))),
-                    "share", share_type=parse_type(" ".join(parts[2:])))
+                ty = parse_type(" ".join(parts[2:]))
+                instances[parts[1]] = Instance(parts[1], manager_machine(ty), "share",
+                                               share_type=ty)
             elif parts[0] == "inst" and len(parts) == 3:
                 if load is None:
                     raise DesignError("this context cannot load block sources")

@@ -24,7 +24,6 @@ from typing import Union
 from .arena import Arena, Face, Move
 from .automata import StrategyAutomaton
 from .netlist import EAnd, EConst, ENot, EOr, EVar, Expr, NetModule
-from .plays import ProtocolAutomaton
 from .syncmin import SyncMachine
 from .syntax import parse_type, type_to_str
 
@@ -227,19 +226,6 @@ def emit_dot(x, name: str = "g") -> str:
             lines.append(f"  {_q(x.name(m))} [label={_q(x.name(m) + deco)}];")
         for a, b in sorted(x.enabling, key=lambda ab: (x.name(ab[0]), x.name(ab[1]))):
             lines.append(f"  {_q(x.name(a))} -> {_q(x.name(b))};")
-
-    elif isinstance(x, ProtocolAutomaton):
-        lines.append("  node [shape=circle];")
-        for s in range(x.n_states):
-            pend = ", ".join(x.arena.name(m) for m in x.pending_at(s))
-            label = f"s{s}: {pend}" if pend else f"s{s}: quiet"
-            shape = ' shape=doublecircle' if not pend else ""
-            lines.append(f"  s{s} [label={_q(label)}{shape}];")
-        for s in sorted(x.transitions):
-            row = x.transitions[s]
-            for m, t in sorted(row.items(), key=lambda kv: x.arena.name(kv[0])):
-                deco = "?" if x.arena.is_input(m) else "!"
-                lines.append(f"  s{s} -> s{t} [label={_q(x.arena.name(m) + deco)}];")
 
     elif isinstance(x, StrategyAutomaton):
         lines.append("  node [shape=circle];")

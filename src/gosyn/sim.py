@@ -52,12 +52,12 @@ answers at the monitor's key, and the monitor reads that answer again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .arena import Arena, Move
-from .design import Design, Instance
-from .netlist import NetModule
+from .arena import Arena
+from .design import Design
+from .netlist import NetModule, verilog_name
 from .plays import PlayMonitor, Violation, decide_round
 from .plays import linearize_round  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .plays import restore_monitor  # noqa: F401 (perfbench/tracer.py wraps this name)
@@ -81,7 +81,6 @@ class SimReport:
     violation: Optional[Violation] = None
     diagnostics: tuple[tuple[str, Violation], ...] = ()   # (scope, violation) seen but not fatal
     pending: tuple[str, ...] = ()                 # scope-qualified open questions at the end
-    final_states: dict[str, object] = field(default_factory=dict)
     at_reset: bool = False                        # every unit back in its power-on state
 
     @property
@@ -104,10 +103,10 @@ class SimReport:
         if self.race_ports:
             d["race_ports"] = list(self.race_ports)
         if self.violation:
-            d["violation"] = _violation_dict(self.violation)
+            d["violation"] = asdict(self.violation)
         if self.diagnostics:
             d["diagnostics"] = [
-                {"scope": s, **_violation_dict(v)} for s, v in self.diagnostics
+                {"scope": s, **asdict(v)} for s, v in self.diagnostics
             ]
         if self.pending:
             d["pending"] = list(self.pending)
@@ -128,10 +127,6 @@ class SimReport:
             if r:
                 lines.append(f"  cycle {c:3d}: " + " ".join(r))
         return "\n".join(lines)
-
-
-def _violation_dict(v: Violation) -> dict:
-    return {"rule": v.rule, "index": v.index, "move": v.move, "message": v.message}
 
 
 def parse_stimulus(text: str) -> list[tuple[str, ...]]:
@@ -359,7 +354,6 @@ def simulate(
             instance_traces={k: tuple(v) for k, v in inst_traces.items()},
             race_ports=tuple(race), violation=viol,
             diagnostics=tuple(diag), pending=pend,
-            final_states={n: u.state for n, u in units.items()},
             at_reset=all(u.at_reset() for u in units.values()),
         )
 
@@ -546,12 +540,12 @@ def _write_vcd(path: str, bound_in, bound_out, units, waves, hierarchical: bool)
     lines = ["$timescale 1ns $end", "$scope module top $end"]
     for (scope, port) in nets:
         if scope == "":
-            lines.append(f"$var wire 1 {ids[(scope, port)]} {_vcd_name(port)} $end")
+            lines.append(f"$var wire 1 {ids[(scope, port)]} {verilog_name(port)} $end")
     for name in sorted({s for s, _ in nets if s}):
         lines.append(f"$scope module {name} $end")
         for (scope, port) in nets:
             if scope == name:
-                lines.append(f"$var wire 1 {ids[(scope, port)]} {_vcd_name(port)} $end")
+                lines.append(f"$var wire 1 {ids[(scope, port)]} {verilog_name(port)} $end")
         lines.append("$upscope $end")
     lines += ["$upscope $end", "$enddefinitions $end", "#0"]
     lines += [f"0{ids[n]}" for n in nets]
@@ -570,7 +564,3 @@ def _write_vcd(path: str, bound_in, bound_out, units, waves, hierarchical: bool)
             lines.append(f"0{ids[n]}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _vcd_name(port: str) -> str:
-    return port.replace("'", "p")

@@ -10,9 +10,7 @@ variables, constants, lambdas, application, pairs and projections.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 
 # ---------------------------------------------------------------------------

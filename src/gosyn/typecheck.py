@@ -9,10 +9,10 @@ it is the application rule alone that carries the affinity discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
-    App, Arrow, CONSTANTS, Cell, Const, Fst, Lam, Pair, Prod, Snd, Term, Type,
+    App, Arrow, CONSTANTS, Const, Fst, Lam, Pair, Prod, Snd, Term, Type,
     Var, functional_form, type_to_str,
 )
 

@@ -49,6 +49,7 @@ def test_check_reports_a_missing_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     [], ["check"], ["check", "x.sci", "--bogus"], ["build"],
     ["sim", "x.sci", "--stimulus", "x.stim", "--max-cycles", "-3"],
+    ["ir", "--async", "x.sci"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

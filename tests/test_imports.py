@@ -1,0 +1,53 @@
+"""The library's module attributes and imports.
+
+The benchmark's tracer (``perfbench/tracer.py``) wraps functions at the
+module attributes its ``TARGETS`` name, so each of them must resolve.  A
+module-level import that nothing in its module reads is dead, unless the
+tracer wraps it there.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "gosyn").glob("*.py") if p.name != "__init__.py")
+
+
+def _tracer_targets() -> list[str]:
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [t for where, _ in tracer.TARGETS.values() for t in where]
+
+
+TARGETS = _tracer_targets()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_tracer_target_resolves(target):
+    modname, attr = target.split(":")
+    assert callable(getattr(importlib.import_module(modname), attr))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    wrapped = {t.split(":")[1] for t in TARGETS if t.split(":")[0] == f"gosyn.{path.stem}"}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used | wrapped)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path) == []
