@@ -95,3 +95,11 @@ def test_compile_synthesizes_each_instance_once(tmp_path, capsys, monkeypatch, e
     argv += [a for flag in extra for a in (flag, str(tmp_path / "dump"))]
     assert main(argv) == 0
     assert sorted(calls) == ["shared_twice_body", "shared_twice_mgr_f"]
+
+
+def test_compile_names_the_module_after_the_file(tmp_path, capsys):
+    # q2 is also a port of the flattened block; the module keeps the file's name
+    path = tmp_path / "q2.sci"
+    path.write_text("fn x : com -> fn y : com -> x ; y\n")
+    assert main(["compile", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("module q2 (")

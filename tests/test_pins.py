@@ -12,8 +12,14 @@ The command-line digests cover ``compile`` (alone, and with ``--json`` and
 ``--dot``), ``ir`` and ``ir --sync`` on every demo program, ``sim --json``
 on the demos that have a stimulus, and ``monitor --json`` on the demo
 traces: exit code, stdout, stderr and each file written, in that order.
+``compile`` and ``ir --sync`` also run with ``--min plain`` and with
+``--no-minimize`` on every demo program.
 The constant digests hold each constant machine's rows in row order,
-which ``outputs_from`` and the cascade read.
+which ``outputs_from`` and the cascade read.  The duplicator digests hold
+the rows of ``diagonal`` in row order, state numbering included, and the
+manager digests the rounds of ``manager_machine`` (state, inputs, outputs,
+target, sorted), or the type and message of the error it raises, for
+every type whose manager builds within a second.
 """
 
 import hashlib
@@ -23,9 +29,9 @@ import pytest
 
 from helpers import chain
 from gosyn.cli import main
-from gosyn.denote import const_automaton
-from gosyn.design import compile_design, design_verilog
-from gosyn.syntax import CONSTANTS
+from gosyn.denote import const_automaton, diagonal
+from gosyn.design import compile_design, design_verilog, manager_machine
+from gosyn.syntax import CONSTANTS, parse_type
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -79,6 +85,55 @@ DESIGN_DIGESTS = {
     "dropped": "2fe2be1ed8d75c31079335691c7b02dfc782a6903b92fdc5615b4a2cd6a1ecb2",
 }
 
+SHARED_TYPES = (
+    "com", "exp", "cell", "com -> com", "exp -> com", "com -> exp", "exp -> exp",
+    "com -> com -> com", "(com -> com) -> com", "(exp -> com) -> com", "exp -> exp -> exp",
+    "cell -> com", "com * com", "com * exp", "exp * exp", "com * com * com",
+    "com -> cell", "cell * exp", "cell * cell",
+)
+SLOW_MANAGERS = ("com -> cell", "cell * exp", "cell * cell")  # seconds to refuse or build
+
+DIAGONAL_DIGESTS = {
+    "com": "55e44b60008b02f2dee0ed6182505be90447fccf623ed865bd349a63e73b88de",
+    "exp": "2c6ceae62fcd5601e387d79d39b27c91af7bf38e50d2b3409344374ed7979e06",
+    "cell": "f45c8dc65afd090f9b116fc09abe97735bd445308d0a01a4d15d22c080838576",
+    "com -> com": "98dfb0901e4cc49daff4b0f9be6cdd2a2f8ec377c98d5b9ee4c42013f0107cea",
+    "exp -> com": "ff1f367a85bb372d4f70ae5cbe56496b070a0db75140f34daea71d1faefe30fc",
+    "com -> exp": "7b3042da69507bd360a28ee3d540dca3e2776546b077eba71ca449dca60059d9",
+    "exp -> exp": "8ee52737ba27bb10e41cc8c958fe3b643a6d943b9612e7b37af071703f19b038",
+    "com -> com -> com": "7bcb5df8394265a1f95576f659b3e276d35a818a8d4e018deeb82d92eeb0fdeb",
+    "(com -> com) -> com": "bd99cd12e66379012223aab8d0a2803dcf05cae739168425d1ad3e7ce1394740",
+    "(exp -> com) -> com": "edad6dcc2ff296ef108ad0f159796a336edc8d3b5af959c5e529fb014aaedd7d",
+    "exp -> exp -> exp": "bf9ceb7018f417fdaa2fc8eef00dff55928602c5e05ee765f6bb05c10bfafab8",
+    "cell -> com": "ce5013761787722af0971199f5ad289fac338e8da6c6c59440d2357e2211b2c4",
+    "com * com": "fb80611e82e4f94b35420d5b4b04a139dfdf62c270935863d9e53e615b010240",
+    "com * exp": "02ee2adf3633dc66ec9acee1bfb33e18d12d7c60c898dc5f1a9c88a81da60f80",
+    "exp * exp": "2cff5400f61aeac8d2da765ac1b6e01cc44a2a23a3415235316fc3937839cea3",
+    "com * com * com": "4eee2056c0e6c74a4c65fd2786dd5d4047e7c088cb0bcced8e65ff01ae1f5629",
+    "com -> cell": "87dba05a56c436f06d4586282274094229cc5548f01e1ac8f44fbebe8b20d56a",
+    "cell * exp": "ec9dc8684279a1dc6608f9d6da5ce43db0c4e06916425310e7cd5f38f9db2f05",
+    "cell * cell": "e9dc1bc5a9cb0638d54f036aaf553d140f41f64357977cd648ae3fcc635b099c",
+}
+
+MANAGER_DIGESTS = {
+    "com": "6ab734166a49c8725fc87433b045dabfeb1f4ad81b2e40e17f515e8724f7829e",
+    "exp": "62f385c02e962a58981d51473c2061e3e6cd913912ee3afbb1b194902e9e9044",
+    "cell": "0cdc60a4827861709a2f221da04ba217db94c2bb2a6f57545dd01607b45f917f",
+    "com -> com": "0002343e3fe0ddbc6f2773372481f487f93f7625ab9f999aff02798136b47d68",
+    "exp -> com": "17cd1a954bf8506b3dd9873f9177fba9212c2bb746815924ac6253e826435465",
+    "com -> exp": "6a05d4e5459ae2a94f12364b3a671a5395726a6ea7e3392bc626f010746ac582",
+    "exp -> exp": "88ceea30c2fa65cbd0015d5c2b96e271a09dc65619a553c6e3eb1a099bd1c8c4",
+    "com -> com -> com": "67f8642149b4424cba0127e3fce16942184fc4b055db032bd025d88a431bffbf",
+    "(com -> com) -> com": "ef913a47496f65d813bd2315c1d47fad64f73147c64d5c3bd5becc94103902d0",
+    "(exp -> com) -> com": "267d8e0733e64fd38fc7c20c5fc1626f16c29e58c761065e04c9c2d513849f6f",
+    "exp -> exp -> exp": "4328e9b652fa0024ab631aa93678cb25c26370c53f2fe87f8a73566c1fc7e087",
+    "cell -> com": "d73745245d8a5071605bbd78c3c50f6a70f0089803c0fdd287f582792572f6f0",
+    "com * com": "4ad642d7d197904ec73ea9717b642f6061f71c61d612785255dc6735db28fcb1",
+    "com * exp": "9a190fc212e8126503c20a7083c7c4a52d8528b9d78e08e9149b00aa18603114",
+    "exp * exp": "26efaf71f0d642ba5b2f80fcb7e9c44890d83b7d9f4553f0f6cad04c12a24f54",
+    "com * com * com": "7825830373a2c3f777deafd9bb131a2c43f765e393266b9fd1100ee6d6a31f76",
+}
+
 CLI_DIGESTS = {
     "compile count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
     "compile --json --dot count_to_zero": "bc5408fa35493fd25c082b65965532153f19d34211a52810b2f151b4a505f7a1",
@@ -104,6 +159,30 @@ CLI_DIGESTS = {
     "compile --json --dot true": "59cb40dcf332f0ff046ae2862caec96b3fdfcf178c400a91536d58cc16579c9f",
     "ir true": "da2d3d9f0e7cce34e945d957f34a0cadd7d80e07377cb2e08bbc70ea6eaa276c",
     "ir --sync true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
+    "compile --min plain count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
+    "ir --sync --min plain count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
+    "compile --no-minimize count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
+    "ir --sync --no-minimize count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
+    "compile --min plain loop": "42e7d97e8b4d6c98f1d8af07015770220c5b34088cf7d55db891b951dac4e88f",
+    "ir --sync --min plain loop": "4c98d64af6a247190cf6726671f1e3f0e88667b7bf4abe9e51647d2b9ac0ae94",
+    "compile --no-minimize loop": "4dee462ad24e473429b8bb960fdc1b79bb148fc694840822261b8a832c40f271",
+    "ir --sync --no-minimize loop": "719f1c33c8a0e9a51eb1516b50800cca7a2f58d5dd6259854247a3bdead11f23",
+    "compile --min plain par_pair": "3b127aeb6dd0244b26baf3bcb97cdfa57254c82091c4b023ea26e7c9843116ef",
+    "ir --sync --min plain par_pair": "a1ff9f43ffa24a8fbb247de58c576173586c268857f719fc29c007e889c0fe35",
+    "compile --no-minimize par_pair": "3b127aeb6dd0244b26baf3bcb97cdfa57254c82091c4b023ea26e7c9843116ef",
+    "ir --sync --no-minimize par_pair": "a1ff9f43ffa24a8fbb247de58c576173586c268857f719fc29c007e889c0fe35",
+    "compile --min plain seq": "9421f8ea33db489f48375d2ec681a04c09bb943afbef9157ca31d0414a2305cb",
+    "ir --sync --min plain seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
+    "compile --no-minimize seq": "9421f8ea33db489f48375d2ec681a04c09bb943afbef9157ca31d0414a2305cb",
+    "ir --sync --no-minimize seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
+    "compile --min plain shared_twice": "90c9cbdc6cd618c04bd9ab39b9b38f4e395b3d98cef689d2d3ab9a0589f905b9",
+    "ir --sync --min plain shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
+    "compile --no-minimize shared_twice": "90c9cbdc6cd618c04bd9ab39b9b38f4e395b3d98cef689d2d3ab9a0589f905b9",
+    "ir --sync --no-minimize shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
+    "compile --min plain true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
+    "ir --sync --min plain true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
+    "compile --no-minimize true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
+    "ir --sync --no-minimize true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "sim --json shared_twice": "27346e37809407dfed4cc015ba75999a1fbac4d896054e03f100f032fb567c72",
     "sim --json concurrent_calls": "7f07488277226592420693eaf6ffba7622dc41a5d42fae9cb2186c057bd4ad50",
     "sim --json nested_call": "2c392c47ab524bd9337d1d4e00c9f450f32a49bc9ce7dd37a6e328f750064f03",
@@ -159,6 +238,9 @@ def _demo_runs() -> dict[str, list[str]]:
                                                  "--dot", "@dot"]
         runs[f"ir {p.stem}"] = ["ir", str(p)]
         runs[f"ir --sync {p.stem}"] = ["ir", "--sync", str(p)]
+        for flags in (["--min", "plain"], ["--no-minimize"]):
+            runs[f"compile {' '.join(flags)} {p.stem}"] = ["compile", str(p), *flags]
+            runs[f"ir --sync {' '.join(flags)} {p.stem}"] = ["ir", "--sync", *flags, str(p)]
     runs["sim --json shared_twice"] = [
         "sim", str(DEMOS / "shared_twice.sci"),
         "--stimulus", str(DEMOS / "shared_twice.stim"), "--json", "@json"]
@@ -190,6 +272,22 @@ def const_text(name: str) -> str:
                  for s, row in m.transitions.items()])
 
 
+def diagonal_text(ty: str) -> str:
+    m = diagonal(parse_type(ty))
+    return repr([(s, [(m.arena.name(mv), t) for mv, t in row.items()])
+                 for s, row in m.transitions.items()])
+
+
+def manager_text(ty: str) -> str:
+    try:
+        m = manager_machine(parse_type(ty))
+    except Exception as e:
+        return _error(e)
+    names = lambda ms: sorted(m.arena.name(x) for x in ms)
+    return repr([(s, names(i), names(o), d) for s, row in sorted(m.transitions.items())
+                 for i, (o, d) in sorted(row.items(), key=lambda r: (len(r[0]), names(r[0])))])
+
+
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_design_digest(name):
     assert _sha(design_text(name)) == DESIGN_DIGESTS[name]
@@ -203,3 +301,13 @@ def test_cli_digest(run, tmp_path, capsys):
 @pytest.mark.parametrize("name", CONSTANTS)
 def test_constant_rows_digest(name):
     assert _sha(const_text(name)) == CONST_DIGESTS[name]
+
+
+@pytest.mark.parametrize("ty", SHARED_TYPES)
+def test_diagonal_rows_digest(ty):
+    assert _sha(diagonal_text(ty)) == DIAGONAL_DIGESTS[ty]
+
+
+@pytest.mark.parametrize("ty", [t for t in SHARED_TYPES if t not in SLOW_MANAGERS])
+def test_manager_rows_digest(ty):
+    assert _sha(manager_text(ty)) == MANAGER_DIGESTS[ty]
