@@ -29,14 +29,11 @@ from .syntax import (
 from .typecheck import SciTypeError, Typed, typecheck
 from .arena import Arena, Face, Move, arena_of_type, sharing_arena, term_arena
 from .plays import (
-    LimitExceeded,
     PlayMonitor,
-    ProtocolAutomaton,
     Violation,
     check_play,
     check_sync_trace,
     decide_round,
-    enumerate_plays,
     linearize_round,
 )
 from .automata import (
@@ -84,14 +81,12 @@ __all__ = [
     "Exp",
     "Face",
     "Instance",
-    "LimitExceeded",
     "Move",
     "NetModule",
     "NonConfluent",
     "ParseError",
     "PlayMonitor",
     "Prod",
-    "ProtocolAutomaton",
     "SciTypeError",
     "SimError",
     "SimReport",
@@ -113,7 +108,6 @@ __all__ = [
     "emit_dot",
     "emit_json",
     "emit_verilog",
-    "enumerate_plays",
     "equivalent_under_protocol",
     "from_dict",
     "functional_form",

@@ -260,11 +260,13 @@ class Arena:
     def enabled_by(self, m: Move) -> frozenset[Move]:
         return self._enabled[m]
 
-    def inputs(self) -> tuple[Move, ...]:
-        return tuple(m for m in self.moves if self._pol[m] == "O")
+    def input_names(self) -> tuple[str, ...]:
+        """Names of the input ports (O-moves), in move order."""
+        return tuple([self._names[m] for m in self.moves if self._pol[m] == "O"])
 
-    def outputs(self) -> tuple[Move, ...]:
-        return tuple(m for m in self.moves if self._pol[m] == "P")
+    def output_names(self) -> tuple[str, ...]:
+        """Names of the output ports (P-moves), in move order."""
+        return tuple([self._names[m] for m in self.moves if self._pol[m] == "P"])
 
     def _validate(self) -> None:
         for m in self.moves:

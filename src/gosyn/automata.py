@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Optional
 
 from .arena import Arena, Move
-from .plays import LimitExceeded, decide
+from .plays import decide
 
 
 class DivergenceDetected(Exception):
@@ -98,22 +98,6 @@ class StrategyAutomaton:
             for s in order
         }
         return StrategyAutomaton(self.arena, trans, 0)
-
-    def language(self, max_len: int, limit: int = 500_000) -> set[tuple[str, ...]]:
-        """All name-level traces up to ``max_len``, every output order explored."""
-        out: set[tuple[str, ...]] = set()
-
-        def go(s: int, prefix: tuple[str, ...]) -> None:
-            if len(out) > limit:
-                raise LimitExceeded(f"automaton language blew past {limit} traces")
-            out.add(prefix)
-            if len(prefix) == max_len:
-                return
-            for m, d in self.transitions[s].items():
-                go(d, prefix + (self.arena.name(m),))
-
-        go(self.initial, ())
-        return out
 
     def __repr__(self) -> str:
         return f"StrategyAutomaton({self.arena!r}, {self.n_states} states)"

@@ -23,7 +23,7 @@ from .design import (
     DesignError, clock_block, compile_design, design_verilog, netlists_of_design,
     parse_wire_file,
 )
-from .plays import LimitExceeded, check_sync_trace
+from .plays import check_sync_trace
 from .serialize import emit_dot, emit_json, to_dict
 from .sim import SimError, parse_stimulus, simulate
 from .syncmin import NonConfluent
@@ -32,7 +32,7 @@ from .typecheck import SciTypeError, typecheck
 
 _DOMAIN_ERRORS = (
     ParseError, SciTypeError, DesignError, SimError, DivergenceDetected,
-    CompositionStall, NonConfluent, LimitExceeded, OSError, KeyError, ValueError,
+    CompositionStall, NonConfluent, OSError, KeyError, ValueError,
 )
 
 
@@ -196,10 +196,10 @@ def _run_compile(args) -> int:
     return 0
 
 
-def _load_block(wire_path: Path, min_mode: str = "protocol"):
+def _load_block(wire_path: Path):
     def load(rel: str):
         src = (wire_path.parent / rel).read_text()
-        return clock_block(denote(typecheck(parse(src))), min_mode)
+        return clock_block(denote(typecheck(parse(src))), "protocol")
     return load
 
 

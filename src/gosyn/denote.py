@@ -25,7 +25,7 @@ from __future__ import annotations
 from .arena import Move, arena_of_type, sharing_arena, term_arena
 from .automata import (CompositionStall, StrategyAutomaton, SyncStats, from_rows,
                        glue_pair, relay, synchronize_and_hide)
-from .plays import ProtocolAutomaton
+from .plays import decide
 from .syntax import App, Arrow, Const, Fst, Lam, Pair, Prod, Snd, Type, Var, CONSTANTS
 from .typecheck import Typed, typecheck
 
@@ -230,49 +230,42 @@ def diagonal(ty: Type) -> StrategyAutomaton:
 
     A session started on either client face is forwarded move by move to the
     shared face; the other client is not listened to until the session's
-    opening request has been answered.
+    opening request has been answered.  A state is (owner, the session's
+    pending-forest key over ``ty``, pending echo): :func:`~gosyn.plays.decide`
+    steps the key, and the session is over when the key is empty.
     """
     sa = sharing_arena(ty)
-    session = ProtocolAutomaton(arena_of_type(ty))
-
-    def session_move(m: Move) -> Move:
-        return Move("ret", m.path, m.token)
-
-    start = (0, session.initial, None)
+    session = arena_of_type(ty)
+    start = (0, (), None)
     index: dict[tuple, int] = {start: 0}
     order: list[tuple] = [start]
     trans: dict[int, dict[Move, int]] = {}
+
+    def target(state: tuple) -> int:
+        if state not in index:
+            index[state] = len(order)
+            order.append(state)
+        return index[state]
+
     k = 0
     while k < len(order):
-        owner, ps, carry = order[k]
+        owner, key, echo = order[k]
         row: dict[Move, int] = {}
-        if carry is not None:
-            ps2 = ps
-            nxt = (owner, ps2, None)
-            if session.is_quiet(ps2):
-                nxt = (0, session.initial, None)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row[carry] = index[nxt]
+        if echo is not None:
+            row[echo] = target((owner, key, None) if key else start)
         else:
             faces = ("p1", "p2") if owner == 0 else (f"p{owner}", "p0")
             for face in faces:
                 for m in sa.face_moves(face):
                     if not sa.is_input(m):
                         continue
-                    ps2 = session.step(ps, session_move(m))
-                    if ps2 is None:
+                    key2 = decide(session, key, Move("ret", m.path, m.token))[0]
+                    if key2 is None:
                         continue
                     new_owner = owner if owner else (1 if face == "p1" else 2)
                     to_face = "p0" if face != "p0" else f"p{new_owner}"
-                    echo = Move(to_face, m.path, m.token)
-                    nxt = (new_owner, ps2, echo)
-                    if nxt not in index:
-                        index[nxt] = len(order)
-                        order.append(nxt)
-                    row[m] = index[nxt]
-        trans[index[(owner, ps, carry)]] = row
+                    row[m] = target((new_owner, key2, Move(to_face, m.path, m.token)))
+        trans[k] = row
         k += 1
     return StrategyAutomaton(sa, trans, 0)
 

@@ -23,16 +23,17 @@ would fall on the floor silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .arena import Arena, Move, arena_of_type
+from .arena import Arena, Move, arena_of_type, sharing_arena
 from .denote import denote, diagonal
-from .netlist import NetModule, emit_verilog, expr_vars, netlist_of, verilog_name
+from .netlist import (NetModule, emit_verilog, expr_vars, module_header, netlist_of,
+                      verilog_name)
 from .syncmin import (SyncMachine, minimize, minimize_under_protocol,
                       round_abstract)
-from .syntax import (App, Const, Fst, Lam, Pair, ParseError, Snd, Term,
-                     Type, Var, parse, parse_type, type_to_str)
+from .syntax import (Lam, ParseError, Term, Type, Var, map_subterms, parse, parse_type,
+                     type_to_str)
 from .typecheck import typecheck
 
 
@@ -56,14 +57,6 @@ class Instance:
     kind: str                       # "block" or "share"
     share_type: Optional[Type] = None
     source: Optional[str] = None
-
-    def input_ports(self) -> tuple[str, ...]:
-        a = self.machine.arena
-        return tuple(a.name(m) for m in a.moves if a.is_input(m))
-
-    def output_ports(self) -> tuple[str, ...]:
-        a = self.machine.arena
-        return tuple(a.name(m) for m in a.moves if not a.is_input(m))
 
 
 @dataclass
@@ -90,13 +83,13 @@ class Design:
         if r.inst is None:
             return r.port in self.inputs
         inst = self.instances.get(r.inst)
-        return inst is not None and r.port in inst.output_ports()
+        return inst is not None and r.port in inst.machine.arena.output_names()
 
     def _sinks(self, r: PortRef) -> bool:
         if r.inst is None:
             return r.port in self.outputs
         inst = self.instances.get(r.inst)
-        return inst is not None and r.port in inst.input_ports()
+        return inst is not None and r.port in inst.machine.arena.input_names()
 
     def drivers_of(self) -> dict[PortRef, PortRef]:
         return {dst: src for src, dst in self.ties}
@@ -112,18 +105,17 @@ def manager_machine(ty: Type) -> SyncMachine:
     the round T plus that request maps to the round's outputs plus the
     session start, landing in the fresh session's state.
     """
-    base = round_abstract(diagonal(ty))
-    arena = base.arena
-    idle = base.initial
-    openers: list[tuple[Move, frozenset, int]] = []
-    for face in ("p1", "p2"):
-        init = [m for m in arena.face_moves(face)
-                if arena.is_input(m) and not arena.enablers_of(m)]
+    arena = sharing_arena(ty)
+    inits = [[m for m in arena.face_moves(face) if m in arena.initials] for face in ("p1", "p2")]
+    for init in inits:  # refused on the arena alone, before the duplicator is clocked
         if len(init) != 1:
             raise DesignError(
                 f"cannot share an identifier of type {type_to_str(ty)}: a call manager "
                 f"serves one opening request per client, this type has {len(init)}")
-        entry = base.transitions[idle].get(frozenset(init))
+    base = round_abstract(diagonal(ty))
+    openers: list[tuple[Move, frozenset, int]] = []
+    for init in inits:
+        entry = base.transitions[base.initial].get(frozenset(init))
         if entry is None:
             raise DesignError(
                 f"the duplicator for {type_to_str(ty)} does not serve an opening request when idle")
@@ -139,7 +131,7 @@ def manager_machine(ty: Type) -> SyncMachine:
                 if hijacked in table[s]:
                     continue  # a genuinely legal round takes priority
                 table[s][hijacked] = (t_out | start_out, start_state)
-    return SyncMachine(arena, table, base.initial)
+    return SyncMachine(base.arena, table, base.initial)
 
 
 # -------------------------------------------------- compiling to a design
@@ -163,23 +155,9 @@ def _rename_uses(t: Term, name: str, fresh: Callable[[], str], out: list[str]) -
             out.append(nn)
             return Var(nn)
         return t
-    if isinstance(t, Const):
+    if isinstance(t, Lam) and t.name == name:
         return t
-    if isinstance(t, Lam):
-        if t.name == name:
-            return t
-        return Lam(t.name, t.ty, _rename_uses(t.body, name, fresh, out))
-    if isinstance(t, App):
-        return App(_rename_uses(t.fn, name, fresh, out),
-                   _rename_uses(t.arg, name, fresh, out))
-    if isinstance(t, Pair):
-        return Pair(_rename_uses(t.left, name, fresh, out),
-                    _rename_uses(t.right, name, fresh, out))
-    if isinstance(t, Fst):
-        return Fst(_rename_uses(t.arg, name, fresh, out))
-    if isinstance(t, Snd):
-        return Snd(_rename_uses(t.arg, name, fresh, out))
-    raise TypeError(f"not a term: {t!r}")
+    return map_subterms(t, lambda s: _rename_uses(s, name, fresh, out))
 
 
 def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -> Design:
@@ -211,9 +189,8 @@ def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -
 
     block = Instance("body", clock_block(denote(typecheck(body, tuple(ctx))), min_mode), "block")
     full = arena_of_type(typed.ty)
-    inputs = [full.name(m) for m in full.moves if full.is_input(m)]
-    outputs = [full.name(m) for m in full.moves if not full.is_input(m)]
-    design = Design(name, {"body": block}, [], inputs, outputs, boundary=full)
+    design = Design(name, {"body": block}, [], list(full.input_names()),
+                    list(full.output_names()), boundary=full)
 
     def wire(inst: str, face: str, to: Optional[str], to_face: str, prefix: tuple = ()) -> None:
         """Tie each move of ``inst``'s ``face`` to its twin, the move with the
@@ -335,33 +312,13 @@ def design_verilog(design: Design, netlists: Optional[list[NetModule]] = None) -
             else:
                 ok = False
         if ok:
-            rn = lambda p: renames.get(p, p)
-            flat = NetModule(design.name,
-                             tuple(rn(p) for p in only.inputs),
-                             tuple(rn(p) for p in only.outputs),
-                             only.state_bits,
-                             tuple((rn(o), _rename_expr(e, rn)) for o, e in only.assigns),
-                             tuple((b, _rename_expr(e, rn)) for b, e in only.nexts))
-            return emit_verilog(flat)
+            return emit_verilog(replace(only, name=design.name), lambda p: renames.get(p, p))
 
     out = []
     for iname in sorted(mods):
         out.append(emit_verilog(mods[iname]))
     out.append(_emit_top(design, mods))
     return "\n".join(out)
-
-
-def _rename_expr(e, rn):
-    from .netlist import EAnd, EConst, ENot, EOr, EVar
-    if isinstance(e, EVar):
-        return EVar(rn(e.name))
-    if isinstance(e, ENot):
-        return ENot(_rename_expr(e.x, rn))
-    if isinstance(e, EAnd):
-        return EAnd(tuple(_rename_expr(x, rn) for x in e.xs))
-    if isinstance(e, EOr):
-        return EOr(tuple(_rename_expr(x, rn) for x in e.xs))
-    return e
 
 
 def _net_name(r: PortRef) -> str:
@@ -371,27 +328,13 @@ def _net_name(r: PortRef) -> str:
 
 def _emit_top(design: Design, mods: dict[str, NetModule]) -> str:
     drivers = design.drivers_of()
-    lines = [f"module {verilog_name(design.name)} ("]
-    ports = []
-    clocked = any(m.clocked for m in mods.values())
-    if clocked:
-        ports += ["input wire clk", "input wire rst"]
-    ports += [f"input wire {verilog_name(p)}" for p in design.inputs]
-    ports += [f"output wire {verilog_name(p)}" for p in design.outputs]
-    lines += [f"    {p}," for p in ports[:-1]]
-    lines.append(f"    {ports[-1]}")
-    lines.append(");")
+    lines = module_header(verilog_name(design.name), any(m.clocked for m in mods.values()),
+                          map(verilog_name, design.inputs), map(verilog_name, design.outputs))
     lines.append("")
     for iname in sorted(design.instances):
         for p in mods[iname].outputs:
             lines.append(f"  wire {_net_name(PortRef(iname, p))};")
     lines.append("")
-
-    def source_net(r: PortRef) -> str:
-        if r.inst is None:
-            return verilog_name(r.port)
-        return _net_name(r)
-
     for iname in sorted(design.instances):
         mod = mods[iname]
         conns = []
@@ -399,7 +342,7 @@ def _emit_top(design: Design, mods: dict[str, NetModule]) -> str:
             conns += [".clk(clk)", ".rst(rst)"]
         for p in mod.inputs:
             drv = drivers.get(PortRef(iname, p))
-            net = source_net(drv) if drv else "1'b0"
+            net = _net_name(drv) if drv else "1'b0"
             conns.append(f".{verilog_name(p)}({net})")
         for p in mod.outputs:
             conns.append(f".{verilog_name(p)}({_net_name(PortRef(iname, p))})")
@@ -411,7 +354,7 @@ def _emit_top(design: Design, mods: dict[str, NetModule]) -> str:
         lines.append("")
     for p in design.outputs:
         drv = drivers.get(PortRef(None, p))
-        net = source_net(drv) if drv else "1'b0"
+        net = _net_name(drv) if drv else "1'b0"
         lines.append(f"  assign {verilog_name(p)} = {net};")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .syncmin import SyncMachine, prune_inadmissible
 
@@ -243,8 +243,7 @@ def synthesis_view(m: SyncMachine) -> SyncMachine:
 def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     machine = synthesis_view(machine)
     arena = machine.arena
-    in_ports = tuple(arena.name(m) for m in arena.moves if arena.is_input(m))
-    out_ports = tuple(arena.name(m) for m in arena.moves if not arena.is_input(m))
+    in_ports, out_ports = arena.input_names(), arena.output_names()
     states = sorted(machine.transitions)
     order = {s: i for i, s in enumerate(
         [machine.initial] + [s for s in states if s != machine.initial])}
@@ -292,18 +291,14 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
         return NetModule(name, in_ports, out_ports, (), tuple(assigns), ())
 
     # next-state: transition products plus a hold term per bit
-    def row_order(i):
-        return (len(i), tuple(sorted(arena.name(m) for m in i)))
-
     nexts: list[tuple[str, Expr]] = []
     for d in states:
         terms = []
         for s in states:
-            for i in sorted(machine.transitions[s], key=row_order):
-                if machine.transitions[s][i][1] == d:
+            for i, (_, to) in machine.rows(s):
+                if to == d:
                     terms.append(eand([EVar(bit[s]), _minterm(in_ports, names(i))]))
-        matched = eor([_minterm(in_ports, names(i)) for i in
-                       sorted(machine.transitions[d], key=row_order)])
+        matched = eor([_minterm(in_ports, names(i)) for i, _ in machine.rows(d)])
         terms.append(eand([EVar(bit[d]), ENot(matched)]))
         nexts.append((bit[d], eor(terms)))
 
@@ -312,22 +307,30 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     return NetModule(name, in_ports, out_ports, ordered_bits, tuple(assigns), tuple(nexts))
 
 
-def emit_verilog(mod: NetModule) -> str:
-    """Verilog-2001 text; stable byte-for-byte for a given module."""
-    rn = verilog_name
-    ports = []
-    if mod.clocked:
-        ports += ["input wire clk", "input wire rst"]
-    ports += [f"input wire {rn(p)}" for p in mod.inputs]
-    ports += [f"output wire {rn(p)}" for p in mod.outputs]
+def module_header(name: str, clocked: bool, inputs: Iterable[str],
+                  outputs: Iterable[str]) -> list[str]:
+    """The ``module`` line and port list, over names already in Verilog form."""
+    ports = ["input wire clk", "input wire rst"] if clocked else []
+    ports += [f"input wire {p}" for p in inputs]
+    ports += [f"output wire {p}" for p in outputs]
+    return [f"module {name} (", *(f"    {p}," for p in ports[:-1]), f"    {ports[-1]}", ");"]
+
+
+def emit_verilog(mod: NetModule, rename: Callable[[str], str] = lambda p: p) -> str:
+    """Verilog-2001 text; stable byte-for-byte for a given module.
+
+    ``rename`` maps each port and net name before :func:`verilog_name`; the
+    module name is not renamed.
+    """
+    def rn(p: str) -> str:
+        return verilog_name(rename(p))
+
     mangled = [rn(p) for p in mod.inputs + mod.outputs] + list(mod.state_bits)
     if len(set(mangled)) != len(mangled):
         raise ValueError(f"signal names collide after mangling: {sorted(mangled)}")
 
-    lines = [f"module {rn(mod.name)} ("]
-    lines += [f"    {p}," for p in ports[:-1]]
-    lines.append(f"    {ports[-1]}")
-    lines.append(");")
+    lines = module_header(verilog_name(mod.name), mod.clocked,
+                          map(rn, mod.inputs), map(rn, mod.outputs))
     if mod.clocked:
         lines.append("")
         for b in mod.state_bits:

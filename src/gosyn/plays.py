@@ -37,10 +37,6 @@ from typing import Iterable, Optional, Sequence
 from .arena import Arena, Move
 
 
-class LimitExceeded(Exception):
-    """Raised when an enumeration grows past its explicit bound."""
-
-
 @dataclass(frozen=True)
 class Violation:
     rule: str          # Justification | Fork | Serial | Wait
@@ -238,108 +234,7 @@ def check_play(arena: Arena, play: Sequence[str]) -> Verdict:
     return Verdict(True, pending=mon.pending_names(), justifier=mon.justifiers())
 
 
-class ProtocolAutomaton:
-    """Deterministic automaton of legal plays over an arena.
-
-    States encode the forest of pending requests; the empty forest is both
-    the start state and the only state where a session may (re)start, so the
-    transition structure is re-entrant by construction.
-    """
-
-    def __init__(self, arena: Arena):
-        self.arena = arena
-        key0: tuple = ()
-        self._keys: list[tuple] = [key0]
-        index = {key0: 0}
-        self.transitions: dict[int, dict[Move, int]] = {}
-        frontier = [key0]
-        while frontier:
-            key = frontier.pop()
-            src = index[key]
-            row: dict[Move, int] = {}
-            for m in arena.moves:
-                nk = decide(arena, key, m)[0]
-                if nk is not None:
-                    if nk not in index:
-                        index[nk] = len(self._keys)
-                        self._keys.append(nk)
-                        frontier.append(nk)
-                    row[m] = index[nk]
-            self.transitions[src] = row
-        self.initial = 0
-
-    @property
-    def n_states(self) -> int:
-        return len(self._keys)
-
-    def pending_at(self, state: int) -> tuple[Move, ...]:
-        return tuple(m for m, _ in self._keys[state])
-
-    def is_quiet(self, state: int) -> bool:
-        """True when nothing is pending (a complete position)."""
-        return not self._keys[state]
-
-    def step(self, state: int, m: Move) -> Optional[int]:
-        return self.transitions[state].get(m)
-
-    def accepts(self, play: Sequence[str]) -> bool:
-        s = self.initial
-        for name in play:
-            s = self.transitions[s].get(self.arena.by_name(name))
-            if s is None:
-                return False
-        return True
-
-    def session_language(self, max_len: int) -> set[tuple[str, ...]]:
-        """All legal plays up to ``max_len`` with each initial fired at most once."""
-        out: set[tuple[str, ...]] = set()
-
-        def go(state: int, used: frozenset[Move], prefix: tuple[str, ...]) -> None:
-            out.add(prefix)
-            if len(prefix) == max_len:
-                return
-            for m, dst in self.transitions[state].items():
-                if m in self.arena.initials and m in used:
-                    continue
-                go(dst, used | ({m} if m in self.arena.initials else frozenset()),
-                   prefix + (self.arena.name(m),))
-
-        go(self.initial, frozenset(), ())
-        return out
-
-
 restore_monitor = PlayMonitor  # the older name; perfbench/tracer.py counts its calls
-
-
-def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
-                    complete_only: bool = False, limit: int = 500_000) -> list[tuple[str, ...]]:
-    """Brute-force enumeration of legal plays, the reference for everything else.
-
-    Replays every prefix through a fresh :class:`PlayMonitor`, so it does not
-    depend on :class:`ProtocolAutomaton`'s state numbering (both apply
-    :func:`decide`).  By default a play is single-session: each initial
-    request fires at most once.
-    """
-    results: list[tuple[str, ...]] = []
-
-    def go(play: list[Move], used_initials: frozenset[Move]) -> None:
-        if len(results) > limit:
-            raise LimitExceeded(f"more than {limit} plays of length <= {max_len}")
-        mon = PlayMonitor(arena)
-        for m in play:
-            assert mon.step(m) is None
-        if not complete_only or mon.complete():
-            results.append(tuple(arena.name(m) for m in play))
-        if len(play) == max_len:
-            return
-        for m in arena.moves:
-            if not reentrant and m in arena.initials and m in used_initials:
-                continue
-            if mon.would_accept(m):
-                go(play + [m], used_initials | ({m} if m in arena.initials else frozenset()))
-
-    go([], frozenset())
-    return sorted(results, key=lambda p: (len(p), p))
 
 
 def may_linearize(arena: Arena, key: Key, moves: Sequence[Move]) -> bool:

@@ -133,9 +133,7 @@ def to_dict(x: Serializable) -> dict:
                 "to": t,
             }
             for s in sorted(x.transitions)
-            for i, (o, t) in sorted(
-                x.transitions[s].items(), key=lambda kv: (len(kv[0]), x.names(kv[0]))
-            )
+            for i, (o, t) in x.rows(s)
         ]
         return d
 
@@ -241,9 +239,7 @@ def emit_dot(x, name: str = "g") -> str:
         lines.append("  node [shape=circle];")
         lines.append(f"  s{x.initial} [shape=doublecircle];")
         for s in sorted(x.transitions):
-            for i, (o, t) in sorted(
-                x.transitions[s].items(), key=lambda kv: (len(kv[0]), x.names(kv[0]))
-            ):
+            for i, (o, t) in x.rows(s):
                 label = "{%s} / {%s}" % (", ".join(x.names(i)), ", ".join(x.names(o)))
                 lines.append(f"  s{s} -> s{t} [label={_q(label)}];")
 

@@ -160,9 +160,8 @@ class _MachineUnit:
     def __init__(self, name: str, machine: SyncMachine):
         self.name = name
         self.m = machine
-        a = machine.arena
-        self.inputs = frozenset(a.name(x) for x in a.moves if a.is_input(x))
-        self.outputs = frozenset(a.name(x) for x in a.moves if not a.is_input(x))
+        self.inputs = frozenset(machine.arena.input_names())
+        self.outputs = frozenset(machine.arena.output_names())
         self.state = machine.initial
         self.next_state = self.state
 
@@ -260,10 +259,7 @@ def _build(device: Device, arena: Optional[Arena]):
         if isinstance(device, SyncMachine):
             unit = _MachineUnit("dev", device)
             mon_arena: Optional[Arena] = device.arena
-            ins = tuple([device.arena.name(m) for m in device.arena.moves
-                         if device.arena.is_input(m)])
-            outs = tuple([device.arena.name(m) for m in device.arena.moves
-                          if not device.arena.is_input(m)])
+            ins, outs = device.arena.input_names(), device.arena.output_names()
         else:
             unit = _NetUnit("dev", device)
             mon_arena = arena

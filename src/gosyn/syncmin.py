@@ -96,11 +96,18 @@ class SyncMachine:
     def names(self, moves: Iterable[Move]) -> tuple[str, ...]:
         return tuple(sorted(self.arena.name(m) for m in moves))
 
+    def row_order(self, i: frozenset) -> tuple:
+        """Sort key of an input set: by size, then by port names."""
+        return (len(i), self.names(i))
+
+    def rows(self, s: int) -> list[tuple[frozenset, tuple[frozenset, int]]]:
+        """State ``s``'s rounds as (inputs, (outputs, target)), in row order."""
+        return sorted(self.transitions[s].items(), key=lambda r: self.row_order(r[0]))
+
     def describe(self) -> str:
         lines = []
         for s in sorted(self.transitions):
-            for i, (o, d) in sorted(self.transitions[s].items(),
-                                    key=lambda kv: (len(kv[0]), self.names(kv[0]))):
+            for i, (o, d) in self.rows(s):
                 lines.append(f"  s{s} --{{{','.join(self.names(i))}}}/"
                              f"{{{','.join(self.names(o))}}}--> s{d}")
         return "\n".join(lines)
@@ -228,8 +235,7 @@ def minimize(m: SyncMachine) -> SyncMachine:
         nxt: dict[int, int] = {}
         for s in states:
             rowsig = []
-            for i in sorted(m.transitions[s], key=lambda i: (len(i), m.names(i))):
-                o, d = m.transitions[s][i]
+            for i, (o, d) in m.rows(s):
                 if not o and cls[d] == cls[s]:
                     continue  # an explicit hold entry is the same as none
                 rowsig.append((m.names(i), m.names(o), cls[d]))
@@ -533,7 +539,7 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
     table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {i: {} for i in range(len(chosen))}
     for ci, c in enumerate(chosen):
         row = table[ci]
-        for i in sorted({i for p in c for i in rows[p]}, key=lambda i: (len(i), m.names(i))):
+        for i in sorted({i for p in c for i in rows[p]}, key=m.row_order):
             outs = {rows[p][i][0] for p in c if i in rows[p]}
             assert len(outs) == 1, "cover members disagree on outputs"
             tgt = frozenset(rows[p][i][1] for p in c if i in rows[p])
@@ -597,8 +603,7 @@ def equivalent_under_protocol(ref: SyncMachine, other: SyncMachine,
     for depth in range(max_rounds):
         nxt = []
         for s1, s2, key in frontier:
-            for i, (o1, d1) in sorted(ref.transitions[s1].items(),
-                                      key=lambda kv: (len(kv[0]), ref.names(kv[0]))):
+            for i, (o1, d1) in ref.rows(s1):
                 after = _round_step(ref.arena, key, i | o1)
                 if after is None:
                     continue

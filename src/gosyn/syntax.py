@@ -10,7 +10,8 @@ variables, constants, lambdas, application, pairs and projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,18 @@ class Fst(Term):
 @dataclass(frozen=True)
 class Snd(Term):
     arg: Term
+
+
+def subterms(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of ``t`` in field order (``fn`` before ``arg``,
+    ``left`` before ``right``)."""
+    return tuple([v for v in (getattr(t, f.name) for f in fields(t)) if isinstance(v, Term)])
+
+
+def map_subterms(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` with ``f`` applied to each immediate subterm, in field order."""
+    return replace(t, **{k.name: f(getattr(t, k.name)) for k in fields(t)
+                         if isinstance(getattr(t, k.name), Term)})
 
 
 # The fixed constants table.  Binary imperative combinators take one

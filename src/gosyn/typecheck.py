@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     App, Arrow, CONSTANTS, Const, Fst, Lam, Pair, Prod, Snd, Term, Type,
-    Var, functional_form, type_to_str,
+    Var, functional_form, map_subterms, subterms, type_to_str,
 )
 
 
@@ -77,20 +77,10 @@ def freshen(t: Term) -> Term:
     def walk(t: Term, env: dict[str, str]) -> Term:
         if isinstance(t, Var):
             return Var(env.get(t.name, t.name))
-        if isinstance(t, Const):
-            return t
         if isinstance(t, Lam):
             new = fresh(t.name)
             return Lam(new, t.ty, walk(t.body, {**env, t.name: new}))
-        if isinstance(t, App):
-            return App(walk(t.fn, env), walk(t.arg, env))
-        if isinstance(t, Pair):
-            return Pair(walk(t.left, env), walk(t.right, env))
-        if isinstance(t, Fst):
-            return Fst(walk(t.arg, env))
-        if isinstance(t, Snd):
-            return Snd(walk(t.arg, env))
-        raise TypeError(f"not a term: {t!r}")
+        return map_subterms(t, lambda s: walk(s, env))
 
     def seed(t: Term, bound: frozenset[str]) -> None:
         # free identifiers must never be captured by freshening
@@ -99,14 +89,9 @@ def freshen(t: Term) -> Term:
                 used.add(t.name)
         elif isinstance(t, Lam):
             seed(t.body, bound | {t.name})
-        elif isinstance(t, App):
-            seed(t.fn, bound)
-            seed(t.arg, bound)
-        elif isinstance(t, Pair):
-            seed(t.left, bound)
-            seed(t.right, bound)
-        elif isinstance(t, (Fst, Snd)):
-            seed(t.arg, bound)
+        else:
+            for s in subterms(t):
+                seed(s, bound)
 
     seed(t, frozenset())
     fresh_t = walk(t, {})

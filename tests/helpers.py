@@ -28,21 +28,23 @@ relay is checked.  ``compose_oracle`` walks the interleavings of two glued
 automata string by string, against which ``synchronize_and_hide`` is
 checked, and ``contraction`` merges two faces of a denotation through the
 duplicator, against which sharing in the source is checked.
+``ProtocolAutomaton`` (the eager automaton of legal plays, with its
+``session_language``), ``enumerate_plays``, ``language`` (the traces of a
+strategy automaton) and ``LimitExceeded`` are enumeration oracles no
+library code calls.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from gosyn.arena import Arena, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, synchronize_and_hide
 from gosyn.denote import diagonal
 from gosyn.design import Design, compile_design
 from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr
-from gosyn.plays import (
-    LimitExceeded, PlayMonitor, ProtocolAutomaton, linearize_round,
-)
+from gosyn.plays import PlayMonitor, decide, linearize_round
 from gosyn.sim import SimReport, simulate
 from gosyn.syncmin import NonConfluent, SyncMachine, _cascade
 from gosyn.syntax import (
@@ -220,6 +222,130 @@ def random_program(rng: random.Random, ty=None, depth: int = 3,
         typed = typecheck(term)
         if len(term_arena(typed.ty, typed.ctx).moves) <= max_ports:
             return to_source(term)
+
+
+# ------------------------------------------------------ enumeration oracles
+
+class LimitExceeded(Exception):
+    """Raised when an enumeration grows past its explicit bound."""
+
+
+class ProtocolAutomaton:
+    """Deterministic automaton of legal plays over an arena.
+
+    States encode the forest of pending requests; the empty forest is both
+    the start state and the only state where a session may (re)start, so the
+    transition structure is re-entrant by construction.
+    """
+
+    def __init__(self, arena: Arena):
+        self.arena = arena
+        key0: tuple = ()
+        self._keys: list[tuple] = [key0]
+        index = {key0: 0}
+        self.transitions: dict[int, dict[Move, int]] = {}
+        frontier = [key0]
+        while frontier:
+            key = frontier.pop()
+            src = index[key]
+            row: dict[Move, int] = {}
+            for m in arena.moves:
+                nk = decide(arena, key, m)[0]
+                if nk is not None:
+                    if nk not in index:
+                        index[nk] = len(self._keys)
+                        self._keys.append(nk)
+                        frontier.append(nk)
+                    row[m] = index[nk]
+            self.transitions[src] = row
+        self.initial = 0
+
+    @property
+    def n_states(self) -> int:
+        return len(self._keys)
+
+    def pending_at(self, state: int) -> tuple[Move, ...]:
+        return tuple(m for m, _ in self._keys[state])
+
+    def is_quiet(self, state: int) -> bool:
+        """True when nothing is pending (a complete position)."""
+        return not self._keys[state]
+
+    def step(self, state: int, m: Move) -> Optional[int]:
+        return self.transitions[state].get(m)
+
+    def accepts(self, play: Sequence[str]) -> bool:
+        s = self.initial
+        for name in play:
+            s = self.transitions[s].get(self.arena.by_name(name))
+            if s is None:
+                return False
+        return True
+
+    def session_language(self, max_len: int) -> set[tuple[str, ...]]:
+        """All legal plays up to ``max_len`` with each initial fired at most once."""
+        out: set[tuple[str, ...]] = set()
+
+        def go(state: int, used: frozenset[Move], prefix: tuple[str, ...]) -> None:
+            out.add(prefix)
+            if len(prefix) == max_len:
+                return
+            for m, dst in self.transitions[state].items():
+                if m in self.arena.initials and m in used:
+                    continue
+                go(dst, used | ({m} if m in self.arena.initials else frozenset()),
+                   prefix + (self.arena.name(m),))
+
+        go(self.initial, frozenset(), ())
+        return out
+
+
+def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
+                    complete_only: bool = False, limit: int = 500_000) -> list[tuple[str, ...]]:
+    """Brute-force enumeration of legal plays, the reference for everything else.
+
+    Replays every prefix through a fresh :class:`PlayMonitor`, so it does not
+    depend on :class:`ProtocolAutomaton`'s state numbering (both apply
+    :func:`decide`).  By default a play is single-session: each initial
+    request fires at most once.
+    """
+    results: list[tuple[str, ...]] = []
+
+    def go(play: list[Move], used_initials: frozenset[Move]) -> None:
+        if len(results) > limit:
+            raise LimitExceeded(f"more than {limit} plays of length <= {max_len}")
+        mon = PlayMonitor(arena)
+        for m in play:
+            assert mon.step(m) is None
+        if not complete_only or mon.complete():
+            results.append(tuple(arena.name(m) for m in play))
+        if len(play) == max_len:
+            return
+        for m in arena.moves:
+            if not reentrant and m in arena.initials and m in used_initials:
+                continue
+            if mon.would_accept(m):
+                go(play + [m], used_initials | ({m} if m in arena.initials else frozenset()))
+
+    go([], frozenset())
+    return sorted(results, key=lambda p: (len(p), p))
+
+
+def language(auto: StrategyAutomaton, max_len: int, limit: int = 500_000) -> set[tuple[str, ...]]:
+    """All name-level traces of ``auto`` up to ``max_len``, every output order explored."""
+    out: set[tuple[str, ...]] = set()
+
+    def go(s: int, prefix: tuple[str, ...]) -> None:
+        if len(out) > limit:
+            raise LimitExceeded(f"automaton language blew past {limit} traces")
+        out.add(prefix)
+        if len(prefix) == max_len:
+            return
+        for m, d in auto.transitions[s].items():
+            go(d, prefix + (auto.arena.name(m),))
+
+    go(auto.initial, ())
+    return out
 
 
 # ------------------------------------------------------- composition oracle

@@ -55,8 +55,8 @@ def test_function_interface_flips_argument_polarity():
 def test_second_order_interface_flips_twice():
     a = arena_of_type(parse_type("(com -> com) -> com"))
     assert names(a) == ("q1", "a1", "q2", "a2", "q3", "a3")
-    ins = tuple(a.name(m) for m in a.inputs())
-    outs = tuple(a.name(m) for m in a.outputs())
+    ins = a.input_names()
+    outs = a.output_names()
     assert ins == ("q1", "a2", "q3")
     assert outs == ("a1", "q2", "a3")
     assert a.enablers_of(a.by_name("q3")) == {a.by_name("q2")}

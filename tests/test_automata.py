@@ -4,7 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import apply_oracle, random_term, to_source
+from helpers import apply_oracle, language, random_term, to_source
 
 from gosyn.arena import Move, arena_of_type, term_arena
 from gosyn.automata import (
@@ -23,7 +23,7 @@ def test_from_rows_and_language():
     a = arena_of_type(COM)
     m = from_rows(a, {0: {"q": 1}, 1: {"a": 0}})
     assert m.n_states == 2
-    assert m.language(3) == {(), ("q",), ("q", "a"), ("q", "a", "q")}
+    assert language(m, 3) == {(), ("q",), ("q", "a"), ("q", "a", "q")}
 
 
 def test_transitions_must_point_at_states():
@@ -41,13 +41,13 @@ def test_outputs_from_is_each_rows_outputs_built_once():
 
 def test_copycat_forwards_both_ways():
     cc = identity_strategy(COM, "x")
-    assert cc.language(4) == {
+    assert language(cc, 4) == {
         (), ("q1",), ("q1", "q2"), ("q1", "q2", "a2"), ("q1", "q2", "a2", "a1")}
 
 
 def test_relay_stays_inside_the_protocol():
     cc = identity_strategy(parse_type("com -> com"), "f")
-    for tr in cc.language(8):
+    for tr in language(cc, 8):
         assert check_play(cc.arena, tr).ok
 
 
@@ -62,20 +62,20 @@ def test_identity_application_is_the_identity():
     lhs = interpret("(fn x : com -> x) skip")
     rhs = interpret("skip")
     assert lhs.n_states == rhs.n_states == 2
-    assert lhs.language(6) == rhs.language(6)
+    assert language(lhs, 6) == language(rhs, 6)
 
 
 def test_hiding_agrees_with_the_trace_oracle():
     td = typecheck(parse("skip ; skip"))
     fn, arg = (denote(c) for c in td.children)
-    assert apply_oracle(fn, arg, td.ctx, 8) == denote(td).language(8)
+    assert apply_oracle(fn, arg, td.ctx, 8) == language(denote(td), 8)
 
 
 def test_hiding_agrees_with_the_trace_oracle_under_a_binder():
     td = typecheck(parse("fn f : com -> com -> f skip"))
     body = td.children[0]
     fn, arg = (denote(c) for c in body.children)
-    assert apply_oracle(fn, arg, body.ctx, 10) == denote(body).language(10)
+    assert apply_oracle(fn, arg, body.ctx, 10) == language(denote(body), 10)
 
 
 def test_livelock_is_reported_not_built():
@@ -86,7 +86,7 @@ def test_livelock_is_reported_not_built():
 
 def test_terminating_loop_composes():
     m = interpret("while 0 do skip")
-    assert ("q", "a") in m.language(2)
+    assert ("q", "a") in language(m, 2)
 
 
 def test_glue_pair_rejects_idle_clashes():
@@ -103,7 +103,7 @@ def test_trimmed_renumbers_breadth_first():
     t = m.trimmed()
     assert t.initial == 0
     assert sorted(t.transitions) == [0, 1]
-    assert t.language(4) == m.language(4)
+    assert language(t, 4) == language(m, 4)
 
 
 def test_remapped_preserves_structure():
@@ -112,7 +112,7 @@ def test_remapped_preserves_structure():
     m = from_rows(src, {0: {"q": 1}, 1: {"a": 0}})
     mapped = m.remapped(dst, {src.by_name("q"): dst.by_name("q"),
                               src.by_name("a"): dst.by_name("a")})
-    assert mapped.language(2) == {(), ("q",), ("q", "a")}
+    assert language(mapped, 2) == {(), ("q",), ("q", "a")}
 
 
 def test_stats_report_product_and_hidden_sizes():
@@ -141,4 +141,4 @@ def test_every_application_matches_the_oracle(seed):
     arg_t = random_term(rng, fty.arg, (), 2)
     td = typecheck(parse(f"({to_source(fn_t)}) ({to_source(arg_t)})"))
     fn, arg = (denote(c) for c in td.children)
-    assert apply_oracle(fn, arg, td.ctx, 8) == denote(td).language(8)
+    assert apply_oracle(fn, arg, td.ctx, 8) == language(denote(td), 8)

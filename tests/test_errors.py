@@ -1,7 +1,11 @@
 """Programs the compiler cannot handle fail with a typed error, which the
 command line reports as a domain error (exit code 1) instead of a traceback."""
 
+import pytest
+
 from gosyn.cli import main
+from gosyn.design import DesignError, manager_machine
+from gosyn.syntax import parse_type
 
 
 def _run(tmp_path, capsys, stage: str, source: str) -> tuple[int, str]:
@@ -29,3 +33,10 @@ def test_projecting_the_cell_of_a_cell_exp_pair_stalls_quickly(tmp_path, capsys,
         code, err = _run(tmp_path, capsys, "ir", "fn p : cell * exp -> fst p")
     assert code == 1
     assert err.startswith("error[CompositionStall]") and "projection" in err
+
+
+def test_sharing_a_cell_exp_pair_is_refused_before_clocking(criterion):
+    # four opening requests per client; clocking its duplicator first took 20 s
+    with criterion(10, "manager_machine(cell * exp) refuses with DesignError", 1):
+        with pytest.raises(DesignError, match="serves one opening request per client"):
+            manager_machine(parse_type("cell * exp"))

@@ -3,7 +3,7 @@
 The benchmark's tracer (``perfbench/tracer.py``) wraps functions at the
 module attributes its ``TARGETS`` name, so each of them must resolve.  A
 module-level import that nothing in its module reads is dead, unless the
-tracer wraps it there.
+tracer wraps it there.  Every name ``gosyn.__all__`` exports resolves, once.
 """
 
 import ast
@@ -12,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import gosyn
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "gosyn").glob("*.py") if p.name != "__init__.py")
@@ -51,3 +53,11 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_public_names_resolve():
+    assert [n for n in gosyn.__all__ if not hasattr(gosyn, n)] == []
+
+
+def test_public_names_are_listed_once():
+    assert len(set(gosyn.__all__)) == len(gosyn.__all__)

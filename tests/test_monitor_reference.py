@@ -17,12 +17,10 @@ import weakref
 import pytest
 
 import gosyn.plays
-from helpers import ReferenceMonitor, chain, reference_linearize
+from helpers import ProtocolAutomaton, ReferenceMonitor, chain, reference_linearize
 from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.denote import interpret
-from gosyn.plays import (
-    _ROUNDS, PlayMonitor, ProtocolAutomaton, decide, linearize_round, may_linearize,
-)
+from gosyn.plays import _ROUNDS, PlayMonitor, decide, linearize_round, may_linearize
 from gosyn.syncmin import _product_states, _round_step, round_abstract
 from gosyn.syntax import parse_type
 

@@ -5,12 +5,10 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import LimitExceeded, ProtocolAutomaton, enumerate_plays
 
 from gosyn.arena import arena_of_type
-from gosyn.plays import (
-    LimitExceeded, PlayMonitor, ProtocolAutomaton, check_play,
-    check_sync_trace, enumerate_plays, linearize_round,
-)
+from gosyn.plays import PlayMonitor, check_play, check_sync_trace, linearize_round
 from gosyn.syntax import parse_type
 
 FN = arena_of_type(parse_type("com -> com"))

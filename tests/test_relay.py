@@ -7,7 +7,7 @@ eager construction is a cliff it must stay small and fast.
 """
 
 import pytest
-from helpers import reference_relay
+from helpers import language, reference_relay
 
 from gosyn.arena import Move
 from gosyn.automata import relay
@@ -61,5 +61,5 @@ def test_cell_relays_build_within_budget(criterion):
 
 def test_cell_exp_relay_stays_inside_the_protocol():
     cc = identity_strategy(parse_type("cell * exp"), "x")
-    for tr in cc.language(6):
+    for tr in language(cc, 6):
         assert check_play(cc.arena, tr).ok, tr
