@@ -208,12 +208,13 @@ def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -
         used = uses[pname]
         if not used:
             continue  # dropped argument: boundary ports stay unwired
-        # a chain of managers: client 2 takes the earlier uses, client 1 the next
+        # a chain of managers, one machine: client 2 takes the earlier uses,
+        # client 1 the next
         earlier = ("body", used[0])
+        manager = manager_machine(pty) if len(used) > 1 else None
         for level in range(1, len(used)):
             mname = f"mgr_{pname}" if len(used) == 2 else f"mgr_{pname}_{level}"
-            design.instances[mname] = Instance(mname, manager_machine(pty), "share",
-                                               share_type=pty)
+            design.instances[mname] = Instance(mname, manager, "share", share_type=pty)
             wire(*earlier, mname, "p2")
             wire("body", used[level], mname, "p1")
             earlier = (mname, "p0")
@@ -278,11 +279,18 @@ def parse_wire_file(text: str, name: str = "top",
 # ------------------------------------------------------------------ verilog
 
 def netlists_of_design(design: Design) -> list[NetModule]:
-    """One synthesized module per instance, cycle-checked against the ties."""
-    mods = {
-        iname: netlist_of(inst.machine, f"{design.name}_{iname}")
-        for iname, inst in design.instances.items()
-    }
+    """One synthesized module per instance, cycle-checked against the ties.
+
+    Instances of one machine, such as a chain of call managers, share one
+    synthesis under their own module names."""
+    made: dict[int, NetModule] = {}
+    mods = {}
+    for iname, inst in design.instances.items():
+        mname = f"{design.name}_{iname}"
+        mod = made.get(id(inst.machine))
+        if mod is None:
+            mod = made[id(inst.machine)] = netlist_of(inst.machine, mname)
+        mods[iname] = replace(mod, name=mname)
     _check_comb_cycles(design, mods)
     return [mods[n] for n in sorted(mods)]
 
@@ -346,7 +354,7 @@ def _emit_top(design: Design, mods: dict[str, NetModule]) -> str:
             conns.append(f".{verilog_name(p)}({net})")
         for p in mod.outputs:
             conns.append(f".{verilog_name(p)}({_net_name(PortRef(iname, p))})")
-        lines.append(f"  {mod.name} {verilog_name(iname)} (")
+        lines.append(f"  {verilog_name(mod.name)} {verilog_name(iname)} (")
         for c in conns[:-1]:
             lines.append(f"    {c},")
         lines.append(f"    {conns[-1]}")

@@ -292,13 +292,14 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
 
     # next-state: transition products plus a hold term per bit
     nexts: list[tuple[str, Expr]] = []
+    rows = {s: machine.rows(s) for s in states}
     for d in states:
         terms = []
         for s in states:
-            for i, (_, to) in machine.rows(s):
+            for i, (_, to) in rows[s]:
                 if to == d:
                     terms.append(eand([EVar(bit[s]), _minterm(in_ports, names(i))]))
-        matched = eor([_minterm(in_ports, names(i)) for i, _ in machine.rows(d)])
+        matched = eor([_minterm(in_ports, names(i)) for i, _ in rows[d]])
         terms.append(eand([EVar(bit[d]), ENot(matched)]))
         nexts.append((bit[d], eor(terms)))
 

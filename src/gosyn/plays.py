@@ -26,6 +26,13 @@ enablers is pending, and a pending enabler has been seen, so the set of
 moves seen so far never decides legality; the monitor derives it from its
 log of rounds only to name a refusal Justification (no enabler ever seen)
 rather than Fork.
+
+A round has a legal order only if its moves nest: each request's answers
+and openings alternate, and each of its pending intervals lies inside one
+of its parent's.  :func:`may_linearize` checks that in one pass over the
+round.  It never refuses a round that has an order, and where every answer
+has one enabler it refuses every round that has none.  :func:`decide_round`
+asks it from the first move the search sees refused.
 """
 
 from __future__ import annotations
@@ -238,35 +245,63 @@ restore_monitor = PlayMonitor  # the older name; perfbench/tracer.py counts its 
 
 
 def may_linearize(arena: Arena, key: Key, moves: Sequence[Move]) -> bool:
-    """Necessary conditions for some order of ``moves`` to be legal from ``key``.
+    """Whether some order of ``moves`` may be legal from ``key``: a nesting check.
 
-    (a) Every non-initial move has an enabler pending in ``key`` or in the
-    round, since only those can be pending when it fires.  (c) A request
-    pending in ``key`` is *stuck* when none of its answers is in the round,
-    and so is every ancestor of a stuck request, since by Wait it cannot be
-    answered before its children; a stuck request stays pending all round.
-    So every answer in the round needs an enabler that is pending and not
-    stuck, or in the round, and a request of the round must not be pending
-    and stuck, since re-issuing it must wait until it is answered.  False
-    means no order exists; True decides nothing.
+    By Serial a request is pending at most once, so in a legal order its
+    moves alternate answer and opening, starting with an answer when it is
+    pending in ``key``.  Its answers thus number its openings plus one if it
+    is pending, or one fewer, and the difference says whether it is pending
+    after the round.  By Fork and Wait each pending interval of a request
+    lies inside one interval of its parent, an enabler.  So a request opened
+    in the round needs an enabler pending in ``key`` or opened in the round,
+    one still pending after the round needs an enabler still pending after
+    it, and a request pending in ``key`` whose parent the round answers must
+    itself be answered (Hyland & Ong's pointers, as brackets).
+
+    False means no order exists.  Where every answer has one enabler, True
+    means one does: the intervals then nest, and walking them depth first
+    is a legal order.  An answer with several enablers (``cell``'s write
+    acknowledgement) closes whichever was opened last, so the requests it
+    may close are only checked not to be answered more often than opened.
     """
-    present = set(moves)
-    stuck = [not any(not arena.is_question(b) for b in arena.enabled_by(e) & present)
-             for e, _ in key]
-    for j in range(len(key) - 1, -1, -1):  # children sit after their parents
-        if stuck[j] and key[j][1] >= 0:
-            stuck[key[j][1]] = True
-    pending = {e for e, _ in key}
-    live = {e for (e, _), s in zip(key, stuck) if not s}
+    is_question, enablers_of = arena.is_question, arena.enablers_of
+    opens: dict[Move, int] = {}
+    answers: dict[Move, int] = {}   # of the answers with one enabler, per enabler
+    several: list[frozenset] = []   # the enablers of each other answer
     for m in moves:
-        enablers = arena.enablers_of(m)
-        if arena.is_question(m):
-            if m in pending and m not in live:
-                return False
-            if enablers and not (enablers & pending or enablers & present):
-                return False
-        elif not (enablers & live or enablers & present):
+        if is_question(m):
+            opens[m] = opens.get(m, 0) + 1
+        else:
+            enablers = enablers_of(m)
+            if len(enablers) == 1:
+                q, = enablers
+                answers[q] = answers.get(q, 0) + 1
+            else:
+                several.append(enablers)
+    pending = {e for e, _ in key}
+    live = pending.union(opens)  # pending at some time of the round
+    loose: set[Move] = set()     # requests an answer with several enablers may close
+    for enablers in several:
+        if live.isdisjoint(enablers):
             return False
+        loose |= enablers
+    after: set[Move] = set()     # pending after the round
+    for q in live.union(answers):
+        end = (q in pending) + opens.get(q, 0) - answers.get(q, 0)
+        if end < 0 or end > 1 and q not in loose:
+            return False
+        if end:
+            after.add(q)
+    for c in opens:
+        enablers = enablers_of(c)
+        if enablers and (live.isdisjoint(enablers) or c in after and c not in loose
+                         and after.isdisjoint(enablers) and loose.isdisjoint(enablers)):
+            return False
+    for c, p in key:
+        if p >= 0 and c not in answers and c not in loose:
+            parent = key[p][0]
+            if parent in answers and parent not in loose:
+                return False
     return True
 
 
@@ -288,23 +323,26 @@ def decide_round(arena: Arena, key: Key, moves: Iterable[Move]) -> Optional[tupl
 
     Legality depends only on the pending forest, so the search runs over
     (key, moves still to place) and remembers the pairs that fail; a
-    success ends the search, so only failures need remembering.  At the
-    first dead end the whole round is put to :func:`may_linearize`, and a
-    refusal ends the search; from then on every node is put to it too, and
-    a refused node is remembered as failed without being expanded.  Only
-    subtrees holding no legal order are cut, so the order found is
-    unchanged.  The checks wait for a dead end so that a round whose first
-    choices succeed, as those of the simulated demos do, never pays for
-    them.
+    success ends the search, so only failures need remembering.  The first
+    time :func:`decide` refuses a move, the whole round is put to
+    :func:`may_linearize`, and a refusal ends the search.  From the first
+    dead end on, every node is put to it before it is expanded, and a
+    refused node is remembered as failed.  Only subtrees holding no legal
+    order are cut, so the order found is unchanged.  Where the check is
+    exact, a round with no order costs one check, and after its first dead
+    end the search enters no subtree that holds no order.  A round whose
+    first choices all succeed never pays for the check.
     """
     moves = tuple(moves)
     memo = _ROUNDS.setdefault(arena, {})
     if (key, moves) in memo:
         return memo[key, moves]
     failed: set[tuple[Key, int]] = set()
+    refused = False  # whether decide has refused a move of this round yet
 
     def search(at: Key, rest: int) -> Optional[list[tuple]]:
         # ``rest`` has bit i set while moves[i] is still to be placed
+        nonlocal refused
         if not rest:
             return []
         if (at, rest) in failed:
@@ -320,8 +358,10 @@ def decide_round(arena: Arena, key: Key, moves: Iterable[Move]) -> Optional[tupl
                     tail = search(nxt, rest & ~(1 << i))
                     if tail is not None:
                         return [(m, j, nxt)] + tail
-        if not failed and not may_linearize(arena, key, moves):
-            raise _NoOrder
+                elif not refused:
+                    if not may_linearize(arena, key, moves):
+                        raise _NoOrder
+                    refused = True
         failed.add((at, rest))
         return None
 

@@ -8,19 +8,24 @@ reduced machines must also reproduce every protocol-admissible round of the
 raw one.
 
 Round linearization asks ``plays.may_linearize`` to refute a round only
-once its search hits a dead end; the rounds of the ``shared_twice`` demo,
-simulated or checked as a trace, never get there, so they never pay for it.
+once its search meets a refused move; the rounds of the ``shared_twice``
+demo, simulated or checked as a trace, never do, so they never pay for it.
+
+A parameter used three or more times gets a chain of call managers that
+share one machine, clocked and synthesized once.
 """
 
 import itertools
 import random
 from pathlib import Path
 
+import pytest
+
 from helpers import chain, expr_eval, grow_stimulus, random_program
-from gosyn import plays
+from gosyn import design as design_module, plays
 from gosyn.arena import sharing_arena
 from gosyn.denote import interpret
-from gosyn.design import compile_design, netlists_of_design
+from gosyn.design import DesignError, compile_design, design_verilog, netlists_of_design
 from gosyn.netlist import emit_verilog, netlist_of
 from gosyn.plays import check_sync_trace
 from gosyn.sim import parse_stimulus, simulate
@@ -113,3 +118,42 @@ def test_compiled_cones_agree_with_the_reference_evaluator():
                     want = ({o: expr_eval(e, env) for o, e in mod.assigns},
                             {b: expr_eval(e, env) for b, e in mod.nexts})
                     assert mod.eval(state, pulses) == want, f"{mod.name}: {state} {on}"
+
+
+def test_a_chain_of_managers_is_clocked_and_synthesized_once(monkeypatch):
+    calls = {"manager_machine": 0, "netlist_of": 0}
+
+    def counted(name):
+        real = getattr(design_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(design_module, name, counted(name))
+    for uses, source in ((3, "fn v : exp -> (v and v) and v"),
+                         (4, "fn c : com -> fn b : exp -> fn d : exp -> fn e : exp -> "
+                             "if b then c else (if d then c else (if e then c else c))")):
+        calls.update(manager_machine=0, netlist_of=0)
+        design = compile_design(source)
+        managers = [i for i in design.instances.values() if i.kind == "share"]
+        assert len(managers) == uses - 1
+        assert len({id(i.machine) for i in managers}) == 1
+        assert calls["manager_machine"] == 1
+        if uses == 3:  # and3's chain of sequenced uses is a combinational cycle
+            with pytest.raises(DesignError, match="combinational cycle"):
+                netlists_of_design(design)
+        else:
+            mods = netlists_of_design(design)
+            assert [m.name for m in mods] == [f"top_{n}" for n in sorted(design.instances)]
+        assert calls["netlist_of"] == 2
+
+
+def test_instances_are_named_as_their_modules_are_declared():
+    design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="a'b")
+    verilog = design_verilog(design)
+    assert "module apb_body (" in verilog
+    assert "  apb_body body (" in verilog
+    assert "a'b" not in verilog

@@ -8,6 +8,11 @@ sharing interface of a type with a ``cell`` argument is left out: its
 protocol automaton takes minutes to build.  The round linearizer is also
 checked on the interface of ``par4``, whose rounds of one request and its
 four children are where refuting dead branches pays.
+
+``may_linearize`` must never refuse a round that has an order, and where
+every answer has one enabler it must refuse every round that has none;
+``cell``'s write acknowledgement has two, so ``cell -> com`` and
+``com -> cell`` are held to the first half only.
 """
 
 import gc
@@ -21,7 +26,8 @@ from helpers import ProtocolAutomaton, ReferenceMonitor, chain, reference_linear
 from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.denote import interpret
 from gosyn.plays import _ROUNDS, PlayMonitor, decide, linearize_round, may_linearize
-from gosyn.syncmin import _product_states, _round_step, round_abstract
+from gosyn.syncmin import (_product_states, _round_step, minimize_under_protocol,
+                           prune_inadmissible, round_abstract)
 from gosyn.syntax import parse_type
 
 TYPES = ("com -> com", "exp -> exp", "cell -> com", "(com -> com) -> com")
@@ -200,6 +206,68 @@ def test_may_linearize_refuses_only_rounds_without_an_order(tyname, kind):
         moves = rng.sample(a.moves, rng.randrange(1, min(6, len(a.moves)) + 1))
         refused += _refused_rounds_have_no_order(a, key, moves)
     assert refused
+
+
+def _random_round(a, rng: random.Random, repeat: float) -> list:
+    moves = rng.sample(a.moves, rng.randrange(1, min(6, len(a.moves)) + 1))
+    if rng.random() < repeat:
+        moves.append(rng.choice(moves))  # the same pulse listed twice
+    return moves
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS + [("com -> cell", "single")])
+def test_may_linearize_refuses_only_rounds_without_an_order_with_repeats(tyname, kind):
+    a = _arena(tyname, kind)
+    rng = random.Random(f"repeat/{tyname}/{kind}")
+    keys = _reachable_keys(a)
+    refused = 0
+    for _ in range(300):
+        refused += _refused_rounds_have_no_order(a, rng.choice(keys), _random_round(a, rng, 0.5))
+    assert refused
+
+
+def _answers_have_one_enabler(tyname: str, kind: str) -> bool:
+    a = _arena(tyname, kind)
+    return all(len(a.enablers_of(m)) == 1 for m in a.moves if not a.is_question(m))
+
+
+EXACT = [arena for arena in ARENAS + [(PAR4, "single")] if _answers_have_one_enabler(*arena)]
+
+
+@pytest.mark.parametrize("tyname,kind", EXACT)
+def test_may_linearize_is_exact_where_answers_have_one_enabler(tyname, kind):
+    a = _arena(tyname, kind)
+    rng = random.Random(f"exact/{tyname}/{kind}")
+    keys = _reachable_keys(a)
+    verdicts = []
+    for _ in range(300):
+        key, moves = rng.choice(keys), _random_round(a, rng, 0.2)
+        want = reference_linearize(a, key, moves) is not None
+        assert may_linearize(a, key, moves) == want, (key, [a.name(m) for m in moves])
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_only_cell_answers_have_two_enablers():
+    assert [arena for arena in ARENAS if arena not in EXACT] == [("cell -> com", "single")]
+    assert not _answers_have_one_enabler("com -> cell", "single")
+
+
+def test_pruning_the_seq12_block_refutes_rounds_without_an_order(monkeypatch):
+    """``plays.decide`` calls of ``prune_inadmissible`` on the minimized
+    ``seq12`` block, the memo emptied; the count repeats exactly."""
+    small = minimize_under_protocol(round_abstract(interpret(chain(12, ";"))))
+    _ROUNDS.pop(small.arena, None)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return decide(*args)
+
+    monkeypatch.setattr(gosyn.plays, "decide", counting)
+    prune_inadmissible(small)
+    assert calls <= 12_000, calls
 
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
