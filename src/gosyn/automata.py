@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from .arena import Arena, Move
 from .plays import decide
@@ -33,6 +33,32 @@ class DivergenceDetected(Exception):
 
 class CompositionStall(Exception):
     """One side offers an internal pulse its partner cannot accept."""
+
+
+def explore(start: Hashable, row_of: Callable) -> tuple[list, dict]:
+    """Number the states reachable from ``start`` in breadth-first discovery order.
+
+    ``row_of(state, number)`` builds ``state``'s row and calls
+    ``number(successor)`` for each successor's id; a state is numbered when
+    first asked for.  Returns the rows in id order and the id of each state.
+    """
+    index = {start: 0}
+    order = [start]
+
+    def number(state) -> int:
+        got = index.get(state)
+        if got is None:
+            got = index[state] = len(order)
+            order.append(state)
+        return got
+
+    rows = [row_of(state, number) for state in order]  # ``order`` grows as it is read
+    return rows, index
+
+
+def initial_first(states: Iterable, initial) -> dict:
+    """State ids: ``initial`` is 0, the other states follow in ascending order."""
+    return {s: k for k, s in enumerate([initial, *sorted(set(states) - {initial})])}
 
 
 class StrategyAutomaton:
@@ -80,24 +106,15 @@ class StrategyAutomaton:
         return StrategyAutomaton(arena, trans, self.initial)
 
     def trimmed(self) -> "StrategyAutomaton":
-        """Canonical renumbering: breadth-first from the initial state."""
-        order = [self.initial]
-        seen = {self.initial}
-        i = 0
-        while i < len(order):
-            s = order[i]
-            i += 1
-            for m in self.arena.moves:
-                d = self.transitions.get(s, {}).get(m)
-                if d is not None and d not in seen:
-                    seen.add(d)
-                    order.append(d)
-        idx = {s: k for k, s in enumerate(order)}
-        trans = {
-            idx[s]: {m: idx[d] for m, d in self.transitions.get(s, {}).items() if d in idx}
-            for s in order
-        }
-        return StrategyAutomaton(self.arena, trans, 0)
+        """Canonical renumbering: :func:`explore` from the initial state,
+        successors numbered in ``arena.moves`` order, rows kept in their order."""
+        def row_of(s, number):
+            row = self.transitions.get(s, {})
+            ids = {m: number(row[m]) for m in self.arena.moves if m in row}
+            return {m: ids[m] for m in row}
+
+        rows, _ = explore(self.initial, row_of)
+        return StrategyAutomaton(self.arena, dict(enumerate(rows)), 0)
 
     def __repr__(self) -> str:
         return f"StrategyAutomaton({self.arena!r}, {self.n_states} states)"
@@ -119,45 +136,32 @@ def relay(arena: Arena, twins: dict[Move, Move]) -> StrategyAutomaton:
     (pending-forest key, optional pending echo), built on demand by
     :func:`~gosyn.plays.decide` from the empty key, so the relay never offers
     a transition outside the legal plays of its own interface and visits only
-    the protocol states its echoes reach.  State ids follow this breadth-first
-    discovery over ``arena.moves``.
+    the protocol states its echoes reach.  :func:`explore` numbers them in
+    breadth-first discovery order over ``arena.moves``.
     """
     for a, b in twins.items():
         if arena.polarity(a) == arena.polarity(b):
             raise ValueError(f"twins must be complementary: {arena.name(a)}/{arena.name(b)}")
-    start = ((), None)
-    index: dict[tuple, int] = {start: 0}
-    order = [start]
-    trans: dict[int, dict[Move, int]] = {}
-    k = 0
-    while k < len(order):
-        key, carry = order[k]
-        row: dict[Move, int] = {}
-        if carry is None:
-            for m in arena.moves:
-                if not arena.is_input(m) or m not in twins:
-                    continue
-                key2 = decide(arena, key, m)[0]
-                if key2 is None:
-                    continue
-                nxt = (key2, twins[m])
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-                row[m] = index[nxt]
-        else:
+
+    def row_of(state, number):
+        key, carry = state
+        if carry is not None:
             key2 = decide(arena, key, carry)[0]
             if key2 is None:
                 raise AssertionError(
                     f"echo {arena.name(carry)} illegal where its twin was legal")
-            nxt = (key2, None)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row[carry] = index[nxt]
-        trans[k] = row
-        k += 1
-    return StrategyAutomaton(arena, trans, 0)
+            return {carry: number((key2, None))}
+        row: dict[Move, int] = {}
+        for m in arena.moves:
+            if not arena.is_input(m) or m not in twins:
+                continue
+            key2 = decide(arena, key, m)[0]
+            if key2 is not None:
+                row[m] = number((key2, twins[m]))
+        return row
+
+    rows, _ = explore(((), None), row_of)
+    return StrategyAutomaton(arena, dict(enumerate(rows)), 0)
 
 
 @dataclass
@@ -243,30 +247,16 @@ def synchronize_and_hide(
                     work.append(nxt)
         return frozenset(acc)
 
-    init = closure(frozenset([start]))
-    index = {init: 0}
-    order = [init]
-    trans: dict[int, dict[Move, int]] = {}
-    k = 0
-    hidden = sum(len(v) for v in tau.values())
-    while k < len(order):
-        cur = order[k]
-        row2: dict[Move, int] = {}
+    def row_of(cur: frozenset, number) -> dict[Move, int]:
         labels: dict[Move, set] = {}
         for s in cur:
             for m, nxt in ext[s].items():
                 labels.setdefault(m, set()).add(nxt)
-        for m in out_arena.moves:
-            if m not in labels:
-                continue
-            tgt = closure(frozenset(labels[m]))
-            if tgt not in index:
-                index[tgt] = len(order)
-                order.append(tgt)
-            row2[m] = index[tgt]
-        trans[k] = row2
-        k += 1
-    out = StrategyAutomaton(out_arena, trans, 0).trimmed()
+        return {m: number(closure(frozenset(labels[m]))) for m in out_arena.moves if m in labels}
+
+    rows, _ = explore(closure(frozenset([start])), row_of)
+    hidden = sum(len(v) for v in tau.values())
+    out = StrategyAutomaton(out_arena, dict(enumerate(rows)), 0).trimmed()
     return out, SyncStats(len(seen), hidden, tuple(stalls))
 
 

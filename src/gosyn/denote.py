@@ -23,7 +23,7 @@ of sharing that the tests hold against the glued one.
 from __future__ import annotations
 
 from .arena import Move, arena_of_type, sharing_arena, term_arena
-from .automata import (CompositionStall, StrategyAutomaton, SyncStats, from_rows,
+from .automata import (CompositionStall, StrategyAutomaton, SyncStats, explore, from_rows,
                        glue_pair, relay, synchronize_and_hide)
 from .plays import decide
 from .syntax import App, Arrow, Const, Fst, Lam, Pair, Prod, Snd, Type, Var, CONSTANTS
@@ -233,41 +233,33 @@ def diagonal(ty: Type) -> StrategyAutomaton:
     opening request has been answered.  A state is (owner, the session's
     pending-forest key over ``ty``, pending echo): :func:`~gosyn.plays.decide`
     steps the key, and the session is over when the key is empty.
+    :func:`~gosyn.automata.explore` numbers the states in breadth-first
+    discovery order.
     """
     sa = sharing_arena(ty)
     session = arena_of_type(ty)
     start = (0, (), None)
-    index: dict[tuple, int] = {start: 0}
-    order: list[tuple] = [start]
-    trans: dict[int, dict[Move, int]] = {}
 
-    def target(state: tuple) -> int:
-        if state not in index:
-            index[state] = len(order)
-            order.append(state)
-        return index[state]
-
-    k = 0
-    while k < len(order):
-        owner, key, echo = order[k]
-        row: dict[Move, int] = {}
+    def row_of(state, number):
+        owner, key, echo = state
         if echo is not None:
-            row[echo] = target((owner, key, None) if key else start)
-        else:
-            faces = ("p1", "p2") if owner == 0 else (f"p{owner}", "p0")
-            for face in faces:
-                for m in sa.face_moves(face):
-                    if not sa.is_input(m):
-                        continue
-                    key2 = decide(session, key, Move("ret", m.path, m.token))[0]
-                    if key2 is None:
-                        continue
-                    new_owner = owner if owner else (1 if face == "p1" else 2)
-                    to_face = "p0" if face != "p0" else f"p{new_owner}"
-                    row[m] = target((new_owner, key2, Move(to_face, m.path, m.token)))
-        trans[k] = row
-        k += 1
-    return StrategyAutomaton(sa, trans, 0)
+            return {echo: number((owner, key, None) if key else start)}
+        row: dict[Move, int] = {}
+        faces = ("p1", "p2") if owner == 0 else (f"p{owner}", "p0")
+        for face in faces:
+            for m in sa.face_moves(face):
+                if not sa.is_input(m):
+                    continue
+                key2 = decide(session, key, Move("ret", m.path, m.token))[0]
+                if key2 is None:
+                    continue
+                new_owner = owner if owner else (1 if face == "p1" else 2)
+                to_face = "p0" if face != "p0" else f"p{new_owner}"
+                row[m] = number((new_owner, key2, Move(to_face, m.path, m.token)))
+        return row
+
+    rows, _ = explore(start, row_of)
+    return StrategyAutomaton(sa, dict(enumerate(rows)), 0)
 
 
 # ------------------------------------------------------------ the semantics

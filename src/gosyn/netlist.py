@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Union
 
+from .automata import initial_first
 from .syncmin import SyncMachine, prune_inadmissible
 
 # ------------------------------------------------------- tiny expression AST
@@ -245,8 +246,7 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     arena = machine.arena
     in_ports, out_ports = arena.input_names(), arena.output_names()
     states = sorted(machine.transitions)
-    order = {s: i for i, s in enumerate(
-        [machine.initial] + [s for s in states if s != machine.initial])}
+    order = initial_first(states, machine.initial)
     bit = {s: f"st{order[s]}" for s in states}
     single = len(states) == 1
 

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .arena import Arena, Move
-from .automata import StrategyAutomaton
+from .automata import StrategyAutomaton, explore, initial_first
 from .plays import decide_round
 from .plays import linearize_round, restore_monitor  # noqa: F401 (perfbench/tracer.py wraps these)
 
@@ -167,19 +167,15 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
     that consumes a set in full ends at such a node of that cascade, so a
     set not proposed cannot be consumed in one round and its entry stays
     undefined.  Sets are tried by size, then in ``arena.rank`` order, so
-    rows and state numbers are those of trying every input subset in turn.
+    rows and state numbers are those of trying every input subset in turn;
+    :func:`~gosyn.automata.explore` numbers the landing states in that order.
     """
     if auto.outputs_from(auto.initial):
         raise ValueError("initial state must be quiescent")
     every = frozenset(m for m in auto.arena.moves if auto.arena.is_input(m))
     rank = auto.arena.rank.__getitem__
 
-    index: dict[int, int] = {auto.initial: 0}
-    order = [auto.initial]
-    table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {}
-    k = 0
-    while k < len(order):
-        s = order[k]
+    def row_of(s: int, number) -> dict[frozenset, tuple[frozenset, int]]:
         _, seen = _cascade(auto, s, every)
         proposed = {every - left for t, left, emitted in seen
                     if left != every and emitted.issuperset(auto.outputs_from(t))}
@@ -215,13 +211,11 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
                 if len(split) != 1 or any(left for _, _, left, _ in outs):
                     continue  # not realizable in one cycle; leave undefined
                 (emitted, target), = split
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row[inputs] = (emitted, index[target])
-        table[index[s]] = row
-        k += 1
-    return SyncMachine(auto.arena, table, 0)
+            row[inputs] = (emitted, number(target))
+        return row
+
+    rows, _ = explore(auto.initial, row_of)
+    return SyncMachine(auto.arena, dict(enumerate(rows)), 0)
 
 
 # ----------------------------------------------------------- plain reducer
@@ -248,8 +242,7 @@ def minimize(m: SyncMachine) -> SyncMachine:
     reps: dict[int, int] = {}
     for s in states:
         reps.setdefault(cls[s], s)
-    renum = {c: i for i, c in enumerate(sorted(
-        reps, key=lambda c: (c != cls[m.initial], c)))}
+    renum = initial_first(reps, cls[m.initial])
     table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {renum[c]: {} for c in reps}
     for c, s in reps.items():
         row = table[renum[c]]
@@ -279,32 +272,23 @@ def _round_step(arena: Arena, key: tuple, moves: frozenset) -> Optional[tuple]:
 def _product_states(m: SyncMachine):
     """Reachable (machine state, protocol forest) pairs with admissible rounds.
 
-    Breadth-first over ``m.transitions`` order from ``(m.initial, ())``.  A
-    round is admissible from a pair when :func:`_round_step` finds it a legal
-    order; the pair it leads to carries the key of that canonical order.
-    Returns the rows of the product (input set -> (outputs, product state))
-    and the index of each (machine state, key) pair.
+    :func:`~gosyn.automata.explore` numbers the pairs breadth-first over
+    ``m.transitions`` order from ``(m.initial, ())``.  A round is admissible
+    from a pair when :func:`_round_step` finds it a legal order; the pair it
+    leads to carries the key of that canonical order.  Returns the rows of
+    the product (input set -> (outputs, product state)) and the index of
+    each (machine state, key) pair.
     """
-    start = (m.initial, ())
-    index = {start: 0}
-    order = [start]
-    rows: list[dict[frozenset, tuple[frozenset, int]]] = []
-    k = 0
-    while k < len(order):
-        s, key = order[k]
-        row: dict[frozenset, tuple[frozenset, int]] = {}
+    def row_of(state, number) -> dict[frozenset, tuple[frozenset, int]]:
+        s, key = state
+        row = {}
         for i, (o, d) in m.transitions[s].items():
             after = _round_step(m.arena, key, i | o)
-            if after is None:
-                continue
-            nxt = (d, after)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row[i] = (o, index[nxt])
-        rows.append(row)
-        k += 1
-    return rows, index
+            if after is not None:
+                row[i] = (o, number((d, after)))
+        return row
+
+    return explore((m.initial, ()), row_of)
 
 
 def _compatibility(rows) -> list[set[int]]:
@@ -545,11 +529,7 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
             tgt = frozenset(rows[p][i][1] for p in c if i in rows[p])
             row[i] = (next(iter(outs)), class_of(tgt))
 
-    # renumber with the initial class as 0
-    perm = {init_cls: 0}
-    for i in range(len(chosen)):
-        if i != init_cls:
-            perm[i] = len(perm)
+    perm = initial_first(range(len(chosen)), init_cls)
     out = {perm[s]: {i: (o, perm[d]) for i, (o, d) in row.items()}
            for s, row in table.items()}
     return SyncMachine(m.arena, out, 0)
@@ -574,12 +554,10 @@ def prune_inadmissible(m: SyncMachine) -> SyncMachine:
     keep = {(s, i) for (s, _), p in index.items() for i in rows[p]}
     reach = {s for s, _ in index}
 
-    # renumber over reachable states, initial first
-    order = [m.initial] + sorted(reach - {m.initial})
-    perm = {s: k for k, s in enumerate(order)}
+    perm = initial_first(reach, m.initial)
     table = {perm[s]: {i: (o, perm[d]) for i, (o, d) in m.transitions[s].items()
                        if (s, i) in keep}
-             for s in order}
+             for s in perm}
     return SyncMachine(m.arena, table, 0)
 
 
