@@ -291,12 +291,24 @@ def _product_states(m: SyncMachine):
     return explore((m.initial, ()), row_of)
 
 
-def _compatibility(rows) -> list[set[int]]:
+def _compatibility(m: SyncMachine, rows, index) -> list[set[int]]:
+    """Per product state, the product states it may merge with.
+
+    A missing round is a don't-care, except on empty input: a quiet cycle is
+    always possible, and a machine state with no empty-input round holds
+    silently on it.  Such a state cannot merge with one whose empty round
+    emits outputs.
+    """
     n = len(rows)
     incompat: set[tuple[int, int]] = set()
     changed = True
+    holds = [frozenset() not in m.transitions[s] for s, _ in index]
+    emits = [bool(row.get(frozenset(), (frozenset(),))[0]) for row in rows]
     # seed: same defined input set, different outputs
     for p, q in combinations(range(n), 2):
+        if holds[p] and emits[q] or holds[q] and emits[p]:
+            incompat.add((p, q))
+            continue
         for i in set(rows[p]) & set(rows[q]):
             if rows[p][i][0] != rows[q][i][0]:
                 incompat.add((p, q))
@@ -506,7 +518,7 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
     rows, index = _product_states(m)
     if len(rows) == 1 and not rows[0]:
         return SyncMachine(m.arena, {0: {}}, 0)
-    compat = _compatibility(rows)
+    compat = _compatibility(m, rows, index)
     pool = _cover_pool(compat)
     chosen = _closed_cover(rows, pool, compat, exact=len(rows) <= EXACT_LIMIT)
 

@@ -5,7 +5,9 @@ product states and cuts subtrees whose uncovered members of that set cannot
 fit.  Both bounds only skip sizes and subtrees that hold no cover, so the
 cover it returns must be the very list the unbounded iterative deepening
 returns, which is what keeps minimized machines and emitted Verilog
-byte-identical.
+byte-identical.  Each minimized block, from the exact search or from the
+greedy one, must reproduce every protocol-admissible round of its raw
+machine, quiet rounds included.
 """
 
 import random
@@ -13,7 +15,9 @@ from itertools import combinations
 from pathlib import Path
 
 from helpers import random_program, reference_closed_cover
+from gosyn import syncmin
 from gosyn.denote import interpret
+from gosyn.sim import simulate
 from gosyn.syncmin import (
     _closed_cover, _compatibility, _cover_pool, _incompatible_clique, _product_states,
     equivalent_under_protocol, minimize_under_protocol, round_abstract,
@@ -35,8 +39,9 @@ FULL_REFERENCE_STATES = 15
 
 
 def _check_same_cover(source: str) -> None:
-    rows, _ = _product_states(round_abstract(interpret(source)))
-    compat = _compatibility(rows)
+    raw = round_abstract(interpret(source))
+    rows, index = _product_states(raw)
+    compat = _compatibility(raw, rows, index)
     pool = _cover_pool(compat)
     clique = _incompatible_clique(compat)
     # the bound is sound: no candidate class holds two clique members
@@ -46,6 +51,12 @@ def _check_same_cover(source: str) -> None:
     assert got == reference_closed_cover(rows, pool, start=len(clique)), source
     if len(rows) <= FULL_REFERENCE_STATES:
         assert got == reference_closed_cover(rows, pool), source
+    _check_equivalent(raw, source)
+
+
+def _check_equivalent(raw, source: str) -> None:
+    eq = equivalent_under_protocol(raw, minimize_under_protocol(raw), 64)
+    assert eq.equivalent, f"{source}: {eq.diff}"
 
 
 def test_bounded_cover_equals_unbounded_on_demos():
@@ -62,6 +73,28 @@ def test_bounded_cover_equals_unbounded_on_random_blocks():
 def test_bounded_cover_equals_unbounded_on_cliff_programs():
     for source, _ in CLIFFS:
         _check_same_cover(source)
+
+
+def test_greedy_cover_is_equivalent_under_protocol(monkeypatch):
+    monkeypatch.setattr(syncmin, "EXACT_LIMIT", 0)
+    rng = random.Random(1994)
+    sources = [path.read_text() for path in sorted(DEMOS.glob("*.sci"))]
+    sources += [random_program(rng, depth=3) for _ in range(40)]
+    for source in sources:
+        _check_equivalent(round_abstract(interpret(source)), source)
+
+
+def test_quiet_state_does_not_merge_with_a_restless_one():
+    # draw 11 of random.Random(1994): merging a state that holds on a quiet
+    # cycle with one that emits on it re-issued q3 after a2 and two idle cycles
+    source = ("fn v4191 : com -> (fn v2903 : com -> (((if 1 then v4191 else skip) ; "
+              "(new c3347 in v4191)) || v2903))")
+    raw = round_abstract(interpret(source))
+    small = minimize_under_protocol(raw)
+    stim = [("q1",), ("a2",), (), (), ("a3",)]
+    want = simulate(raw, stim, max_cycles=12)
+    got = simulate(small, stim, max_cycles=12)
+    assert (got.status, got.trace) == (want.status, want.trace)
 
 
 def test_clique_is_a_largest_incompatible_set():

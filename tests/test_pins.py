@@ -77,10 +77,10 @@ DESIGN_DIGESTS = {
     "and4": "4812f69c8ea0d5bb43bde18770f2cef5aca66a83fc9a13817b005dd07fd6a186",
     "cell_fst": "69f518424f3173f74c2cf9f18536a44d8c1dff01489d79070f50f019abcb2a33",
     "if_if": "7e5311cbff8577610b8f74684724be92d734e27503395dbab365f511bcc33350",
-    "while_if": "eec1db03f44f468eeff03f21d59f0b53c19155e7b2eae2199bb0f1ee78e3cc3e",
-    "call_if_if": "19deeb4a54538d3d5ff26b50ba1003bc9378fc9a26d2e9b4018a63b1f3bb3ee6",
+    "while_if": "0840c219bb0cb9ce2cf319cff05d0c78923e94f3466f830ddc9c8c6fc5b74699",
+    "call_if_if": "bdc50229afc660c2fdfee1d0a736be46b88cc06db99dcce00912b1c985afb71b",
     "if_if_if": "692ac3a69180b03631ddf58d33e06239eeb483baff114e8f23821baf3ee10bcb",
-    "call_if": "8d60fb4937bc5c5d39791eaa037d970fe625b6665ed055a9836bd18cfa9de1e8",
+    "call_if": "e3a760b52e7a89ec7ac28336c0c373f9694e7f16e4792f7f64c6252847432d9d",
     "seq_use3": "34693864cbd79d591a7113ab186a83caa972af54e54c58e5cf59828d7b4c5ec0",
     "dropped": "2fe2be1ed8d75c31079335691c7b02dfc782a6903b92fdc5615b4a2cd6a1ecb2",
 }
@@ -142,7 +142,7 @@ CLI_DIGESTS = {
     "compile loop": "4cfd25f0b488e55f4a029b984da1c0542d6607288ce5e4e16d3de0968da64e93",
     "compile --json --dot loop": "b9f287846b7cd7dce99eff2a89fba5faab40bb7df798651b8dcaafe07230373c",
     "ir loop": "fe579f71b39a72533b3422e26d2df24b292128f94e602bdb038e36a12ad0b692",
-    "ir --sync loop": "c365c6a35e93dba8f994eab6becc439002a164e083d0a57083a5829c74c35777",
+    "ir --sync loop": "3d495de1750f4f16d8f45132fb97136b0fa6976e9038ecc91921a3f624b8183d",
     "compile par_pair": "e15473ef470a864181aa91940527b44d7bb0a405da542145900bb6f112dd0d9c",
     "compile --json --dot par_pair": "80758fbe0f02bba40e727d7608e95a32ad2894a10e98040d18f2a7f56716ed83",
     "ir par_pair": "dc5eda12041231885092586b5de2e36ae629f9884610b216e37713f307b48e19",
@@ -154,7 +154,7 @@ CLI_DIGESTS = {
     "compile shared_twice": "f1cd797b650eb229324e57649a9f1463e0ef080b4c28981e8f59a0fba1217236",
     "compile --json --dot shared_twice": "3be6b6d89a44c20e51923ad38f84d7b2768edf37a57f97880172f00d009d9cf2",
     "ir shared_twice": "0dc3b723972b64b3aff1d4912f6916d460b62e730f437be114f93a455b8e0179",
-    "ir --sync shared_twice": "6e3d4b79f9ba58b6cb132e12c5d84fcc4458fc57a804c9009cfecd038d90e303",
+    "ir --sync shared_twice": "ad8cbab39da34a8c8e5cf67fd01b3c438beaf21da8809297db9cc445a7c218da",
     "compile true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
     "compile --json --dot true": "59cb40dcf332f0ff046ae2862caec96b3fdfcf178c400a91536d58cc16579c9f",
     "ir true": "da2d3d9f0e7cce34e945d957f34a0cadd7d80e07377cb2e08bbc70ea6eaa276c",
