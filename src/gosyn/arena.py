@@ -73,10 +73,6 @@ class Move(NamedTuple):
     path: tuple[int, ...]
     token: str
 
-    @property
-    def key(self) -> tuple[tuple[int, ...], str]:
-        return (self.path, self.token)
-
 
 @dataclass(frozen=True)
 class Face:

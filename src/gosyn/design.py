@@ -55,8 +55,6 @@ class Instance:
     name: str
     machine: SyncMachine
     kind: str                       # "block" or "share"
-    share_type: Optional[Type] = None
-    source: Optional[str] = None
 
 
 @dataclass
@@ -214,7 +212,7 @@ def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -
         manager = manager_machine(pty) if len(used) > 1 else None
         for level in range(1, len(used)):
             mname = f"mgr_{pname}" if len(used) == 2 else f"mgr_{pname}_{level}"
-            design.instances[mname] = Instance(mname, manager, "share", share_type=pty)
+            design.instances[mname] = Instance(mname, manager, "share")
             wire(*earlier, mname, "p2")
             wire("body", used[level], mname, "p1")
             earlier = (mname, "p0")
@@ -234,6 +232,8 @@ def parse_wire_file(text: str, name: str = "top",
         inst <inst> <program.sci>    a compiled block
         input <port> / output <port> boundary pins
         tie <src> -> <dst>           src drives dst; pins as inst.port or port
+
+    Each instance and each boundary pin is declared once.
     """
     instances: dict[str, Instance] = {}
     inputs: list[str] = []
@@ -251,16 +251,18 @@ def parse_wire_file(text: str, name: str = "top",
         if not line:
             continue
         parts = line.split()
+        ports = inputs + outputs
+        declared = {"share": instances, "inst": instances, "input": ports, "output": ports}
+        if len(parts) > 1 and parts[1] in declared.get(parts[0], ()):
+            raise DesignError(f"line {lno}: {parts[1]} is declared twice")
         try:
             if parts[0] == "share" and len(parts) >= 3:
                 ty = parse_type(" ".join(parts[2:]))
-                instances[parts[1]] = Instance(parts[1], manager_machine(ty), "share",
-                                               share_type=ty)
+                instances[parts[1]] = Instance(parts[1], manager_machine(ty), "share")
             elif parts[0] == "inst" and len(parts) == 3:
                 if load is None:
                     raise DesignError("this context cannot load block sources")
-                instances[parts[1]] = Instance(parts[1], load(parts[2]), "block",
-                                               source=parts[2])
+                instances[parts[1]] = Instance(parts[1], load(parts[2]), "block")
             elif parts[0] == "input" and len(parts) == 2:
                 inputs.append(parts[1])
             elif parts[0] == "output" and len(parts) == 2:

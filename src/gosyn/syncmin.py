@@ -302,9 +302,10 @@ def _compatibility(m: SyncMachine, rows, index) -> list[set[int]]:
     n = len(rows)
     incompat: set[tuple[int, int]] = set()
     changed = True
-    holds = [frozenset() not in m.transitions[s] for s, _ in index]
-    emits = [bool(row.get(frozenset(), (frozenset(),))[0]) for row in rows]
-    # seed: same defined input set, different outputs
+    quiet = frozenset()
+    holds = [quiet not in m.transitions[s] for s, _ in index]
+    emits = [quiet in row and bool(row[quiet][0]) for row in rows]
+    # seed: a holding state against an emitting one; same defined input set, different outputs
     for p, q in combinations(range(n), 2):
         if holds[p] and emits[q] or holds[q] and emits[p]:
             incompat.add((p, q))

@@ -1,11 +1,17 @@
 """Programs the compiler cannot handle fail with a typed error, which the
 command line reports as a domain error (exit code 1) instead of a traceback."""
 
+from pathlib import Path
+
 import pytest
 
 from gosyn.cli import main
-from gosyn.design import DesignError, manager_machine
+from gosyn.denote import interpret
+from gosyn.design import DesignError, manager_machine, parse_wire_file
+from gosyn.syncmin import round_abstract
 from gosyn.syntax import parse_type
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _run(tmp_path, capsys, stage: str, source: str) -> tuple[int, str]:
@@ -40,3 +46,15 @@ def test_sharing_a_cell_exp_pair_is_refused_before_clocking(criterion):
     with criterion(10, "manager_machine(cell * exp) refuses with DesignError", 1):
         with pytest.raises(DesignError, match="serves one opening request per client"):
             manager_machine(parse_type("cell * exp"))
+
+
+@pytest.mark.parametrize("extra", ["input q1", "output a1", "output q1", "share m com",
+                                   "inst par par_pair.sci"])
+def test_a_wire_file_name_declared_twice_is_a_design_error(extra):
+    # a second port would be declared twice in the top module's Verilog,
+    # a second instance would silently replace the first
+    text = (DEMOS / "concurrent_calls.wire").read_text() + extra + "\n"
+    load = lambda rel: round_abstract(interpret((DEMOS / rel).read_text()))
+    line = len(text.splitlines())
+    with pytest.raises(DesignError, match=f"line {line}: {extra.split()[1]} is declared twice"):
+        parse_wire_file(text, load=load)

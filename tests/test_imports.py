@@ -1,9 +1,10 @@
 """The library's module attributes and imports.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps functions at the
-module attributes its ``TARGETS`` name, so each of them must resolve.  A
-module-level import that nothing in its module reads is dead, unless the
-tracer wraps it there.  Every name ``gosyn.__all__`` exports resolves, once.
+module attributes its ``TARGETS`` name, so each of them must resolve.  An
+import that nothing in its module reads, and that ``__all__`` does not
+export, is dead, unless its line is marked ``# noqa``: those are the names
+the tracer wraps there.  Every name ``gosyn.__all__`` exports resolves, once.
 """
 
 import ast
@@ -16,7 +17,7 @@ import pytest
 import gosyn
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "gosyn").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "gosyn").glob("*.py"))
 
 
 def _tracer_targets() -> list[str]:
@@ -36,18 +37,29 @@ def test_tracer_target_resolves(target):
 
 
 def _unused_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text())
+    text = path.read_text()
+    tree = ast.parse(text)
+    exempt = {n for n, line in enumerate(text.splitlines(), start=1) if "# noqa" in line}
     imported: dict[str, int] = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node.lineno not in exempt:
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    wrapped = {t.split(":")[1] for t in TARGETS if t.split(":")[0] == f"gosyn.{path.stem}"}
+    exported = {e.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for e in node.value.elts}
     return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
-                  if name not in used | wrapped)
+                  if name not in used | exported)
+
+
+def test_unused_import_check_sees_local_and_marked_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import json\nimport sys  # noqa\n__all__ = ['Path']\n"
+                    "from pathlib import Path\n\ndef f():\n    import re\n    return json\n")
+    assert _unused_imports(path) == ["mod.py:7 re"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
