@@ -64,7 +64,7 @@ from .design import (
     netlists_of_design,
     parse_wire_file,
 )
-from .serialize import emit_dot, emit_json, from_dict, parse_json, to_dict
+from .serialize import emit_dot, emit_json, to_dict
 from .sim import SimError, SimReport, parse_stimulus, simulate
 
 __version__ = "0.1.0"
@@ -109,7 +109,6 @@ __all__ = [
     "emit_json",
     "emit_verilog",
     "equivalent_under_protocol",
-    "from_dict",
     "functional_form",
     "glue_pair",
     "interpret",
@@ -120,7 +119,6 @@ __all__ = [
     "netlist_of",
     "netlists_of_design",
     "parse",
-    "parse_json",
     "parse_stimulus",
     "parse_type",
     "parse_wire_file",

@@ -193,34 +193,34 @@ def _reduced_support(entries, inputs: tuple[str, ...], outs_of, en_map):
                    and not en_map.get(x, frozenset()) & theirs
                    for x in extras)
 
-    for v in inputs:
-        trial = frozenset(support) - {v}
-        doom: list[tuple[int, bool, frozenset]] = []
-        blocked = False
+    def clashes(trial: frozenset):
+        """Each state's (ON, OFF) round pairs that project onto the same
+        pulses of ``trial``: its ON rounds bucketed by projection, then each
+        OFF round's bucket."""
         for s, (on_sets, off_sets) in entries.items():
+            by_projection: dict[frozenset, list] = {}
             for r_on in on_sets:
-                for r_off in off_sets:
-                    if r_on & trial != r_off & trial:
-                        continue
-                    hit = False
-                    if doomable(s, r_on, r_off):
-                        doom.append((s, True, r_on))
-                        hit = True
-                    if doomable(s, r_off, r_on):
-                        doom.append((s, False, r_off))
-                        hit = True
-                    if not hit:
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            if blocked:
+                by_projection.setdefault(r_on & trial, []).append(r_on)
+            for r_off in off_sets:
+                for r_on in by_projection.get(r_off & trial, ()):
+                    yield s, r_on, r_off
+
+    for v in inputs:
+        doom: list[tuple[int, bool, frozenset]] = []
+        for s, r_on, r_off in clashes(frozenset(support) - {v}):
+            hit = False
+            if doomable(s, r_on, r_off):
+                doom.append((s, True, r_on))
+                hit = True
+            if doomable(s, r_off, r_on):
+                doom.append((s, False, r_off))
+                hit = True
+            if not hit:
                 break
-        if blocked:
-            continue
-        for s, is_on, r in doom:
-            entries[s][0 if is_on else 1].discard(r)
-        support = [w for w in support if w != v]
+        else:
+            for s, is_on, r in doom:
+                entries[s][0 if is_on else 1].discard(r)
+            support = [w for w in support if w != v]
     return tuple(support), entries
 
 
@@ -253,9 +253,10 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     def names(ms) -> frozenset:
         return frozenset(arena.name(m) for m in ms)
 
-    outs_of = {(s, names(i)): names(outs)
-               for s in states
-               for i, (outs, _) in machine.transitions[s].items()}
+    # each state's rows in row order, named once: (inputs, outputs, target)
+    named = {s: [(names(i), names(outs), to) for i, (outs, to) in machine.rows(s)]
+             for s in states}
+    outs_of = {(s, i): outs for s in states for i, outs, _ in named[s]}
     en_map = {arena.name(m): names(arena.enablers_of(m))
               for m in arena.moves if arena.is_input(m)}
 
@@ -265,8 +266,8 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
         entries: dict[int, tuple[set, set]] = {}
         for s in states:
             on, off = set(), set()
-            for i, (outs, _) in machine.transitions[s].items():
-                (on if o in names(outs) else off).add(names(i))
+            for i, outs, _ in named[s]:
+                (on if o in outs else off).add(i)
             if on or off:
                 if frozenset() not in machine.transitions[s]:
                     off.add(frozenset())  # a cycle with no pulses is always possible
@@ -290,16 +291,13 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     if single:
         return NetModule(name, in_ports, out_ports, (), tuple(assigns), ())
 
-    # next-state: transition products plus a hold term per bit
+    # next-state: transition products plus a hold term per bit, each row's
+    # minterm built once
+    minterms = {s: [(_minterm(in_ports, i), to) for i, _, to in named[s]] for s in states}
     nexts: list[tuple[str, Expr]] = []
-    rows = {s: machine.rows(s) for s in states}
     for d in states:
-        terms = []
-        for s in states:
-            for i, (_, to) in rows[s]:
-                if to == d:
-                    terms.append(eand([EVar(bit[s]), _minterm(in_ports, names(i))]))
-        matched = eor([_minterm(in_ports, names(i)) for i, _ in rows[d]])
+        terms = [eand([EVar(bit[s]), mt]) for s in states for mt, to in minterms[s] if to == d]
+        matched = eor([mt for mt, _ in minterms[d]])
         terms.append(eand([EVar(bit[d]), ENot(matched)]))
         nexts.append((bit[d], eor(terms)))
 

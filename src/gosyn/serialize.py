@@ -13,7 +13,8 @@ JSON schema (kind field selects the shape):
   is a tree of {"var"}, {"not"}, {"and": [...]}, {"or": [...]}, {"const"}
 
 ``emit_json`` output is byte-stable: fixed key order, two-space indent,
-sorted port lists, trailing newline.  ``parse_json`` inverts it.
+sorted port lists, trailing newline.  The suite's ``parse_json``
+(``tests/helpers.py``) inverts it.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .arena import Arena, Face, Move
+from .arena import Arena
 from .automata import StrategyAutomaton
 from .netlist import EAnd, EConst, ENot, EOr, EVar, Expr, NetModule
 from .syncmin import SyncMachine
-from .syntax import parse_type, type_to_str
+from .syntax import type_to_str
 
 Serializable = Union[Arena, StrategyAutomaton, SyncMachine, NetModule]
 
@@ -59,18 +60,6 @@ def _arena_dict(a: Arena) -> dict:
     }
 
 
-def _arena_from(d: dict) -> Arena:
-    faces = [
-        Face(f["label"], parse_type(f["type"]), f["flipped"], f["result"])
-        for f in d["faces"]
-    ]
-    names = {
-        Move(p["face"], tuple(p["path"]), p["token"]): p["name"]
-        for p in d["ports"]
-    }
-    return Arena(faces, names)
-
-
 def _expr_dict(e: Expr) -> dict:
     if isinstance(e, EVar):
         return {"var": e.name}
@@ -83,20 +72,6 @@ def _expr_dict(e: Expr) -> dict:
     if isinstance(e, EConst):
         return {"const": e.val}
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _expr_from(d: dict) -> Expr:
-    if "var" in d:
-        return EVar(d["var"])
-    if "not" in d:
-        return ENot(_expr_from(d["not"]))
-    if "and" in d:
-        return EAnd(tuple(_expr_from(x) for x in d["and"]))
-    if "or" in d:
-        return EOr(tuple(_expr_from(x) for x in d["or"]))
-    if "const" in d:
-        return EConst(bool(d["const"]))
-    raise ValueError(f"not an expression node: {sorted(d)}")
 
 
 def to_dict(x: Serializable) -> dict:
@@ -155,54 +130,8 @@ def to_dict(x: Serializable) -> dict:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def from_dict(d: dict) -> Serializable:
-    kind = d.get("kind")
-    if kind == "arena":
-        return _arena_from(d)
-    if kind == "strategy_automaton":
-        arena = _arena_from(d)
-        trans: dict[int, dict[Move, int]] = {}
-        states = {d["initial"]}
-        for t in d["transitions"]:
-            states.add(t["from"])
-            states.add(t["to"])
-        for s in states:
-            trans[s] = {}
-        for t in d["transitions"]:
-            trans[t["from"]][arena.by_name(t["move"])] = t["to"]
-        return StrategyAutomaton(arena, trans, d["initial"])
-    if kind == "sync_machine":
-        arena = _arena_from(d)
-        table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {}
-        states = {d["initial"]}
-        for r in d["rounds"]:
-            states.add(r["state"])
-            states.add(r["to"])
-        for s in states:
-            table[s] = {}
-        for r in d["rounds"]:
-            ins = frozenset(arena.by_name(n) for n in r["in"])
-            outs = frozenset(arena.by_name(n) for n in r["out"])
-            table[r["state"]][ins] = (outs, r["to"])
-        return SyncMachine(arena, table, d["initial"])
-    if kind == "netlist":
-        return NetModule(
-            name=d["name"],
-            inputs=tuple(d["inputs"]),
-            outputs=tuple(d["outputs"]),
-            state_bits=tuple(d["state_bits"]),
-            assigns=tuple((a["target"], _expr_from(a["expr"])) for a in d["assigns"]),
-            nexts=tuple((n["target"], _expr_from(n["expr"])) for n in d["nexts"]),
-        )
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def emit_json(x: Serializable) -> str:
     return json.dumps(to_dict(x), indent=2) + "\n"
-
-
-def parse_json(text: str) -> Serializable:
-    return from_dict(json.loads(text))
 
 
 # -- DOT

@@ -31,6 +31,15 @@ ends the run (a Race, or a violation in safe mode) or that kills a scope is
 never stored: a refusal is named Justification or Fork from the moves seen
 so far, which the key does not hold.  The memo lives as long as the run.
 
+A replayed cycle does not build its key either.  Each stored outcome links,
+per offered stimulus round, to the stored outcome of the cycle after it,
+and the key is built and looked up only when that link is missing.  The
+link is exact: a stored outcome neither ends the run nor kills a scope, so
+its key fixes the monitor keys before it, its monitor steps fix them after
+it, and its unit states fix the units; with the offered round that is the
+next key.  A first visit is cheap too: a machine's rows are kept by port
+name, per state, in the order a preview picks them.
+
 Status semantics:
 
 - Completed: stimulus exhausted, device quiet, nothing pending anywhere.
@@ -52,6 +61,7 @@ answers at the monitor's key, and the monitor reads that answer again.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -156,12 +166,34 @@ def parse_stimulus(text: str) -> list[tuple[str, ...]]:
 # evaluate their combinational cones.
 
 
+# machine -> (input port names, output port names, per state (its rows by
+# input port names, the same rows in preview order)), each row as (output
+# names, input names, next state).  A table depends on nothing but its
+# machine and lives as long as it does.
+_TABLES: "weakref.WeakKeyDictionary[SyncMachine, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _name_table(m: SyncMachine) -> tuple[frozenset, frozenset, dict[int, tuple[dict, tuple]]]:
+    table = _TABLES.get(m)
+    if table is None:
+        name = m.arena.name
+        rows = {}
+        for s, row in m.transitions.items():
+            named = {}
+            for i, (outs, nxt) in row.items():
+                used = frozenset([name(x) for x in i])
+                named[used] = (frozenset([name(x) for x in outs]), used, nxt)
+            order = sorted(named.items(), key=lambda r: (-len(r[0]), sorted(r[0])))
+            rows[s] = (named, tuple([e for _, e in order]))
+        table = _TABLES[m] = (frozenset(m.arena.input_names()),
+                              frozenset(m.arena.output_names()), rows)
+    return table
+
+
 class _MachineUnit:
     def __init__(self, name: str, machine: SyncMachine):
         self.name = name
-        self.m = machine
-        self.inputs = frozenset(machine.arena.input_names())
-        self.outputs = frozenset(machine.arena.output_names())
+        self.inputs, self.outputs, self.rows = _name_table(machine)
         self.state = machine.initial
         self.next_state = self.state
 
@@ -172,33 +204,22 @@ class _MachineUnit:
         sets ``next_state`` to the state the clock edge would commit.  An
         exact row wins; otherwise the largest defined subset of what arrived
         fires (ties broken by name so reruns agree), which is also how a
-        quiet row of a restless state gets to act spontaneously.
+        quiet row of a restless state gets to act spontaneously.  The rows
+        are kept by port name in that order, so the first subset found is
+        the one that fires.
         """
-        a = self.m.arena
-        inset = frozenset(a.by_name(p) for p in pulsed & self.inputs)
-        row = self.m.transitions[self.state]
-        used = inset
-        hit = row.get(inset)
+        named, order = self.rows[self.state]
+        hit = named.get(pulsed)
         if hit is None:
-            best = None
-            for i, entry in row.items():
-                if i <= inset:
-                    rank = (-len(i), self.m.names(i))
-                    if best is None or rank < best[0]:
-                        best = (rank, i, entry)
-            if best is None:
+            hit = next((e for e in order if e[1] <= pulsed), None)
+            if hit is None:
                 self.next_state = self.state
                 return frozenset(), frozenset()
-            _, used, hit = best
-        outs, self.next_state = hit
-        return (frozenset(a.name(x) for x in outs),
-                frozenset(a.name(x) for x in used))
+        outs, used, self.next_state = hit
+        return outs, used
 
     def key_of(self, state: int) -> int:
         return state
-
-    def at_reset(self) -> bool:
-        return self.state == self.m.initial
 
 
 class _NetUnit:
@@ -219,9 +240,6 @@ class _NetUnit:
         # in ``state_bits`` order: the cones' dicts need not list the bits
         # in the order ``reset_state`` does
         return tuple([state[b] for b in self.mod.state_bits])
-
-    def at_reset(self) -> bool:
-        return self.state == self.mod.reset_state()
 
 
 @dataclass
@@ -291,14 +309,18 @@ class _Outcome(NamedTuple):
     pending: bool                              # quiet, with a question pending somewhere
 
 
-def _pulse(stamp: dict, ties: dict, inst: Optional[str], port: str, st: int) -> None:
-    """Stamp a pulse and, one stamp later, every sink tied to it."""
+def _pulse(stamp: dict, ties: dict, inst: Optional[str], port: str, st: int) -> int:
+    """Stamp a pulse and, one stamp later, every sink tied to it.
+
+    Returns how many pulses were newly stamped."""
     here = stamp[inst]
     if port in here:
-        return
+        return 0
     here[port] = st
+    added = 1
     for sink in ties.get((inst, port), ()):
-        _pulse(stamp, ties, *sink, st + 1)
+        added += _pulse(stamp, ties, *sink, st + 1)
+    return added
 
 
 def simulate(
@@ -315,7 +337,11 @@ def simulate(
     round offered, each unit's state and each scope's monitor key and alive
     flag; that is exact because a cycle reads nothing else and ``unsafe``
     and ``vcd`` are fixed for the run.  A cycle that raises, ends the run
-    or kills a scope is never stored.
+    or kills a scope is never stored.  A link holds, for a stored outcome
+    and an offered round, the stored outcome of the next cycle; the pair
+    fixes the next key (module doc), so a linked cycle is replayed without
+    building it.  Links are kept flat, by the outcome's id, so no table
+    refers to another and a run leaves no reference cycle.
     """
     units, ties, bound_in, bound_out, scopes = _build(device, arena)
     stim = [tuple(r) for r in stimulus]
@@ -329,28 +355,25 @@ def simulate(
     vetting = top is not None and not unsafe
 
     diag: list[tuple[str, Violation]] = []
-    trace: list[tuple[str, ...]] = []
-    inst_traces: dict[str, list[tuple[str, ...]]] = {
-        s.name: [] for s in scopes if s.prefix is not None
-    }
-    waves: list[dict[str, bool]] = []      # per cycle; VCD only
+    played: list[_Outcome] = []            # the outcome of each cycle so far
     idx = 0
 
     def finish(status, cyc, cycles, race=(), viol=None):
         if vcd:
-            _write_vcd(vcd, bound_in, bound_out, units, waves,
+            _write_vcd(vcd, bound_in, bound_out, units, [o.wave for o in played],
                        hierarchical=isinstance(device, Design))
         pend = tuple([
-            f"{s.name}:{n}" for s in scopes for n in s.monitor.pending_names()
-            if s.arena.is_question(s.arena.by_name(n))
+            f"{s.name}:{s.arena.name(m)}" for s in scopes for m in s.monitor.pending()
+            if s.arena.is_question(m)
         ])
         return SimReport(
             status=status, cycles=cycles, cycle=cyc,
-            trace=tuple(trace),
-            instance_traces={k: tuple(v) for k, v in inst_traces.items()},
+            trace=tuple([o.trace for o in played]),
+            instance_traces={s.name: tuple([o.rounds[k] for o in played])
+                             for k, s in enumerate(scopes) if s.prefix is not None},
             race_ports=tuple(race), violation=viol,
             diagnostics=tuple(diag), pending=pend,
-            at_reset=all(u.at_reset() for u in units.values()),
+            at_reset=states == reset,
         )
 
     unit_list = list(units.values())
@@ -362,7 +385,8 @@ def simulate(
         return {p: k for k, p in enumerate(ports)}
 
     def round_of(here: dict[str, int], rank: dict[str, int]) -> tuple[str, ...]:
-        return tuple(sorted((p for p in here if p in rank), key=lambda p: (here[p], rank[p])))
+        n = len(rank)
+        return tuple(sorted([p for p in here if p in rank], key=lambda p: here[p] * n + rank[p]))
 
     boundary_rank = rank_of(tuple(bound_in) + tuple(bound_out))
     scope_ranks = [rank_of(s.arena.port_names()) for s in scopes]
@@ -372,10 +396,14 @@ def simulate(
     }
 
     def outcome(offered: tuple[str, ...], cycle: int) -> _Outcome:
-        """Steps 1-6 of one cycle, from the units' states and the monitors' keys.
+        """Steps 1-6 of one cycle, from ``states`` and the monitors' keys.
 
-        Changes none of them; ``cycle`` only names an error.
+        Changes neither; it only sets each unit to its state in ``states``
+        for the previews to read.  ``cycle`` only names an error.
         """
+        for u, st in zip(unit_list, states):
+            u.state = st
+
         # -- 1. hold back a stimulus round the boundary monitor would refuse
         deferred = False
         if vetting and offered:
@@ -396,7 +424,7 @@ def simulate(
             _pulse(stamp, ties, None, p, 0)
         seen: dict[str, frozenset[str]] = {}
         for _ in range(budget + 1):
-            before = sum(map(len, stamp.values()))
+            added = 0
             for name, u in units.items():
                 here = stamp[name]
                 got = u.inputs.intersection(here)
@@ -407,8 +435,8 @@ def simulate(
                 if outs:
                     base = 1 + max((here[p] for p in used), default=0)
                     for o in outs:
-                        _pulse(stamp, ties, name, o, base)
-            if sum(map(len, stamp.values())) == before:
+                        added += _pulse(stamp, ties, name, o, base)
+            if not added:
                 break
         else:
             raise SimError(f"cycle {cycle}: pulses never settle (combinational loop)")
@@ -448,38 +476,44 @@ def simulate(
             steps.append(took)
 
         # -- 6. the clock edge; a quiet cycle moves no monitor
-        states = tuple([u.next_state for u in unit_list])
+        after = tuple([u.next_state for u in unit_list])
         quiet = not any(stamp.values())
         pending = quiet and any(s.arena.is_question(m) for s in scopes for m in s.monitor.pending())
         return _Outcome(deferred, boundary, rounds, wave, tuple(steps), tuple(died), None,
-                        states, tuple([u.key_of(st) for u, st in zip(unit_list, states)]),
+                        after, tuple([u.key_of(st) for u, st in zip(unit_list, after)]),
                         quiet, pending)
 
     memo: dict[tuple, _Outcome] = {}
+    # id of a stored outcome -> offered round -> the stored outcome of the
+    # next cycle; ``nexts`` holds the links out of the one played last
+    links: dict[int, dict[tuple, _Outcome]] = {}
+    nexts: Optional[dict[tuple, _Outcome]] = None
     # tuple() of a list, not of a generator, on every per-run path: a
     # generator's tuple is allocated for ten items and shrunk, which over
     # thousands of runs fills the interpreter's tuple free lists (about
     # 1.2 MB of them, measured on the benchmark's sim rounds)
-    unit_keys = tuple([u.key_of(u.state) for u in unit_list])
-    inst_lists = [inst_traces.get(s.name) for s in scopes]
+    reset = states = tuple([u.state for u in unit_list])
+    unit_keys = tuple([u.key_of(st) for u, st in zip(unit_list, states)])
     for cycle in range(1, max_cycles + 1):
         offered = stim[idx] if idx < len(stim) else ()
-        key = (offered, unit_keys, tuple([(s.monitor.state_key(), s.alive) for s in scopes]))
-        o = memo.get(key)
+        o = nexts.get(offered) if nexts is not None else None
         if o is None:
-            o = outcome(offered, cycle)
-            if o.end is None and not o.died:
-                memo[key] = o
+            key = (offered, unit_keys, tuple([(s.monitor.state_key(), s.alive) for s in scopes]))
+            o = memo.get(key)
+            if o is None:
+                o = outcome(offered, cycle)
+                if o.end is None and not o.died:
+                    memo[key] = o
+                    links[id(o)] = {}
+            if nexts is not None and id(o) in links:
+                nexts[offered] = o
+        nexts = links.get(id(o))
 
-        # -- play the outcome onto the traces, the monitors and the units
+        # -- play the outcome: record it for the traces, move the monitors,
+        # and take its unit states
         if idx < len(stim) and not o.deferred:
             idx += 1
-        trace.append(o.trace)
-        for lst, r in zip(inst_lists, o.rounds):
-            if lst is not None:
-                lst.append(r)
-        if vcd:
-            waves.append(o.wave)
+        played.append(o)
         for s, took in zip(scopes, o.steps):
             if took:
                 s.monitor.take(took)
@@ -491,9 +525,7 @@ def simulate(
             if status == "Race":
                 return finish(status, cycle, cycle, race=what)
             return finish(status, cycle, cycle, viol=what)
-        for u, st in zip(unit_list, o.states):
-            u.state = st
-        unit_keys = o.state_keys
+        states, unit_keys = o.states, o.state_keys
 
         # -- 7. quiet-cycle resolution
         if o.quiet:

@@ -22,6 +22,10 @@ sets are checked.  ``expr_eval`` walks a netlist expression tree, against
 which the library's compiled cones are checked.
 ``reference_prune_inadmissible`` is the depth-first pruning walk, against
 which the library's breadth-first product walk is checked.
+``reference_preview`` picks a machine unit's row by scanning every row of
+its state, against which the simulator's name tables are checked.
+``parse_json`` and ``from_dict`` read back what ``gosyn.serialize`` writes;
+no library code reads JSON.
 ``reference_relay`` builds a forwarder over the
 whole protocol automaton of its arena, against which the library's on-demand
 relay is checked.  ``compose_oracle`` walks the interleavings of two glued
@@ -35,21 +39,22 @@ library code calls.
 """
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from gosyn.arena import Arena, Move, arena_of_type, term_arena
+from gosyn.arena import Arena, Face, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, synchronize_and_hide
 from gosyn.denote import diagonal
 from gosyn.design import Design, compile_design
-from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr
+from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr, NetModule
 from gosyn.plays import PlayMonitor, decide, linearize_round
 from gosyn.sim import SimReport, simulate
 from gosyn.syncmin import NonConfluent, SyncMachine, _cascade
 from gosyn.syntax import (
     App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod, Snd, Term, Var,
-    type_to_str,
+    parse_type, type_to_str,
 )
 from gosyn.typecheck import typecheck
 
@@ -776,3 +781,104 @@ def expr_eval(e: Expr, env: dict[str, bool]) -> bool:
     if isinstance(e, EOr):
         return any(expr_eval(x, env) for x in e.xs)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# ------------------------------------------------ reference machine preview
+
+def reference_preview(m: SyncMachine, state: int, pulsed: frozenset) -> tuple:
+    """The row a machine unit fires at ``state`` on the input port names
+    ``pulsed``, as (output names, input names of the row, next state): the
+    exact row first, otherwise the largest defined subset, with ties broken
+    by the rows' sorted names; (empty, empty, ``state``) when no row fits."""
+    a = m.arena
+    inset = frozenset(a.by_name(p) for p in pulsed & frozenset(a.input_names()))
+    row = m.transitions[state]
+    used = inset
+    hit = row.get(inset)
+    if hit is None:
+        best = None
+        for i, entry in row.items():
+            if i <= inset:
+                rank = (-len(i), m.names(i))
+                if best is None or rank < best[0]:
+                    best = (rank, i, entry)
+        if best is None:
+            return frozenset(), frozenset(), state
+        _, used, hit = best
+    outs, nxt = hit
+    return frozenset(a.name(x) for x in outs), frozenset(a.name(x) for x in used), nxt
+
+
+# ------------------------------------------------ reading the JSON views back
+
+def _arena_from(d: dict) -> Arena:
+    faces = [
+        Face(f["label"], parse_type(f["type"]), f["flipped"], f["result"])
+        for f in d["faces"]
+    ]
+    names = {
+        Move(p["face"], tuple(p["path"]), p["token"]): p["name"]
+        for p in d["ports"]
+    }
+    return Arena(faces, names)
+
+
+def _expr_from(d: dict) -> Expr:
+    if "var" in d:
+        return EVar(d["var"])
+    if "not" in d:
+        return ENot(_expr_from(d["not"]))
+    if "and" in d:
+        return EAnd(tuple(_expr_from(x) for x in d["and"]))
+    if "or" in d:
+        return EOr(tuple(_expr_from(x) for x in d["or"]))
+    if "const" in d:
+        return EConst(bool(d["const"]))
+    raise ValueError(f"not an expression node: {sorted(d)}")
+
+
+def from_dict(d: dict):
+    """The object :func:`gosyn.serialize.to_dict` describes."""
+    kind = d.get("kind")
+    if kind == "arena":
+        return _arena_from(d)
+    if kind == "strategy_automaton":
+        arena = _arena_from(d)
+        trans: dict[int, dict[Move, int]] = {}
+        states = {d["initial"]}
+        for t in d["transitions"]:
+            states.add(t["from"])
+            states.add(t["to"])
+        for s in states:
+            trans[s] = {}
+        for t in d["transitions"]:
+            trans[t["from"]][arena.by_name(t["move"])] = t["to"]
+        return StrategyAutomaton(arena, trans, d["initial"])
+    if kind == "sync_machine":
+        arena = _arena_from(d)
+        table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {}
+        states = {d["initial"]}
+        for r in d["rounds"]:
+            states.add(r["state"])
+            states.add(r["to"])
+        for s in states:
+            table[s] = {}
+        for r in d["rounds"]:
+            ins = frozenset(arena.by_name(n) for n in r["in"])
+            outs = frozenset(arena.by_name(n) for n in r["out"])
+            table[r["state"]][ins] = (outs, r["to"])
+        return SyncMachine(arena, table, d["initial"])
+    if kind == "netlist":
+        return NetModule(
+            name=d["name"],
+            inputs=tuple(d["inputs"]),
+            outputs=tuple(d["outputs"]),
+            state_bits=tuple(d["state_bits"]),
+            assigns=tuple((a["target"], _expr_from(a["expr"])) for a in d["assigns"]),
+            nexts=tuple((n["target"], _expr_from(n["expr"])) for n in d["nexts"]),
+        )
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def parse_json(text: str):
+    return from_dict(json.loads(text))

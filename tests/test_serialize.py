@@ -1,4 +1,4 @@
-"""``emit_json`` and ``parse_json`` invert each other on every demo.
+"""``emit_json`` and the suite's ``parse_json`` invert each other on every demo.
 
 Parsing emitted JSON must rebuild an equal object, and emitting that object
 again must give the same text byte for byte.
@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import parse_json
 from gosyn.denote import interpret
 from gosyn.netlist import netlist_of
-from gosyn.serialize import emit_json, parse_json
+from gosyn.serialize import emit_json
 from gosyn.syncmin import minimize_under_protocol, round_abstract
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"

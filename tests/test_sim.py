@@ -11,7 +11,11 @@ a counter on the machine units' previews checks that the settle loop skips
 the others.  A cycle that recurs within a run is simulated once, and a
 round the monitors have decided once is not decided again: counters on
 the previews, on the netlist's cone evaluations and on ``plays.decide``
-check that twenty sessions cost no more than one.
+check that twenty sessions cost no more than one.  A replayed cycle
+follows a link and builds no key, which a counter on the monitors' key
+reads checks.  A machine unit picks its row from a per-machine table by
+port name; ``helpers.reference_preview`` scans the rows as the unit once
+did, and the two must agree.
 """
 
 import gc
@@ -21,12 +25,14 @@ import random
 import sys
 from pathlib import Path
 
+from helpers import reference_preview
 from gosyn import plays, sim
 from gosyn.cli import main
-from gosyn.design import clock_block, compile_design, parse_wire_file
+from gosyn.design import clock_block, compile_design, manager_machine, parse_wire_file
 from gosyn.denote import denote
 from gosyn.netlist import NetModule, netlist_of
-from gosyn.syntax import parse
+from gosyn.syncmin import round_abstract
+from gosyn.syntax import parse, parse_type
 from gosyn.typecheck import typecheck
 
 HERE = Path(__file__).resolve().parent
@@ -218,21 +224,78 @@ def test_a_recurring_cycle_is_simulated_once(monkeypatch):
     assert 0 < counts[1] <= counts[0], counts
 
 
+def test_a_replayed_cycle_builds_no_key(monkeypatch):
+    # a cycle's key holds every scope's monitor key, so counting the calls
+    # that read one counts the keys built (and the misses' own reads)
+    design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="shared_twice")
+    stim = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text())
+    reads = _count_calls(monkeypatch, plays.PlayMonitor, "state_key")
+    counts = []
+    for sessions in (1, 20):
+        reads.clear()
+        report = sim.simulate(design, stim * sessions, max_cycles=1000)
+        assert (report.status, report.cycles) == ("Completed", 6 if sessions == 1 else 101)
+        counts.append(len(reads))
+    # building the key of every cycle read 38 for one session and 323 for
+    # twenty; linked replays build one more key, where a session starts again
+    scopes = len(design.instances) + 1
+    assert counts[1] <= counts[0] + 2 * scopes, counts
+
+
+def _preview_machines():
+    for path in sorted(DEMOS.glob("*.sci")):
+        auto = denote(typecheck(parse(path.read_text())))
+        yield path.stem, round_abstract(auto)
+        yield path.stem, clock_block(auto, "protocol")
+    for ty in ("com -> com", "exp"):
+        yield ty, manager_machine(parse_type(ty))
+
+
+def test_the_name_table_picks_the_row_the_scan_picks():
+    rng = random.Random(7)
+    kinds = {"exact": 0, "subset": 0, "none": 0}
+    for what, machine in _preview_machines():
+        unit = sim._MachineUnit("u", machine)
+        inputs = sorted(unit.inputs)
+        for state in machine.transitions:
+            named = {frozenset(machine.names(i)) for i in machine.transitions[state]}
+            tries = [frozenset(rng.sample(inputs, rng.randint(0, len(inputs))))
+                     for _ in range(40)]
+            for pulsed in tries + sorted(named, key=sorted):
+                unit.state = state
+                outs, used = unit.preview(pulsed)
+                want = reference_preview(machine, state, pulsed)
+                assert (outs, used, unit.next_state) == want, (what, state, sorted(pulsed))
+                kinds["exact" if pulsed in named
+                      else "subset" if any(i <= pulsed for i in named) else "none"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
 def test_compiling_and_simulating_leave_no_cyclic_garbage():
     source = (DEMOS / "shared_twice.sci").read_text()
     stim = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text())
     gc.collect()
     gc.disable()
     try:
+        tables = len(sim._TABLES)
         design = compile_design(source, name="shared_twice")
         machine = loop_block()
         gates = netlist_of(machine, "loop")
         assert gc.collect() == 0
-        assert sim.simulate(design, stim * 20, max_cycles=1000).status == "Completed"
-        assert gc.collect() == 0
+        # the second run of each reuses the machines' name tables
+        for _ in range(2):
+            assert sim.simulate(design, stim * 20, max_cycles=1000).status == "Completed"
+            assert gc.collect() == 0
+            report = sim.simulate(machine, loop_stimulus(1), max_cycles=1000)
+            assert report.status == "Completed"
+            assert gc.collect() == 0
         report = sim.simulate(gates, loop_stimulus(1), max_cycles=1000, arena=machine.arena)
         assert report.status == "Completed"
         assert gc.collect() == 0
+        assert len(sim._TABLES) == tables + len(design.instances) + 1
+        # a table goes with its machine, freed by reference counting alone
+        del design, machine, gates
+        assert len(sim._TABLES) == tables
     finally:
         gc.enable()
 
