@@ -68,9 +68,10 @@ def _parser() -> argparse.ArgumentParser:
     c.set_defaults(run=_run_check)
 
     i = sub.add_parser("ir", help="dump the compiler's view of a program or type")
-    i.add_argument("file", nargs="?", help="program source (omit with --arena)")
-    i.add_argument("--arena", metavar="TYPE",
-                   help="describe the interface of a type instead of a program")
+    what = i.add_mutually_exclusive_group(required=True)
+    what.add_argument("file", nargs="?", help="program source (omit with --arena)")
+    what.add_argument("--arena", metavar="TYPE",
+                      help="describe the interface of a type instead of a program")
     i.add_argument("--sync", action="store_true",
                    help="dump the clocked machine instead of the event automaton")
     i.add_argument("--min", choices=("plain", "protocol"), default="protocol",
@@ -106,9 +107,10 @@ def _parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("monitor", help="check a recorded round trace for legality")
     m.add_argument("trace", help="trace file, one round per line")
-    m.add_argument("--arena", metavar="TYPE", help="interface of a type")
-    m.add_argument("--share", metavar="TYPE",
-                   help="interface of a call manager over a type")
+    face = m.add_mutually_exclusive_group(required=True)
+    face.add_argument("--arena", metavar="TYPE", help="interface of a type")
+    face.add_argument("--share", metavar="TYPE",
+                      help="interface of a call manager over a type")
     m.add_argument("--json", metavar="PATH", help="write the verdict as JSON")
     m.set_defaults(run=_run_monitor)
     return p
@@ -132,15 +134,11 @@ def _run_check(args) -> int:
 
 
 def _run_ir(args) -> int:
-    if args.arena and args.file:
-        raise SimError("give a program or --arena TYPE, not both")
-    if args.arena:
+    if args.arena is not None:
         a = arena_of_type(parse_type(args.arena))
         print(_arena_table(a))
-        _dump(a, args, f"arena")
+        _dump(a, args, "arena")
         return 0
-    if not args.file:
-        raise SimError("a program file or --arena TYPE is required")
     src = Path(args.file).read_text()
     stem = Path(args.file).stem
     if args.sync:
@@ -222,9 +220,7 @@ def _run_sim(args) -> int:
 
 
 def _run_monitor(args) -> int:
-    if bool(args.arena) == bool(args.share):
-        raise SimError("exactly one of --arena TYPE or --share TYPE is required")
-    a = (arena_of_type(parse_type(args.arena)) if args.arena
+    a = (arena_of_type(parse_type(args.arena)) if args.arena is not None
          else sharing_arena(parse_type(args.share)))
     rounds = parse_stimulus(Path(args.trace).read_text())
     ok, lin, viol = check_sync_trace(a, rounds)

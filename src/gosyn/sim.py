@@ -17,19 +17,23 @@ have grown since its last preview.  Skipping the others is exact, because
 their outputs are already stamped and the round they hold is the one a
 repeat preview would pick.
 
-A run simulates each distinct cycle once.  A cycle is a pure function of
-its key: the stimulus round offered (``()`` once the stimulus is
-exhausted), each unit's state (a netlist's as its bits in ``state_bits``
-order) and each monitor scope's pending-forest key and alive flag, since
-whether rounds are vetted (``unsafe``) and whether waves are kept (``vcd``)
-is fixed for the run.  So the run remembers each cycle's outcome under its
-key, and a remembered outcome is played onto the traces, the monitors and
-the units by the same step that plays a fresh one.  A finite-state device
-under a finite protocol state revisits few keys: twenty sessions of the
-``shared_twice`` demo are 101 cycles but 6 keys.  A cycle that raises, that
-ends the run (a Race, or a violation in safe mode) or that kills a scope is
-never stored: a refusal is named Justification or Fork from the moves seen
-so far, which the key does not hold.  The memo lives as long as the run.
+Units hold no state: a preview maps a unit's state and input pulses to its
+outputs, the inputs that fired and its next state, and a netlist's state
+is the tuple of its bits in ``state_bits`` order, so each unit state is
+its own key.  A run simulates each distinct cycle once.  A cycle
+(:func:`_cycle`) is a pure function of its key: the stimulus round offered
+(``()`` once the stimulus is exhausted), the tuple of unit states and each
+monitor scope's pending-forest key and alive flag, since whether rounds
+are vetted (``unsafe``) and whether waves are kept (``vcd``) is fixed for
+the run.  So the run remembers each cycle's outcome under its key, and a
+remembered outcome is played onto the traces and the monitors, and its
+unit states taken, by the same step that plays a fresh one.  A
+finite-state device under a finite protocol state revisits few keys:
+twenty sessions of the ``shared_twice`` demo are 101 cycles but 6 keys.  A
+cycle that raises, that ends the run (a Race, or a violation in safe mode)
+or that kills a scope is never stored: a refusal is named Justification or
+Fork from the moves seen so far, which the key does not hold.  The memo
+lives as long as the run.
 
 A replayed cycle does not build its key either.  Each stored outcome links,
 per offered stimulus round, to the stored outcome of the cycle after it,
@@ -160,10 +164,9 @@ def parse_stimulus(text: str) -> list[tuple[str, ...]]:
 
 # ------------------------------------------------------------ device views
 #
-# The loop below only knows "units": named things with input/output port
-# sets, a preview function (pulses in -> pulses out, given current state),
-# and a commit function.  Machines pick their round table row; netlists
-# evaluate their combinational cones.
+# A cycle only knows "units": named things with input/output port sets, a
+# power-on ``reset`` state and a ``preview`` (see the module doc).  Machines
+# pick their round table row; netlists evaluate their combinational cones.
 
 
 # machine -> (input port names, output port names, per state (its rows by
@@ -194,85 +197,81 @@ class _MachineUnit:
     def __init__(self, name: str, machine: SyncMachine):
         self.name = name
         self.inputs, self.outputs, self.rows = _name_table(machine)
-        self.state = machine.initial
-        self.next_state = self.state
+        self.reset = machine.initial
 
-    def preview(self, pulsed: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-        """Pick this state's round for the pulses seen so far.
+    def preview(self, state: int, pulsed: frozenset[str]) -> tuple[frozenset, frozenset, int]:
+        """Pick the round of ``state`` for the pulses seen so far.
 
-        Returns (output ports, the input ports of the row that fired), and
-        sets ``next_state`` to the state the clock edge would commit.  An
-        exact row wins; otherwise the largest defined subset of what arrived
-        fires (ties broken by name so reruns agree), which is also how a
-        quiet row of a restless state gets to act spontaneously.  The rows
-        are kept by port name in that order, so the first subset found is
-        the one that fires.
+        Returns (output ports, the input ports of the row that fired, the
+        state the clock edge would commit).  An exact row wins; otherwise
+        the largest defined subset of what arrived fires (ties broken by
+        name so reruns agree), which is also how a quiet row of a restless
+        state gets to act spontaneously.  The rows are kept by port name in
+        that order, so the first subset found is the one that fires.
         """
-        named, order = self.rows[self.state]
+        named, order = self.rows[state]
         hit = named.get(pulsed)
         if hit is None:
             hit = next((e for e in order if e[1] <= pulsed), None)
             if hit is None:
-                self.next_state = self.state
-                return frozenset(), frozenset()
-        outs, used, self.next_state = hit
-        return outs, used
-
-    def key_of(self, state: int) -> int:
-        return state
+                return frozenset(), frozenset(), state
+        return hit
 
 
 class _NetUnit:
+    """A netlist's state is the tuple of its bits in ``state_bits`` order; the
+    next bits are read back by name, as the cones need not list them so."""
+
     def __init__(self, name: str, mod: NetModule):
         self.name = name
         self.mod = mod
         self.inputs = frozenset(mod.inputs)
         self.outputs = frozenset(mod.outputs)
-        self.state = mod.reset_state()
-        self.next_state = self.state
+        self.reset = tuple(mod.reset_state().values())
 
-    def preview(self, pulsed: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-        ins = {p: (p in pulsed) for p in self.mod.inputs}
-        outs, self.next_state = self.mod.eval(self.state, ins)
-        return frozenset(o for o, v in outs.items() if v), pulsed & self.inputs
-
-    def key_of(self, state: dict[str, bool]) -> tuple[bool, ...]:
-        # in ``state_bits`` order: the cones' dicts need not list the bits
-        # in the order ``reset_state`` does
-        return tuple([state[b] for b in self.mod.state_bits])
+    def preview(self, state: tuple[bool, ...], pulsed: frozenset[str]) -> tuple:
+        mod, bits = self.mod, self.mod.state_bits
+        outs, nxt = mod.eval(dict(zip(bits, state)), {p: (p in pulsed) for p in mod.inputs})
+        return frozenset([o for o, v in outs.items() if v]), pulsed, tuple([nxt[b] for b in bits])
 
 
-@dataclass
 class _Scope:
-    """A monitored interface: where its port pulses live in the net space."""
+    """A monitored interface: where its port pulses live in the net space,
+    each port's rank in its round, and, for a shared sub-interface, the
+    requests that open a call there."""
 
-    name: str
-    arena: Arena
-    prefix: Optional[str]          # instance name, None = boundary
-    is_share: bool
-    monitor: PlayMonitor
-    alive: bool = True
+    def __init__(self, name: str, arena: Arena, prefix: Optional[str], share: bool):
+        self.name = name
+        self.arena = arena
+        self.prefix = prefix                 # instance name, None = boundary
+        self.monitor = PlayMonitor(arena)
+        self.rank = {p: k for k, p in enumerate(arena.port_names())}
+        self.openers = tuple([arena.name(m) for m in arena.initials
+                              if share and arena.is_input(m)])
+        self.alive = True
 
 
-def _build(device: Device, arena: Optional[Arena]):
-    """Units, ties (driver -> sinks), boundary ports, and monitor scopes."""
+class _Device(NamedTuple):
+    """What a run simulates, built once per run by :func:`_build`."""
+
+    units: dict[str, Union[_MachineUnit, _NetUnit]]
+    ties: dict[tuple, list[tuple]]       # driver (inst, port) -> sinks; inst None = boundary
+    inputs: tuple[str, ...]              # boundary inputs
+    ports: dict[str, int]                # boundary port -> its rank in a round, inputs first
+    scopes: list[_Scope]                 # the boundary's first, when it is monitored
+
+
+def _build(device: Device, arena: Optional[Arena]) -> _Device:
     if isinstance(device, Design):
-        units = {}
-        for n, inst in device.instances.items():
-            units[n] = _MachineUnit(n, inst.machine)
+        units = {n: _MachineUnit(n, inst.machine) for n, inst in device.instances.items()}
         ties: dict[tuple, list[tuple]] = {}
         for src, dst in device.ties:
             ties.setdefault((src.inst, src.port), []).append((dst.inst, dst.port))
-        scopes = []
-        if device.boundary is not None:
-            scopes.append(_Scope("boundary", device.boundary, None, False,
-                                 PlayMonitor(device.boundary)))
-        for n, inst in device.instances.items():
-            scopes.append(_Scope(n, inst.machine.arena, n, inst.kind == "share",
-                                 PlayMonitor(inst.machine.arena)))
-        return units, ties, tuple(device.inputs), tuple(device.outputs), scopes
-
-    if isinstance(device, (SyncMachine, NetModule)):
+        scopes = [] if device.boundary is None else [_Scope("boundary", device.boundary, None, False)]
+        scopes += [_Scope(n, inst.machine.arena, n, inst.kind == "share")
+                   for n, inst in device.instances.items()]
+        ins, outs = tuple(device.inputs), tuple(device.outputs)
+    elif isinstance(device, (SyncMachine, NetModule)):
         unit: Union[_MachineUnit, _NetUnit]
         if isinstance(device, SyncMachine):
             unit = _MachineUnit("dev", device)
@@ -282,15 +281,13 @@ def _build(device: Device, arena: Optional[Arena]):
             unit = _NetUnit("dev", device)
             mon_arena = arena
             ins, outs = tuple(device.inputs), tuple(device.outputs)
+        units = {"dev": unit}
         ties = {(None, p): [("dev", p)] for p in ins}
         ties.update({("dev", p): [(None, p)] for p in outs})
-        scopes = []
-        if mon_arena is not None:
-            scopes.append(_Scope("boundary", mon_arena, None, False,
-                                 PlayMonitor(mon_arena)))
-        return {"dev": unit}, ties, ins, outs, scopes
-
-    raise TypeError(f"cannot simulate {type(device).__name__}")
+        scopes = [] if mon_arena is None else [_Scope("boundary", mon_arena, None, False)]
+    else:
+        raise TypeError(f"cannot simulate {type(device).__name__}")
+    return _Device(units, ties, ins, {p: k for k, p in enumerate(ins + outs)}, scopes)
 
 
 class _Outcome(NamedTuple):
@@ -304,7 +301,6 @@ class _Outcome(NamedTuple):
     died: tuple[tuple[int, Violation], ...]    # scopes whose monitor refused, unsafe mode
     end: Optional[tuple]                       # ("Race", ports) or ("ProtocolViolation", v)
     states: tuple                              # per unit, its state after the clock edge
-    state_keys: tuple                          # per unit, the key of that state
     quiet: bool                                # no pulse anywhere
     pending: bool                              # quiet, with a question pending somewhere
 
@@ -323,6 +319,98 @@ def _pulse(stamp: dict, ties: dict, inst: Optional[str], port: str, st: int) -> 
     return added
 
 
+def _round_of(here: dict[str, int], rank: dict[str, int]) -> tuple[str, ...]:
+    """The pulses of one net scope, ordered by stamp and then by port rank."""
+    n = len(rank)
+    return tuple(sorted([p for p in here if p in rank], key=lambda p: here[p] * n + rank[p]))
+
+
+def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, cycle: int,
+           unsafe: bool, vcd: Optional[str]) -> _Outcome:
+    """Steps 1-6 of one cycle, from the unit ``states`` and the scopes'
+    monitor keys and alive flags, which it only reads; ``cycle`` only names
+    an error."""
+    units, ties, scopes = dev.units, dev.ties, dev.scopes
+    top = scopes[0] if scopes and scopes[0].prefix is None else None
+    vetting = top is not None and not unsafe
+
+    # -- 1. hold back a stimulus round the boundary monitor would refuse
+    deferred = False
+    if vetting and offered:
+        moves = [top.arena.by_name(p) for p in offered]
+        deferred = decide_round(top.arena, top.monitor.state_key(), moves) is None
+
+    # -- 2. settle combinational pulses, stamping causality: a pulse is
+    # stamped one past the latest pulse that caused it (row inputs for a
+    # machine output, the driver for a tied sink), so sorting a round by
+    # stamp replays the cycle as the paper's traces linearize it.  Stamps
+    # are bucketed by scope (None = boundary).  A unit is previewed again
+    # only when its input pulses have grown: pulses only accumulate and a
+    # preview is a pure function of (state, input pulses), so a repeat
+    # would pulse what is already stamped and pick the round it holds.
+    # Every unit is previewed on the first pass, and a pass that stamps
+    # anything stamps a unit output not stamped before, so the loop ends.
+    stamp: dict[Optional[str], dict[str, int]] = {None: {}}
+    stamp.update((name, {}) for name in units)
+    for p in () if deferred else offered:
+        _pulse(stamp, ties, None, p, 0)
+    seen: list = [None] * len(units)
+    after = list(states)
+    added = 1
+    while added:
+        added = 0
+        for k, u in enumerate(units.values()):
+            here = stamp[u.name]
+            got = u.inputs.intersection(here)
+            if seen[k] == got:
+                continue
+            seen[k] = got
+            outs, used, after[k] = u.preview(states[k], got)
+            if outs:
+                base = 1 + max((here[p] for p in used), default=0)
+                for o in outs:
+                    added += _pulse(stamp, ties, u.name, o, base)
+
+    # -- 3. the observed rounds, causally ordered
+    boundary = _round_of(stamp[None], dev.ports)
+    rounds = tuple([_round_of(stamp[s.prefix], s.rank) for s in scopes])
+    wave = ({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here}
+            if vcd else None)
+
+    # -- 4. race check on shared sub-interfaces
+    for s in scopes:
+        opened = [p for p in s.openers if p in stamp[s.prefix]]
+        if len(opened) >= 2:
+            return _Outcome(deferred, boundary, rounds, wave, (), (),
+                            ("Race", tuple(sorted(opened))), (), False, False)
+
+    # -- 5. decide each live monitor's round
+    steps: list[tuple] = []
+    died: list[tuple[int, Violation]] = []
+    for k, (s, r) in enumerate(zip(scopes, rounds)):
+        took: tuple = ()
+        if s.alive and r:
+            moves = [s.arena.by_name(p) for p in r]
+            took = decide_round(s.arena, s.monitor.state_key(), moves) or ()
+            if not took:
+                _, v = s.monitor.blame(moves)
+                blamed_input = (s.name == "boundary"
+                                and s.arena.is_input(s.arena.by_name(v.move)))
+                if vetting and blamed_input:
+                    raise SimError(f"cycle {cycle}: stimulus move {v.move} is illegal: {v}")
+                if not unsafe:
+                    return _Outcome(deferred, boundary, rounds, wave, tuple(steps), (),
+                                    ("ProtocolViolation", v), (), False, False)
+                died.append((k, v))
+        steps.append(took)
+
+    # -- 6. the clock edge; a quiet cycle moves no monitor
+    quiet = not any(stamp.values())
+    pending = quiet and any(s.arena.is_question(m) for s in scopes for m in s.monitor.pending())
+    return _Outcome(deferred, boundary, rounds, wave, tuple(steps), tuple(died), None,
+                    tuple(after), quiet, pending)
+
+
 def simulate(
     device: Device,
     stimulus: Sequence[Sequence[str]],
@@ -333,17 +421,19 @@ def simulate(
 ) -> SimReport:
     """Drive ``device`` with one stimulus round per cycle; see module doc.
 
-    Each distinct cycle is simulated once per run.  Its key is the stimulus
-    round offered, each unit's state and each scope's monitor key and alive
-    flag; that is exact because a cycle reads nothing else and ``unsafe``
-    and ``vcd`` are fixed for the run.  A cycle that raises, ends the run
-    or kills a scope is never stored.  A link holds, for a stored outcome
-    and an offered round, the stored outcome of the next cycle; the pair
-    fixes the next key (module doc), so a linked cycle is replayed without
-    building it.  Links are kept flat, by the outcome's id, so no table
-    refers to another and a run leaves no reference cycle.
+    Each distinct cycle is simulated once per run, by :func:`_cycle`.  Its
+    key is the stimulus round offered, the tuple of unit states (each its
+    own key) and each scope's monitor key and alive flag; that is exact
+    because a cycle reads nothing else and ``unsafe`` and ``vcd`` are fixed
+    for the run.  A cycle that raises, ends the run or kills a scope is
+    never stored.  A link holds, for a stored outcome and an offered round,
+    the stored outcome of the next cycle; the pair fixes the next key
+    (module doc), so a linked cycle is replayed without building it.  Links
+    are kept flat, by the outcome's id, so no table refers to another and a
+    run leaves no reference cycle.
     """
-    units, ties, bound_in, bound_out, scopes = _build(device, arena)
+    dev = _build(device, arena)
+    units, bound_in, scopes = dev.units, dev.inputs, dev.scopes
     stim = [tuple(r) for r in stimulus]
     for r in stim:
         for p in r:
@@ -351,16 +441,13 @@ def simulate(
                 raise SimError(f"stimulus port {p!r} is not a boundary input "
                                f"(inputs are {', '.join(bound_in)})")
 
-    top = next((s for s in scopes if s.prefix is None), None)
-    vetting = top is not None and not unsafe
-
     diag: list[tuple[str, Violation]] = []
     played: list[_Outcome] = []            # the outcome of each cycle so far
     idx = 0
 
     def finish(status, cyc, cycles, race=(), viol=None):
         if vcd:
-            _write_vcd(vcd, bound_in, bound_out, units, [o.wave for o in played],
+            _write_vcd(vcd, dev.ports, units, [o.wave for o in played],
                        hierarchical=isinstance(device, Design))
         pend = tuple([
             f"{s.name}:{s.arena.name(m)}" for s in scopes for m in s.monitor.pending()
@@ -376,113 +463,6 @@ def simulate(
             at_reset=states == reset,
         )
 
-    unit_list = list(units.values())
-    budget = sum(len(u.inputs) + len(u.outputs) for u in unit_list) + 2
-
-    # each round lists the pulses of one net scope, ordered by stamp and
-    # then by the port's rank in the scope's port tuple
-    def rank_of(ports) -> dict[str, int]:
-        return {p: k for k, p in enumerate(ports)}
-
-    def round_of(here: dict[str, int], rank: dict[str, int]) -> tuple[str, ...]:
-        n = len(rank)
-        return tuple(sorted([p for p in here if p in rank], key=lambda p: here[p] * n + rank[p]))
-
-    boundary_rank = rank_of(tuple(bound_in) + tuple(bound_out))
-    scope_ranks = [rank_of(s.arena.port_names()) for s in scopes]
-    openers = {
-        s.name: [s.arena.name(m) for m in s.arena.initials if s.arena.is_input(m)]
-        for s in scopes if s.is_share
-    }
-
-    def outcome(offered: tuple[str, ...], cycle: int) -> _Outcome:
-        """Steps 1-6 of one cycle, from ``states`` and the monitors' keys.
-
-        Changes neither; it only sets each unit to its state in ``states``
-        for the previews to read.  ``cycle`` only names an error.
-        """
-        for u, st in zip(unit_list, states):
-            u.state = st
-
-        # -- 1. hold back a stimulus round the boundary monitor would refuse
-        deferred = False
-        if vetting and offered:
-            moves = [top.arena.by_name(p) for p in offered]
-            deferred = decide_round(top.arena, top.monitor.state_key(), moves) is None
-
-        # -- 2. settle combinational pulses, stamping causality: a pulse is
-        # stamped one past the latest pulse that caused it (row inputs for a
-        # machine output, the driver for a tied sink), so sorting a round by
-        # stamp replays the cycle as the paper's traces linearize it.  Stamps
-        # are bucketed by scope (None = boundary).  A unit is previewed again
-        # only when its input pulses have grown: pulses only accumulate and a
-        # preview is a pure function of (state, input pulses), so a repeat
-        # would pulse what is already stamped and pick the round it holds.
-        stamp: dict[Optional[str], dict[str, int]] = {None: {}}
-        stamp.update((name, {}) for name in units)
-        for p in () if deferred else offered:
-            _pulse(stamp, ties, None, p, 0)
-        seen: dict[str, frozenset[str]] = {}
-        for _ in range(budget + 1):
-            added = 0
-            for name, u in units.items():
-                here = stamp[name]
-                got = u.inputs.intersection(here)
-                if seen.get(name) == got:
-                    continue
-                seen[name] = got
-                outs, used = u.preview(got)
-                if outs:
-                    base = 1 + max((here[p] for p in used), default=0)
-                    for o in outs:
-                        added += _pulse(stamp, ties, name, o, base)
-            if not added:
-                break
-        else:
-            raise SimError(f"cycle {cycle}: pulses never settle (combinational loop)")
-
-        # -- 3. the observed rounds, causally ordered
-        boundary = round_of(stamp[None], boundary_rank)
-        rounds = tuple([round_of(stamp[s.prefix], rank) for s, rank in zip(scopes, scope_ranks)])
-        wave = ({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here}
-                if vcd else None)
-
-        # -- 4. race check on shared sub-interfaces
-        for s in scopes:
-            if s.is_share:
-                opened = [p for p in openers[s.name] if p in stamp[s.prefix]]
-                if len(opened) >= 2:
-                    return _Outcome(deferred, boundary, rounds, wave, (), (),
-                                    ("Race", tuple(sorted(opened))), (), (), False, False)
-
-        # -- 5. decide each live monitor's round
-        steps: list[tuple] = []
-        died: list[tuple[int, Violation]] = []
-        for k, (s, r) in enumerate(zip(scopes, rounds)):
-            took: tuple = ()
-            if s.alive and r:
-                moves = [s.arena.by_name(p) for p in r]
-                took = decide_round(s.arena, s.monitor.state_key(), moves) or ()
-                if not took:
-                    _, v = s.monitor.blame(moves)
-                    blamed_input = (s.name == "boundary"
-                                    and s.arena.is_input(s.arena.by_name(v.move)))
-                    if vetting and blamed_input:
-                        raise SimError(f"cycle {cycle}: stimulus move {v.move} is illegal: {v}")
-                    if not unsafe:
-                        return _Outcome(deferred, boundary, rounds, wave, tuple(steps), (),
-                                        ("ProtocolViolation", v), (), (), False, False)
-                    died.append((k, v))
-            steps.append(took)
-
-        # -- 6. the clock edge; a quiet cycle moves no monitor
-        after = tuple([u.next_state for u in unit_list])
-        quiet = not any(stamp.values())
-        pending = quiet and any(s.arena.is_question(m) for s in scopes for m in s.monitor.pending())
-        return _Outcome(deferred, boundary, rounds, wave, tuple(steps), tuple(died), None,
-                        after, tuple([u.key_of(st) for u, st in zip(unit_list, after)]),
-                        quiet, pending)
-
     memo: dict[tuple, _Outcome] = {}
     # id of a stored outcome -> offered round -> the stored outcome of the
     # next cycle; ``nexts`` holds the links out of the one played last
@@ -492,16 +472,15 @@ def simulate(
     # generator's tuple is allocated for ten items and shrunk, which over
     # thousands of runs fills the interpreter's tuple free lists (about
     # 1.2 MB of them, measured on the benchmark's sim rounds)
-    reset = states = tuple([u.state for u in unit_list])
-    unit_keys = tuple([u.key_of(st) for u, st in zip(unit_list, states)])
+    reset = states = tuple([u.reset for u in units.values()])
     for cycle in range(1, max_cycles + 1):
         offered = stim[idx] if idx < len(stim) else ()
         o = nexts.get(offered) if nexts is not None else None
         if o is None:
-            key = (offered, unit_keys, tuple([(s.monitor.state_key(), s.alive) for s in scopes]))
+            key = (offered, states, tuple([(s.monitor.state_key(), s.alive) for s in scopes]))
             o = memo.get(key)
             if o is None:
-                o = outcome(offered, cycle)
+                o = _cycle(dev, offered, states, cycle, unsafe, vcd)
                 if o.end is None and not o.died:
                     memo[key] = o
                     links[id(o)] = {}
@@ -525,7 +504,7 @@ def simulate(
             if status == "Race":
                 return finish(status, cycle, cycle, race=what)
             return finish(status, cycle, cycle, viol=what)
-        states, unit_keys = o.states, o.state_keys
+        states = o.states
 
         # -- 7. quiet-cycle resolution
         if o.quiet:
@@ -545,11 +524,9 @@ def simulate(
 # ------------------------------------------------------------ VCD output
 
 
-def _write_vcd(path: str, bound_in, bound_out, units, waves, hierarchical: bool) -> None:
+def _write_vcd(path: str, ports, units, waves, hierarchical: bool) -> None:
     """Value-change dump: one wire per net, one timestep per cycle."""
-    nets: list[tuple[str, str]] = []          # (scope, port)
-    for p in tuple(bound_in) + tuple(bound_out):
-        nets.append(("", p))
+    nets: list[tuple[str, str]] = [("", p) for p in ports]   # (scope, port)
     if hierarchical:
         for name, u in units.items():
             for p in tuple(sorted(u.inputs)) + tuple(sorted(u.outputs)):

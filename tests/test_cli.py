@@ -50,6 +50,7 @@ def test_check_reports_a_missing_file(tmp_path, capsys):
     [], ["check"], ["check", "x.sci", "--bogus"], ["build"],
     ["sim", "x.sci", "--stimulus", "x.stim", "--max-cycles", "-3"],
     ["ir", "--async", "x.sci"],
+    ["ir"], ["ir", "x.sci", "--arena", "com"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -66,9 +67,12 @@ def test_sim_refuses_a_stimulus_for_another_interface(capsys):
 
 
 def test_monitor_needs_exactly_one_interface(capsys):
-    code, err = _run(capsys, "monitor", str(DEMOS / "nested_call.trace"))
-    assert code == 1
-    assert err.startswith("error[SimError]")
+    trace = str(DEMOS / "nested_call.trace")
+    for extra in ([], ["--arena", "com", "--share", "com"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", trace, *extra])
+        assert exc.value.code == 2
+        assert "usage: gosyn monitor" in capsys.readouterr().err
 
 
 def test_compile_takes_more_than_twelve_inputs(tmp_path, capsys):

@@ -4,7 +4,8 @@ The benchmark's tracer (``perfbench/tracer.py``) wraps functions at the
 module attributes its ``TARGETS`` name, so each of them must resolve.  An
 import that nothing in its module reads, and that ``__all__`` does not
 export, is dead, unless its line is marked ``# noqa``: those are the names
-the tracer wraps there.  Every name ``gosyn.__all__`` exports resolves, once.
+the tracer wraps there, and a marked name the tracer does not wrap in its
+module fails the check.  Every name ``gosyn.__all__`` exports resolves, once.
 """
 
 import ast
@@ -36,10 +37,24 @@ def test_tracer_target_resolves(target):
     assert callable(getattr(importlib.import_module(modname), attr))
 
 
+def _marked_lines(text: str) -> set[int]:
+    return {n for n, line in enumerate(text.splitlines(), start=1) if "# noqa" in line}
+
+
+def _marked_imports(path: Path) -> list[str]:
+    """``gosyn.<module>:<name>`` of each name imported on a ``# noqa`` line."""
+    text = path.read_text()
+    marked = _marked_lines(text)
+    return sorted(f"gosyn.{path.stem}:{alias.asname or alias.name}"
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and node.lineno in marked
+                  for alias in node.names)
+
+
 def _unused_imports(path: Path) -> list[str]:
     text = path.read_text()
     tree = ast.parse(text)
-    exempt = {n for n, line in enumerate(text.splitlines(), start=1) if "# noqa" in line}
+    exempt = _marked_lines(text)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -60,11 +75,17 @@ def test_unused_import_check_sees_local_and_marked_imports(tmp_path):
     path.write_text("import json\nimport sys  # noqa\n__all__ = ['Path']\n"
                     "from pathlib import Path\n\ndef f():\n    import re\n    return json\n")
     assert _unused_imports(path) == ["mod.py:7 re"]
+    assert _marked_imports(path) == ["gosyn.mod:sys"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_marked_imports_are_tracer_targets():
+    marked = [t for path in SOURCES for t in _marked_imports(path)]
+    assert marked and [t for t in marked if t not in TARGETS] == []
 
 
 def test_public_names_resolve():

@@ -15,9 +15,13 @@ check that twenty sessions cost no more than one.  A replayed cycle
 follows a link and builds no key, which a counter on the monitors' key
 reads checks.  A machine unit picks its row from a per-machine table by
 port name; ``helpers.reference_preview`` scans the rows as the unit once
-did, and the two must agree.
+did, and the two must agree.  Units hold no state, so ``sim._cycle``
+called twice at one key gives one outcome and moves no monitor; and a
+netlist's state is keyed in ``state_bits`` order whatever order its cones
+list the next bits in.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -80,9 +84,9 @@ def test_settle_previews_a_unit_only_when_its_inputs_grow(monkeypatch):
     stim = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text())
     calls = []
 
-    def counted(self, pulsed):
+    def counted(self, state, pulsed):
         calls.append(self.name)
-        return preview(self, pulsed)
+        return preview(self, state, pulsed)
 
     preview = sim._MachineUnit.preview
     monkeypatch.setattr(sim._MachineUnit, "preview", counted)
@@ -262,13 +266,77 @@ def test_the_name_table_picks_the_row_the_scan_picks():
             tries = [frozenset(rng.sample(inputs, rng.randint(0, len(inputs))))
                      for _ in range(40)]
             for pulsed in tries + sorted(named, key=sorted):
-                unit.state = state
-                outs, used = unit.preview(pulsed)
+                got = unit.preview(state, pulsed)
                 want = reference_preview(machine, state, pulsed)
-                assert (outs, used, unit.next_state) == want, (what, state, sorted(pulsed))
+                assert got == want, (what, state, sorted(pulsed))
                 kinds["exact" if pulsed in named
                       else "subset" if any(i <= pulsed for i in named) else "none"] += 1
     assert min(kinds.values()) > 100, kinds
+
+
+def _cycles_twice(device, stim, unsafe=False, arena=None) -> list:
+    """Each cycle's outcome, from ``sim._cycle`` called twice at its key.
+
+    Both calls must agree and leave every monitor's key, round log and
+    alive flag as they were; the outcome is then played as ``simulate``
+    plays it, until the run would end."""
+    dev = sim._build(device, arena)
+    looks = lambda: [(s.monitor.state_key(), s.monitor.justifiers(), s.alive)
+                     for s in dev.scopes]
+    states = tuple([u.reset for u in dev.units.values()])
+    played, idx = [], 0
+    for cycle in range(1, 200):
+        offered = stim[idx] if idx < len(stim) else ()
+        before = looks()
+        o = sim._cycle(dev, offered, states, cycle, unsafe, None)
+        assert sim._cycle(dev, offered, states, cycle, unsafe, None) == o
+        assert looks() == before
+        played.append(o)
+        if o.end is not None or (o.quiet and (o.deferred or idx >= len(stim))):
+            return played
+        for s, took in zip(dev.scopes, o.steps):
+            if took:
+                s.monitor.take(took)
+        for k, _ in o.died:
+            dev.scopes[k].alive = False
+        states = o.states
+        idx += idx < len(stim) and not o.deferred
+    raise AssertionError("the run did not end")
+
+
+def test_a_cycle_is_a_pure_function_of_its_key():
+    design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="shared_twice")
+    twice = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text()) * 2
+    machine = loop_block()
+    gates = netlist_of(machine, "loop")
+    racing = _wire("concurrent_calls")
+    race_stim = sim.parse_stimulus((DEMOS / "concurrent_calls.stim").read_text())
+    # the second request waits on the first: held back until the run deadlocks
+    held = [("q1",), ("q1",)]
+    ends = []
+    for device, stim, kw in ((design, twice, {}), (gates, LOOP_STIM, {"arena": machine.arena}),
+                             (gates, held, {"arena": machine.arena}),
+                             (racing, race_stim, {"unsafe": True})):
+        played = _cycles_twice(device, stim, **kw)
+        report = sim.simulate(device, stim, **kw)
+        assert tuple([o.trace for o in played]) == report.trace
+        ends.append((report.status, any(o.deferred for o in played), played[-1].end))
+    assert ends == [("Completed", False, None), ("Completed", False, None),
+                    ("Deadlock", True, None), ("Race", False, ("Race", ("Q'1", "Q'2")))]
+
+
+def test_a_netlist_state_is_keyed_in_state_bits_order():
+    # the cones list the next bits in ``nexts`` order, which need not be
+    # ``state_bits`` order; the unit must read them back by name
+    machine = loop_block()
+    gates = netlist_of(machine, "loop")
+    flipped = dataclasses.replace(gates, nexts=gates.nexts[::-1])
+    assert [b for b, _ in flipped.nexts] != list(gates.state_bits)
+    for stim in (LOOP_STIM, loop_stimulus(3), loop_stimulus(4) * 2):
+        want = sim.simulate(gates, stim, max_cycles=1000, arena=machine.arena)
+        got = sim.simulate(flipped, stim, max_cycles=1000, arena=machine.arena)
+        assert want.status == "Completed"
+        assert (got.as_dict(), got.at_reset) == (want.as_dict(), want.at_reset)
 
 
 def test_compiling_and_simulating_leave_no_cyclic_garbage():
