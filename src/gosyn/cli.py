@@ -67,17 +67,22 @@ def _parser() -> argparse.ArgumentParser:
                    help="print the functional-form term")
     c.set_defaults(run=_run_check)
 
-    i = sub.add_parser("ir", help="dump the compiler's view of a program or type")
+    # argparse leaves a group that mixes a positional and an option out of
+    # the usage line, so it is written out here
+    i = sub.add_parser("ir", help="dump the compiler's view of a program or type",
+                       usage="%(prog)s [-h] (file | --arena TYPE) [--sync] [--min "
+                             "{plain,protocol} | --no-minimize] [--json PATH] [--dot PATH]")
     what = i.add_mutually_exclusive_group(required=True)
     what.add_argument("file", nargs="?", help="program source (omit with --arena)")
     what.add_argument("--arena", metavar="TYPE",
                       help="describe the interface of a type instead of a program")
     i.add_argument("--sync", action="store_true",
                    help="dump the clocked machine instead of the event automaton")
-    i.add_argument("--min", choices=("plain", "protocol"), default="protocol",
-                   help="state minimization applied with --sync")
-    i.add_argument("--no-minimize", action="store_true",
-                   help="keep the raw round-abstracted machine")
+    mode = i.add_mutually_exclusive_group()
+    mode.add_argument("--min", choices=("plain", "protocol"), default="protocol",
+                      help="state minimization applied with --sync")
+    mode.add_argument("--no-minimize", action="store_true",
+                      help="keep the raw round-abstracted machine")
     i.add_argument("--json", metavar="PATH", help="write JSON here instead of stdout")
     i.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
     i.set_defaults(run=_run_ir)
@@ -86,8 +91,9 @@ def _parser() -> argparse.ArgumentParser:
     co.add_argument("file", help="program source")
     co.add_argument("-o", "--output", metavar="PATH", help="Verilog output (default stdout)")
     co.add_argument("--top", metavar="NAME", help="top module name (default: file stem)")
-    co.add_argument("--min", choices=("plain", "protocol"), default="protocol")
-    co.add_argument("--no-minimize", action="store_true")
+    mode = co.add_mutually_exclusive_group()
+    mode.add_argument("--min", choices=("plain", "protocol"), default="protocol")
+    mode.add_argument("--no-minimize", action="store_true")
     co.add_argument("--json", metavar="PATH", help="also dump the netlists as JSON")
     co.add_argument("--dot", metavar="PATH", help="also dump the netlists as DOT")
     co.set_defaults(run=_run_compile)

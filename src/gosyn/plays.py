@@ -23,9 +23,10 @@ position) pairs.  :func:`decide` is the one transition on it per move, and
 its answers per arena, so the monitor, the simulator and ``syncmin`` search
 a round once however often it recurs.  A move is legal only if one of its
 enablers is pending, and a pending enabler has been seen, so the set of
-moves seen so far never decides legality; the monitor derives it from its
-log of rounds only to name a refusal Justification (no enabler ever seen)
-rather than Fork.
+moves seen so far never decides legality.  :func:`blame` takes it only to
+name a refusal Justification (no enabler ever seen) rather than Fork: the
+simulator, which holds keys alone, passes the moves of its earlier rounds,
+and :class:`PlayMonitor` derives them from its log of rounds.
 
 A round has a legal order only if its moves nest: each request's answers
 and openings alternate, and each of its pending intervals lies inside one
@@ -80,7 +81,7 @@ def decide(arena: Arena, key: Key, m: Move) -> tuple[Optional[Key], int, Optiona
     position in ``key`` of the request that justifies it (-1 for an initial
     request), or ``(None, -1, rule)`` naming the rule that refuses it.  The
     rule "Fork" stands for "no enabler is pending"; telling Justification
-    apart needs the seen set, which only :class:`PlayMonitor` keeps.
+    apart needs the moves seen, which :func:`blame` takes.
     """
     enablers = arena.enablers_of(m)
     if not enablers:  # initial request
@@ -147,28 +148,6 @@ class PlayMonitor:
     def legal_moves(self) -> tuple[Move, ...]:
         return tuple(m for m in self.arena.moves if self.would_accept(m))
 
-    def probe(self) -> "PlayMonitor":
-        """A fresh monitor at this one's state, for trying moves without harm.
-
-        It refuses the same moves under the same rules, but as a restored
-        monitor it reports positions counted from the pending requests."""
-        mon = PlayMonitor(self.arena, self._key)
-        mon._known |= self._replay()[1]
-        return mon
-
-    def blame(self, moves: Sequence[Move]) -> tuple[int, Violation]:
-        """Where a round with no legal order breaks when stepped as given.
-
-        Returns the index in ``moves`` of the first refused move and the
-        violation a :meth:`probe` reports for it.
-        """
-        probe = self.probe()
-        for i, m in enumerate(moves):
-            v = probe.step(m)
-            if v is not None:
-                return i, v
-        raise ValueError("the round is legal in the given order")
-
     def _replay(self) -> tuple[list[Optional[int]], set[Move]]:
         """The justifier position of each move played, and every move seen,
         derived from the logged rounds when asked."""
@@ -197,12 +176,10 @@ class PlayMonitor:
         """
         if self.failure is not None:
             raise RuntimeError("monitor already failed; create a fresh one")
-        nxt, j, rule = decide(self.arena, self._key, m)
+        nxt, j, _ = decide(self.arena, self._key, m)
         if nxt is None:
-            if rule == "Fork" and not (self.arena.enablers_of(m) & self._replay()[1]):
-                rule = "Justification"
-            name = self.arena.name(m)
-            self.failure = Violation(rule, self._length, name, _MESSAGES[rule].format(name=name))
+            v = blame(self.arena, self._key, (m,), self._replay()[1])[1]
+            self.failure = Violation(v.rule, self._length, v.move, v.message)
             return self.failure
         self.take(((m, j, nxt),))
         return None
@@ -228,6 +205,28 @@ _MESSAGES = {
     "Serial": "that request is still pending; re-issuing it must wait",
     "Wait": "the request it answers still has pending sub-requests",
 }
+
+
+def blame(arena: Arena, key: Key, moves: Sequence[Move], seen) -> tuple[int, Violation]:
+    """Where a round with no legal order breaks when stepped as given from ``key``.
+
+    ``seen`` holds the moves played before ``key``.  Returns the index in
+    ``moves`` of the first refused move and its violation, positioned as a
+    monitor restored at ``key`` would report it: counted from the pending
+    requests, so a caller that knows the play's length adds that length
+    less ``len(key)``.
+    """
+    seen = set(seen)
+    at = key
+    for i, m in enumerate(moves):
+        at, _, rule = decide(arena, at, m)
+        if at is None:
+            if rule == "Fork" and arena.enablers_of(m).isdisjoint(seen):
+                rule = "Justification"
+            name = arena.name(m)
+            return i, Violation(rule, len(key) + i, name, _MESSAGES[rule].format(name=name))
+        seen.add(m)
+    raise ValueError("the round is legal in the given order")
 
 
 def check_play(arena: Arena, play: Sequence[str]) -> Verdict:
@@ -402,7 +401,8 @@ def check_sync_trace(arena: Arena, rounds: Sequence[Sequence[str]]) -> tuple[boo
         moves = [arena.by_name(n) for n in r]
         order = linearize_round(arena, mon, moves)
         if order is None:
-            i, v = mon.blame(moves)
+            seen = {arena.by_name(n) for r in lin for n in r}
+            i, v = blame(arena, mon.state_key(), moves, seen)
             return False, lin, Violation(v.rule, consumed + i, v.move, v.message)
         lin.append([arena.name(m) for m in order])
         consumed += len(order)

@@ -19,30 +19,23 @@ repeat preview would pick.
 
 Units hold no state: a preview maps a unit's state and input pulses to its
 outputs, the inputs that fired and its next state, and a netlist's state
-is the tuple of its bits in ``state_bits`` order, so each unit state is
-its own key.  A run simulates each distinct cycle once.  A cycle
-(:func:`_cycle`) is a pure function of its key: the stimulus round offered
-(``()`` once the stimulus is exhausted), the tuple of unit states and each
-monitor scope's pending-forest key and alive flag, since whether rounds
-are vetted (``unsafe``) and whether waves are kept (``vcd``) is fixed for
-the run.  So the run remembers each cycle's outcome under its key, and a
-remembered outcome is played onto the traces and the monitors, and its
-unit states taken, by the same step that plays a fresh one.  A
-finite-state device under a finite protocol state revisits few keys:
-twenty sessions of the ``shared_twice`` demo are 101 cycles but 6 keys.  A
-cycle that raises, that ends the run (a Race, or a violation in safe mode)
-or that kills a scope is never stored: a refusal is named Justification or
-Fork from the moves seen so far, which the key does not hold.  The memo
-lives as long as the run.
-
-A replayed cycle does not build its key either.  Each stored outcome links,
-per offered stimulus round, to the stored outcome of the cycle after it,
-and the key is built and looked up only when that link is missing.  The
-link is exact: a stored outcome neither ends the run nor kills a scope, so
-its key fixes the monitor keys before it, its monitor steps fix them after
-it, and its unit states fix the units; with the offered round that is the
-next key.  A first visit is cheap too: a machine's rows are kept by port
-name, per state, in the order a preview picks them.
+is the tuple of its bits in ``state_bits`` order.  Nor do monitors: an
+interface's protocol state is its pending-forest key (:func:`plays.decide`).
+So a run's state is plain values: the tuple of unit states, the tuple of
+scope keys, and the set of dead scopes (refused a round in unsafe mode;
+each keeps its last key and decides no more rounds).  A cycle
+(:func:`_cycle`) is a pure function of that state and the stimulus round
+offered (``()`` once the stimulus is exhausted), as ``unsafe`` and ``vcd``
+are fixed for the run.  So a run simulates each distinct cycle once and
+plays a remembered outcome as it plays a fresh one, taking its keys and
+unit states.  A finite-state device under a finite protocol state revisits
+few keys: twenty sessions of the ``shared_twice`` demo are 101 cycles but
+6 keys.  A cycle that ends the run (a Race, or a violation in safe mode) or
+that kills a scope is never stored; it reports the refusing scope, and the
+run names the refusal with :func:`plays.blame` from that scope's earlier
+rounds, since only they tell Justification (no enabler ever seen) from
+Fork.  A machine's rows are kept by port name, per state, in the order a
+preview picks them, so a first visit is cheap too.
 
 Status semantics:
 
@@ -60,7 +53,7 @@ Status semantics:
 In safe mode the testbench holds a stimulus round back until the boundary
 monitor would accept it, so driving a device faster than the protocol
 allows defers pulses instead of corrupting the run: :func:`plays.decide_round`
-answers at the monitor's key, and the monitor reads that answer again.
+answers at the boundary scope's key.
 """
 
 from __future__ import annotations
@@ -72,7 +65,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .arena import Arena
 from .design import Design
 from .netlist import NetModule, verilog_name
-from .plays import PlayMonitor, Violation, decide_round
+from .plays import Violation, blame, decide_round
 from .plays import linearize_round  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .plays import restore_monitor  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .syncmin import SyncMachine
@@ -244,11 +237,9 @@ class _Scope:
         self.name = name
         self.arena = arena
         self.prefix = prefix                 # instance name, None = boundary
-        self.monitor = PlayMonitor(arena)
         self.rank = {p: k for k, p in enumerate(arena.port_names())}
         self.openers = tuple([arena.name(m) for m in arena.initials
                               if share and arena.is_input(m)])
-        self.alive = True
 
 
 class _Device(NamedTuple):
@@ -297,9 +288,9 @@ class _Outcome(NamedTuple):
     trace: tuple[str, ...]                     # the boundary round, causally ordered
     rounds: tuple[tuple[str, ...], ...]        # per scope, its round
     wave: Optional[dict[str, bool]]            # pulses per net "inst.port"/"port"; VCD only
-    steps: tuple[tuple, ...]                   # per scope, the decide_round steps it takes
-    died: tuple[tuple[int, Violation], ...]    # scopes whose monitor refused, unsafe mode
-    end: Optional[tuple]                       # ("Race", ports) or ("ProtocolViolation", v)
+    keys: tuple                                # per scope, its pending-forest key after it
+    died: tuple[int, ...]                      # scopes whose monitor refused, unsafe mode
+    end: Optional[tuple]                       # ("Race", ports) or ("ProtocolViolation", scope)
     states: tuple                              # per unit, its state after the clock edge
     quiet: bool                                # no pulse anywhere
     pending: bool                              # quiet, with a question pending somewhere
@@ -325,20 +316,18 @@ def _round_of(here: dict[str, int], rank: dict[str, int]) -> tuple[str, ...]:
     return tuple(sorted([p for p in here if p in rank], key=lambda p: here[p] * n + rank[p]))
 
 
-def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, cycle: int,
-           unsafe: bool, vcd: Optional[str]) -> _Outcome:
-    """Steps 1-6 of one cycle, from the unit ``states`` and the scopes'
-    monitor keys and alive flags, which it only reads; ``cycle`` only names
-    an error."""
+def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, keys: tuple,
+           dead: frozenset, unsafe: bool, vcd: Optional[str]) -> _Outcome:
+    """Steps 1-6 of one cycle, from the unit ``states``, each scope's
+    pending-forest key and the set of ``dead`` scopes; a pure function."""
     units, ties, scopes = dev.units, dev.ties, dev.scopes
     top = scopes[0] if scopes and scopes[0].prefix is None else None
-    vetting = top is not None and not unsafe
 
     # -- 1. hold back a stimulus round the boundary monitor would refuse
     deferred = False
-    if vetting and offered:
+    if top is not None and not unsafe and offered:
         moves = [top.arena.by_name(p) for p in offered]
-        deferred = decide_round(top.arena, top.monitor.state_key(), moves) is None
+        deferred = decide_round(top.arena, keys[0], moves) is None
 
     # -- 2. settle combinational pulses, stamping causality: a pulse is
     # stamped one past the latest pulse that caused it (row inputs for a
@@ -381,33 +370,29 @@ def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, cycle: int,
     for s in scopes:
         opened = [p for p in s.openers if p in stamp[s.prefix]]
         if len(opened) >= 2:
-            return _Outcome(deferred, boundary, rounds, wave, (), (),
+            return _Outcome(deferred, boundary, rounds, wave, keys, (),
                             ("Race", tuple(sorted(opened))), (), False, False)
 
-    # -- 5. decide each live monitor's round
-    steps: list[tuple] = []
-    died: list[tuple[int, Violation]] = []
+    # -- 5. decide each live monitor's round; in safe mode a refusal ends
+    # the cycle, and the scopes before it have still moved
+    after_keys = list(keys)
+    died: list[int] = []
     for k, (s, r) in enumerate(zip(scopes, rounds)):
-        took: tuple = ()
-        if s.alive and r:
-            moves = [s.arena.by_name(p) for p in r]
-            took = decide_round(s.arena, s.monitor.state_key(), moves) or ()
-            if not took:
-                _, v = s.monitor.blame(moves)
-                blamed_input = (s.name == "boundary"
-                                and s.arena.is_input(s.arena.by_name(v.move)))
-                if vetting and blamed_input:
-                    raise SimError(f"cycle {cycle}: stimulus move {v.move} is illegal: {v}")
-                if not unsafe:
-                    return _Outcome(deferred, boundary, rounds, wave, tuple(steps), (),
-                                    ("ProtocolViolation", v), (), False, False)
-                died.append((k, v))
-        steps.append(took)
+        if r and k not in dead:
+            took = decide_round(s.arena, keys[k], [s.arena.by_name(p) for p in r])
+            if took:
+                after_keys[k] = took[-1][2]
+            elif unsafe:
+                died.append(k)
+            else:
+                return _Outcome(deferred, boundary, rounds, wave, tuple(after_keys), (),
+                                ("ProtocolViolation", k), (), False, False)
 
     # -- 6. the clock edge; a quiet cycle moves no monitor
     quiet = not any(stamp.values())
-    pending = quiet and any(s.arena.is_question(m) for s in scopes for m in s.monitor.pending())
-    return _Outcome(deferred, boundary, rounds, wave, tuple(steps), tuple(died), None,
+    pending = quiet and any(s.arena.is_question(m)
+                            for s, key in zip(scopes, keys) for m, _ in key)
+    return _Outcome(deferred, boundary, rounds, wave, tuple(after_keys), tuple(died), None,
                     tuple(after), quiet, pending)
 
 
@@ -421,16 +406,10 @@ def simulate(
 ) -> SimReport:
     """Drive ``device`` with one stimulus round per cycle; see module doc.
 
-    Each distinct cycle is simulated once per run, by :func:`_cycle`.  Its
-    key is the stimulus round offered, the tuple of unit states (each its
-    own key) and each scope's monitor key and alive flag; that is exact
-    because a cycle reads nothing else and ``unsafe`` and ``vcd`` are fixed
-    for the run.  A cycle that raises, ends the run or kills a scope is
-    never stored.  A link holds, for a stored outcome and an offered round,
-    the stored outcome of the next cycle; the pair fixes the next key
-    (module doc), so a linked cycle is replayed without building it.  Links
-    are kept flat, by the outcome's id, so no table refers to another and a
-    run leaves no reference cycle.
+    Each distinct cycle is simulated once per run, by :func:`_cycle`, and
+    remembered under the run's state (unit states, scope keys, dead scopes)
+    and the round offered.  A cycle that ends the run or kills a scope is
+    never stored, and its refusal is named from the scope's earlier rounds.
     """
     dev = _build(device, arena)
     units, bound_in, scopes = dev.units, dev.inputs, dev.scopes
@@ -445,12 +424,19 @@ def simulate(
     played: list[_Outcome] = []            # the outcome of each cycle so far
     idx = 0
 
+    def refusal(k: int) -> Violation:
+        """Scope ``k``'s refusal in the cycle played last, named from its
+        earlier rounds; positions count from its pending requests."""
+        a = scopes[k].arena
+        seen = {a.by_name(p) for o in played[:-1] for p in o.rounds[k]}
+        return blame(a, keys[k], [a.by_name(p) for p in played[-1].rounds[k]], seen)[1]
+
     def finish(status, cyc, cycles, race=(), viol=None):
         if vcd:
             _write_vcd(vcd, dev.ports, units, [o.wave for o in played],
                        hierarchical=isinstance(device, Design))
         pend = tuple([
-            f"{s.name}:{s.arena.name(m)}" for s in scopes for m in s.monitor.pending()
+            f"{s.name}:{s.arena.name(m)}" for s, key in zip(scopes, keys) for m, _ in key
             if s.arena.is_question(m)
         ])
         return SimReport(
@@ -464,46 +450,39 @@ def simulate(
         )
 
     memo: dict[tuple, _Outcome] = {}
-    # id of a stored outcome -> offered round -> the stored outcome of the
-    # next cycle; ``nexts`` holds the links out of the one played last
-    links: dict[int, dict[tuple, _Outcome]] = {}
-    nexts: Optional[dict[tuple, _Outcome]] = None
     # tuple() of a list, not of a generator, on every per-run path: a
     # generator's tuple is allocated for ten items and shrunk, which over
     # thousands of runs fills the interpreter's tuple free lists (about
     # 1.2 MB of them, measured on the benchmark's sim rounds)
     reset = states = tuple([u.reset for u in units.values()])
+    keys = tuple([()] * len(scopes))
+    dead: frozenset = frozenset()
     for cycle in range(1, max_cycles + 1):
         offered = stim[idx] if idx < len(stim) else ()
-        o = nexts.get(offered) if nexts is not None else None
+        key = (offered, states, keys, dead)
+        o = memo.get(key)
         if o is None:
-            key = (offered, states, tuple([(s.monitor.state_key(), s.alive) for s in scopes]))
-            o = memo.get(key)
-            if o is None:
-                o = _cycle(dev, offered, states, cycle, unsafe, vcd)
-                if o.end is None and not o.died:
-                    memo[key] = o
-                    links[id(o)] = {}
-            if nexts is not None and id(o) in links:
-                nexts[offered] = o
-        nexts = links.get(id(o))
+            o = _cycle(dev, offered, states, keys, dead, unsafe, vcd)
+            if o.end is None and not o.died:
+                memo[key] = o
 
-        # -- play the outcome: record it for the traces, move the monitors,
-        # and take its unit states
+        # -- play the outcome: record it for the traces, take its scope keys,
+        # name its refusals and take its unit states
         if idx < len(stim) and not o.deferred:
             idx += 1
         played.append(o)
-        for s, took in zip(scopes, o.steps):
-            if took:
-                s.monitor.take(took)
-        for k, v in o.died:
-            scopes[k].alive = False
-            diag.append((scopes[k].name, v))
+        keys = o.keys
+        if o.died:
+            diag += [(scopes[k].name, refusal(k)) for k in o.died]
+            dead = dead.union(o.died)
         if o.end is not None:
             status, what = o.end
             if status == "Race":
                 return finish(status, cycle, cycle, race=what)
-            return finish(status, cycle, cycle, viol=what)
+            v, s = refusal(what), scopes[what]
+            if s.prefix is None and s.arena.is_input(s.arena.by_name(v.move)):
+                raise SimError(f"cycle {cycle}: stimulus move {v.move} is illegal: {v}")
+            return finish(status, cycle, cycle, viol=v)
         states = o.states
 
         # -- 7. quiet-cycle resolution

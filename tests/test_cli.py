@@ -51,12 +51,23 @@ def test_check_reports_a_missing_file(tmp_path, capsys):
     ["sim", "x.sci", "--stimulus", "x.stim", "--max-cycles", "-3"],
     ["ir", "--async", "x.sci"],
     ["ir"], ["ir", "x.sci", "--arena", "com"],
+    ["ir", "--sync", "x.sci", "--min", "plain", "--no-minimize"],
+    ["compile", "x.sci", "--no-minimize", "--min", "plain"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "usage: gosyn" in capsys.readouterr().err
+
+
+def test_ir_usage_shows_that_it_takes_a_file_or_an_arena(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ir", "-h"])
+    assert exc.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert usage == ("usage: gosyn ir [-h] (file | --arena TYPE) [--sync] "
+                     "[--min {plain,protocol} | --no-minimize] [--json PATH] [--dot PATH]")
 
 
 def test_sim_refuses_a_stimulus_for_another_interface(capsys):

@@ -6,6 +6,8 @@ import that nothing in its module reads, and that ``__all__`` does not
 export, is dead, unless its line is marked ``# noqa``: those are the names
 the tracer wraps there, and a marked name the tracer does not wrap in its
 module fails the check.  Every name ``gosyn.__all__`` exports resolves, once.
+No module reads a private field (``_name``, not a dunder) of anything but
+``self`` or ``cls``: each object keeps its own.
 """
 
 import ast
@@ -94,3 +96,23 @@ def test_public_names_resolve():
 
 def test_public_names_are_listed_once():
     assert len(set(gosyn.__all__)) == len(gosyn.__all__)
+
+
+def _private_reads(path: Path) -> list[str]:
+    return sorted(f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+
+
+def test_private_read_check_sees_other_objects_fields(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class A:\n    def f(self, other):\n        self._x = other._y\n"
+                    "        other._z |= 1\n        return type(other).__name__, self._x\n")
+    assert _private_reads(path) == ["mod.py:3 other._y", "mod.py:4 other._z"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_field_reads(path):
+    assert _private_reads(path) == []

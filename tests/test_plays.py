@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from helpers import LimitExceeded, ProtocolAutomaton, enumerate_plays
 
-from gosyn.arena import arena_of_type
-from gosyn.plays import PlayMonitor, check_play, check_sync_trace, linearize_round
+from gosyn.arena import arena_of_type, sharing_arena
+from gosyn.plays import (PlayMonitor, blame, check_play, check_sync_trace, decide,
+                         decide_round, linearize_round)
 from gosyn.syntax import parse_type
 
 FN = arena_of_type(parse_type("com -> com"))
@@ -116,22 +117,59 @@ def test_would_accept_agrees_with_step():
     assert not mon.would_accept(FN.by_name("a2"))
 
 
-def test_probe_refuses_like_the_monitor_and_leaves_it_alone():
+def test_blame_names_a_refusal_from_the_moves_seen():
     mon = PlayMonitor(FN)
     for n in ("q1", "q2", "a2", "q2"):
         assert mon.step_name(n) is None
-    probe = mon.probe()
-    assert probe.state_key() == mon.state_key()
+    seen = {FN.by_name(n) for n in ("q1", "q2", "a2")}
     # positions count from the two pending requests, not from the four moves
-    assert str(probe.step_name("q2")) == (
-        "Serial violation at move 2 (q2): that request is still pending; re-issuing it must wait")
-    assert probe.failure is not None and mon.failure is None
+    i, v = blame(FN, mon.state_key(), [FN.by_name("q2")], seen)
+    assert (i, str(v)) == (0, "Serial violation at move 2 (q2): that request is still "
+                              "pending; re-issuing it must wait")
     assert mon.step_name("a2") is None
-    # q2 was seen before the probe, so a second a2 is a Fork, not a Justification
-    assert str(mon.probe().step_name("a2")) == (
+    # q2 was seen before, so a second a2 is a Fork, not a Justification
+    assert str(blame(FN, mon.state_key(), [FN.by_name("a2")], seen)[1]) == (
         "Fork violation at move 1 (a2): every request that enables it has already completed")
+    assert blame(FN, mon.state_key(), [FN.by_name("a2")], ())[1].rule == "Justification"
+    # a move the round steps before the refused one counts as seen
+    i, v = blame(FN, mon.state_key(), [FN.by_name(n) for n in ("q2", "a2", "a2")], ())
+    assert (i, v.rule, v.index) == (2, "Fork", 3)
+    with pytest.raises(ValueError):
+        blame(FN, mon.state_key(), [FN.by_name("a1")], seen)
     assert mon.step_name("a1") is None
     assert mon.complete()
+
+
+@pytest.mark.parametrize("arena", [FN, sharing_arena(parse_type("com -> com")),
+                                   arena_of_type(parse_type("cell"))],
+                         ids=["com -> com", "share com -> com", "cell"])
+def test_blame_names_a_refusal_as_the_monitor_does(arena):
+    rng = random.Random(5)
+    refused = {"Justification": 0, "Fork": 0}
+    for _ in range(300):
+        mon = PlayMonitor(arena)
+        play: list = []
+        for _ in range(rng.randrange(1, 12)):
+            # mostly moves legal in turn, shuffled, now and then any move
+            moves, at = [], mon.state_key()
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                legal = [m for m in arena.moves if decide(arena, at, m)[0] is not None]
+                m = rng.choice(legal if legal and rng.random() < 0.8 else arena.moves)
+                moves.append(m)
+                at = decide(arena, at, m)[0] or at
+            rng.shuffle(moves)
+            if decide_round(arena, mon.state_key(), moves) is None:
+                i, v = blame(arena, mon.state_key(), moves, play)
+                ref = PlayMonitor(arena)
+                for m in play + moves[:i]:
+                    assert ref.step(m) is None
+                want = ref.step(moves[i])
+                assert (v.rule, v.move) == (want.rule, want.move)
+                assert v.index + len(play) - len(mon.state_key()) == want.index
+                refused[v.rule] = refused.get(v.rule, 0) + 1
+                break
+            play += linearize_round(arena, mon, moves)
+    assert min(refused.values()) >= 10, refused
 
 
 def test_protocol_automaton_structure():

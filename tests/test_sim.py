@@ -11,14 +11,14 @@ a counter on the machine units' previews checks that the settle loop skips
 the others.  A cycle that recurs within a run is simulated once, and a
 round the monitors have decided once is not decided again: counters on
 the previews, on the netlist's cone evaluations and on ``plays.decide``
-check that twenty sessions cost no more than one.  A replayed cycle
-follows a link and builds no key, which a counter on the monitors' key
-reads checks.  A machine unit picks its row from a per-machine table by
-port name; ``helpers.reference_preview`` scans the rows as the unit once
-did, and the two must agree.  Units hold no state, so ``sim._cycle``
-called twice at one key gives one outcome and moves no monitor; and a
-netlist's state is keyed in ``state_bits`` order whatever order its cones
-list the next bits in.
+check that twenty sessions cost no more than one.  A machine unit picks
+its row from a per-machine table by port name;
+``helpers.reference_preview`` scans the rows as the unit once did, and the
+two must agree.  Neither units nor scopes hold state: a run's state is the
+unit states, each scope's pending-forest key and the dead scopes, so
+``sim._cycle`` called twice at one such state gives one outcome and
+changes no scope; and a netlist's state is keyed in ``state_bits`` order
+whatever order its cones list the next bits in.
 """
 
 import dataclasses
@@ -228,24 +228,6 @@ def test_a_recurring_cycle_is_simulated_once(monkeypatch):
     assert 0 < counts[1] <= counts[0], counts
 
 
-def test_a_replayed_cycle_builds_no_key(monkeypatch):
-    # a cycle's key holds every scope's monitor key, so counting the calls
-    # that read one counts the keys built (and the misses' own reads)
-    design = compile_design((DEMOS / "shared_twice.sci").read_text(), name="shared_twice")
-    stim = sim.parse_stimulus((DEMOS / "shared_twice.stim").read_text())
-    reads = _count_calls(monkeypatch, plays.PlayMonitor, "state_key")
-    counts = []
-    for sessions in (1, 20):
-        reads.clear()
-        report = sim.simulate(design, stim * sessions, max_cycles=1000)
-        assert (report.status, report.cycles) == ("Completed", 6 if sessions == 1 else 101)
-        counts.append(len(reads))
-    # building the key of every cycle read 38 for one session and 323 for
-    # twenty; linked replays build one more key, where a session starts again
-    scopes = len(design.instances) + 1
-    assert counts[1] <= counts[0] + 2 * scopes, counts
-
-
 def _preview_machines():
     for path in sorted(DEMOS.glob("*.sci")):
         auto = denote(typecheck(parse(path.read_text())))
@@ -277,29 +259,24 @@ def test_the_name_table_picks_the_row_the_scan_picks():
 def _cycles_twice(device, stim, unsafe=False, arena=None) -> list:
     """Each cycle's outcome, from ``sim._cycle`` called twice at its key.
 
-    Both calls must agree and leave every monitor's key, round log and
-    alive flag as they were; the outcome is then played as ``simulate``
-    plays it, until the run would end."""
+    Both calls must agree and leave every scope as it was; the outcome is
+    then played as ``simulate`` plays it, taking its scope keys, dead scopes
+    and unit states, until the run would end."""
     dev = sim._build(device, arena)
-    looks = lambda: [(s.monitor.state_key(), s.monitor.justifiers(), s.alive)
-                     for s in dev.scopes]
+    looks = lambda: [dict(vars(s)) for s in dev.scopes]
     states = tuple([u.reset for u in dev.units.values()])
+    keys, dead = tuple([()] * len(dev.scopes)), frozenset()
     played, idx = [], 0
     for cycle in range(1, 200):
         offered = stim[idx] if idx < len(stim) else ()
         before = looks()
-        o = sim._cycle(dev, offered, states, cycle, unsafe, None)
-        assert sim._cycle(dev, offered, states, cycle, unsafe, None) == o
+        o = sim._cycle(dev, offered, states, keys, dead, unsafe, None)
+        assert sim._cycle(dev, offered, states, keys, dead, unsafe, None) == o
         assert looks() == before
         played.append(o)
         if o.end is not None or (o.quiet and (o.deferred or idx >= len(stim))):
             return played
-        for s, took in zip(dev.scopes, o.steps):
-            if took:
-                s.monitor.take(took)
-        for k, _ in o.died:
-            dev.scopes[k].alive = False
-        states = o.states
+        keys, dead, states = o.keys, dead.union(o.died), o.states
         idx += idx < len(stim) and not o.deferred
     raise AssertionError("the run did not end")
 
