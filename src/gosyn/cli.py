@@ -79,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
     i.add_argument("--sync", action="store_true",
                    help="dump the clocked machine instead of the event automaton")
     mode = i.add_mutually_exclusive_group()
-    mode.add_argument("--min", choices=("plain", "protocol"), default="protocol",
+    mode.add_argument("--min", choices=("plain", "protocol"), default=None,
                       help="state minimization applied with --sync")
     mode.add_argument("--no-minimize", action="store_true",
                       help="keep the raw round-abstracted machine")
@@ -92,7 +92,7 @@ def _parser() -> argparse.ArgumentParser:
     co.add_argument("-o", "--output", metavar="PATH", help="Verilog output (default stdout)")
     co.add_argument("--top", metavar="NAME", help="top module name (default: file stem)")
     mode = co.add_mutually_exclusive_group()
-    mode.add_argument("--min", choices=("plain", "protocol"), default="protocol")
+    mode.add_argument("--min", choices=("plain", "protocol"), default=None)
     mode.add_argument("--no-minimize", action="store_true")
     co.add_argument("--json", metavar="PATH", help="also dump the netlists as JSON")
     co.add_argument("--dot", metavar="PATH", help="also dump the netlists as DOT")
@@ -148,7 +148,7 @@ def _run_ir(args) -> int:
     src = Path(args.file).read_text()
     stem = Path(args.file).stem
     if args.sync:
-        mode = "none" if args.no_minimize else args.min
+        mode = "none" if args.no_minimize else args.min or "protocol"
         x = clock_block(denote(typecheck(parse(src))), mode)
         print(f"{x.n_states} states, clocked rounds:")
         print(x.describe())
@@ -187,7 +187,7 @@ def _arena_table(a: Arena) -> str:
 def _run_compile(args) -> int:
     src = Path(args.file).read_text()
     name = args.top or Path(args.file).stem
-    mode = "none" if args.no_minimize else args.min
+    mode = "none" if args.no_minimize else args.min or "protocol"
     design = compile_design(src, name=name, min_mode=mode)
     mods = netlists_of_design(design)
     _write_or_print(design_verilog(design, mods), args.output)

@@ -227,18 +227,26 @@ def _reduced_support(entries, inputs: tuple[str, ...], outs_of, en_map):
 def synthesis_view(m: SyncMachine) -> SyncMachine:
     """The round table synthesis starts from.
 
-    Two reductions relative to the machine: rounds no legal environment can
-    produce are removed, and so are rounds in which two opening requests
-    land in the same cycle.  Simultaneous openings are a race, and races are
-    reported by the simulator rather than arbitrated in gates; keeping such
-    rows would force every output cone to read the other client's request
-    lines just to reproduce an arbitrary tie-break.
+    Two reductions relative to the machine, in this order.  First, rounds in
+    which two opening requests land in the same cycle are dropped.
+    Simultaneous openings are a race, and races are reported by the
+    simulator rather than arbitrated in gates; keeping such rows would force
+    every output cone to read the other client's request lines just to
+    reproduce an arbitrary tie-break.  Then rounds no legal environment can
+    produce are removed, by :func:`prune_inadmissible` on the race-free
+    table, so the protocol product it walks never enters a context that
+    only a race reaches.
+
+    Dropping races first is sound: a run the simulator completes never
+    presents two openings in one cycle (it stops with ``Race``), so it
+    reaches only contexts the race-free walk reaches too.  The rows kept
+    are a subset of those that pruning first and dropping races second
+    would keep; each row left out was admissible only after a race.
     """
-    m = prune_inadmissible(m)
     inits = frozenset(x for x in m.arena.initials if m.arena.is_input(x))
     table = {s: {i: e for i, e in row.items() if len(i & inits) <= 1}
              for s, row in m.transitions.items()}
-    return SyncMachine(m.arena, table, m.initial)
+    return prune_inadmissible(SyncMachine(m.arena, table, m.initial))
 
 
 def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:

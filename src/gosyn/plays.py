@@ -223,8 +223,7 @@ def blame(arena: Arena, key: Key, moves: Sequence[Move], seen) -> tuple[int, Vio
         if at is None:
             if rule == "Fork" and arena.enablers_of(m).isdisjoint(seen):
                 rule = "Justification"
-            name = arena.name(m)
-            return i, Violation(rule, len(key) + i, name, _MESSAGES[rule].format(name=name))
+            return i, Violation(rule, len(key) + i, arena.name(m), _MESSAGES[rule])
         seen.add(m)
     raise ValueError("the round is legal in the given order")
 

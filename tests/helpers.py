@@ -22,6 +22,11 @@ sets are checked.  ``expr_eval`` walks a netlist expression tree, against
 which the library's compiled cones are checked.
 ``reference_prune_inadmissible`` is the depth-first pruning walk, against
 which the library's breadth-first product walk is checked.
+``reference_synthesis_view`` prunes first and drops race rows second, the
+order that ``synthesis_view`` used before it dropped races first; the
+library's view is checked to be a sub-table of it.  ``SHARED_TYPES`` lists
+the types whose duplicators and call managers are pinned, and
+``SLOW_MANAGERS`` those whose managers take seconds to build or refuse.
 ``reference_preview`` picks a machine unit's row by scanning every row of
 its state, against which the simulator's name tables are checked.
 ``parse_json`` and ``from_dict`` read back what ``gosyn.serialize`` writes;
@@ -51,7 +56,7 @@ from gosyn.design import Design, compile_design
 from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr, NetModule
 from gosyn.plays import PlayMonitor, decide, linearize_round
 from gosyn.sim import SimReport, simulate
-from gosyn.syncmin import NonConfluent, SyncMachine, _cascade
+from gosyn.syncmin import NonConfluent, SyncMachine, _cascade, prune_inadmissible
 from gosyn.syntax import (
     App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod, Snd, Term, Var,
     parse_type, type_to_str,
@@ -61,6 +66,14 @@ from gosyn.typecheck import typecheck
 COM = Com()
 EXP = Exp()
 CELL = Cell()
+
+SHARED_TYPES = (
+    "com", "exp", "cell", "com -> com", "exp -> com", "com -> exp", "exp -> exp",
+    "com -> com -> com", "(com -> com) -> com", "(exp -> com) -> com", "exp -> exp -> exp",
+    "cell -> com", "com * com", "com * exp", "exp * exp", "com * com * com",
+    "com -> cell", "cell * exp", "cell * cell",
+)
+SLOW_MANAGERS = ("com -> cell", "cell * exp", "cell * cell")  # seconds to refuse or build
 
 
 # ----------------------------------------------------------- source printing
@@ -727,6 +740,17 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
                        if (s, i) in keep}
              for s in order}
     return SyncMachine(m.arena, table, 0)
+
+
+def reference_synthesis_view(m: SyncMachine) -> SyncMachine:
+    """``synthesis_view`` with its reductions swapped: every round admissible
+    in some context the whole machine reaches, races included, less the
+    rounds with two opening requests."""
+    m = prune_inadmissible(m)
+    inits = frozenset(x for x in m.arena.initials if m.arena.is_input(x))
+    table = {s: {i: e for i, e in row.items() if len(i & inits) <= 1}
+             for s, row in m.transitions.items()}
+    return SyncMachine(m.arena, table, m.initial)
 
 
 # ------------------------------------------------------------ reference relay

@@ -52,7 +52,9 @@ def test_check_reports_a_missing_file(tmp_path, capsys):
     ["ir", "--async", "x.sci"],
     ["ir"], ["ir", "x.sci", "--arena", "com"],
     ["ir", "--sync", "x.sci", "--min", "plain", "--no-minimize"],
+    ["ir", "--sync", "x.sci", "--min", "protocol", "--no-minimize"],
     ["compile", "x.sci", "--no-minimize", "--min", "plain"],
+    ["compile", "x.sci", "--no-minimize", "--min", "protocol"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

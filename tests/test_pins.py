@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import chain
+from helpers import SHARED_TYPES, SLOW_MANAGERS, chain
 from gosyn.cli import main
 from gosyn.denote import const_automaton, diagonal
 from gosyn.design import compile_design, design_verilog, manager_machine
@@ -61,7 +61,7 @@ DESIGN_DIGESTS = {
     "loop": "6665863e3a786fdce0f7e07eac10e9c65a997b91de6577a9a92adc85e292d212",
     "par_pair": "bf41d7db60f85eb5caba466595048974e427593e207038de62287ba59a95c047",
     "seq": "5f5e20b2c737d35172f9840d930edf0e8864632a18e4713edee88f84ee523533",
-    "shared_twice": "1cfd690112fb0c732a72cbc4302ee29f2780dda872ca400ba473c6b83be0ada6",
+    "shared_twice": "371cbe1856243031e25c6483221d7641263b48708158e9dfff5f1d1f1b2b2c3a",
     "true": "c945e417d044422623a5563491398ee7cc184db548f7bf728b3df6f2c9ad578d",
     "seq2": "001340193d65da831b8a8dc27145ad71d5c73897f78db73d10c49d3a9ce62677",
     "seq3": "c7b3b00b55fc9fce0b78d6c64fc0ccbb8affe09083f9a6a8b1b3e59a98745992",
@@ -78,20 +78,12 @@ DESIGN_DIGESTS = {
     "cell_fst": "69f518424f3173f74c2cf9f18536a44d8c1dff01489d79070f50f019abcb2a33",
     "if_if": "7e5311cbff8577610b8f74684724be92d734e27503395dbab365f511bcc33350",
     "while_if": "0840c219bb0cb9ce2cf319cff05d0c78923e94f3466f830ddc9c8c6fc5b74699",
-    "call_if_if": "bdc50229afc660c2fdfee1d0a736be46b88cc06db99dcce00912b1c985afb71b",
+    "call_if_if": "7c32c846996da75f737c3e66fea474609957351a938b552ba948d52cac3f896b",
     "if_if_if": "692ac3a69180b03631ddf58d33e06239eeb483baff114e8f23821baf3ee10bcb",
-    "call_if": "e3a760b52e7a89ec7ac28336c0c373f9694e7f16e4792f7f64c6252847432d9d",
+    "call_if": "6568ef8995fb57d72367c8a905c5698cbd37261515fd6119c183d31fb176ce3f",
     "seq_use3": "34693864cbd79d591a7113ab186a83caa972af54e54c58e5cf59828d7b4c5ec0",
     "dropped": "2fe2be1ed8d75c31079335691c7b02dfc782a6903b92fdc5615b4a2cd6a1ecb2",
 }
-
-SHARED_TYPES = (
-    "com", "exp", "cell", "com -> com", "exp -> com", "com -> exp", "exp -> exp",
-    "com -> com -> com", "(com -> com) -> com", "(exp -> com) -> com", "exp -> exp -> exp",
-    "cell -> com", "com * com", "com * exp", "exp * exp", "com * com * com",
-    "com -> cell", "cell * exp", "cell * cell",
-)
-SLOW_MANAGERS = ("com -> cell", "cell * exp", "cell * cell")  # seconds to refuse or build
 
 DIAGONAL_DIGESTS = {
     "com": "55e44b60008b02f2dee0ed6182505be90447fccf623ed865bd349a63e73b88de",
@@ -151,8 +143,8 @@ CLI_DIGESTS = {
     "compile --json --dot seq": "7ea614e1d9c55d265640063079c3749f8aed4c2608f194d77dd83ad0cf593b79",
     "ir seq": "eab6ae10bd83e6d36912c6996a906994d98452fca956ef720e4ca33f26d87a2b",
     "ir --sync seq": "b6db562b33b059e5807e45046f38373321e3b986b8c35aa9d5a7aeda3df02e1d",
-    "compile shared_twice": "f1cd797b650eb229324e57649a9f1463e0ef080b4c28981e8f59a0fba1217236",
-    "compile --json --dot shared_twice": "3be6b6d89a44c20e51923ad38f84d7b2768edf37a57f97880172f00d009d9cf2",
+    "compile shared_twice": "01e851eea113a63ee41d6534ea183bafb7e6cecef3bef5790e8b7d9092f4aad6",
+    "compile --json --dot shared_twice": "8551ab4f0f94f55e1828d09e827ecb082c8e8799e1acdf772ec610226282b4bc",
     "ir shared_twice": "0dc3b723972b64b3aff1d4912f6916d460b62e730f437be114f93a455b8e0179",
     "ir --sync shared_twice": "ad8cbab39da34a8c8e5cf67fd01b3c438beaf21da8809297db9cc445a7c218da",
     "compile true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
@@ -175,9 +167,9 @@ CLI_DIGESTS = {
     "ir --sync --min plain seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
     "compile --no-minimize seq": "9421f8ea33db489f48375d2ec681a04c09bb943afbef9157ca31d0414a2305cb",
     "ir --sync --no-minimize seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
-    "compile --min plain shared_twice": "90c9cbdc6cd618c04bd9ab39b9b38f4e395b3d98cef689d2d3ab9a0589f905b9",
+    "compile --min plain shared_twice": "d8d1adf4c44be93522f8e562dc4c9ae5918c64e1e8fd9916b05fdf4262c594b9",
     "ir --sync --min plain shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
-    "compile --no-minimize shared_twice": "90c9cbdc6cd618c04bd9ab39b9b38f4e395b3d98cef689d2d3ab9a0589f905b9",
+    "compile --no-minimize shared_twice": "d8d1adf4c44be93522f8e562dc4c9ae5918c64e1e8fd9916b05fdf4262c594b9",
     "ir --sync --no-minimize shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
     "compile --min plain true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
     "ir --sync --min plain true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
