@@ -14,16 +14,20 @@ Ground arenas:
     cell  q(O,Q) t(P,A) f(P,A)                q |- t, q |- f
           wt(O,Q) wf(O,Q) a(P,A)              wt |- a, wf |- a
 
-A product is a disjoint union.  An arrow is a disjoint union in which the
-argument's polarities are flipped and every initial move of the result
-enables every initial move of the argument.  Consequently every enabling
-pair alternates polarity and every enabler is a question; the constructor
-checks both.
+A ground type's initial moves are its O-questions.  A product is a
+disjoint union.  An arrow is its result followed by its argument with the
+argument's polarities flipped, every initial move of the result enabling
+every initial move of the argument.  Consequently every enabling pair
+alternates polarity and every enabler is a question; the constructor
+checks both.  One walk over a type, :func:`type_ports`, lists its ports in
+move order with their polarity and kind, its initial ports and its
+enabling pairs; every arena is built from it.
 
 An :class:`Arena` here carries one face per interface component: the result
-face plus one (flipped) face per free identifier.  Faces of the same type
-share canonical move keys, which is how twin ports are matched when gluing
-automata together.
+face plus one (flipped) face per free identifier.  A face is a result face
+exactly when it is unflipped: the initial moves of result faces enable
+those of the rest.  Faces of the same type share canonical move keys, which
+is how twin ports are matched when gluing automata together.
 """
 
 from __future__ import annotations
@@ -47,12 +51,6 @@ _BASE_ENABLING: dict[type, tuple[tuple[str, str], ...]] = {
     Com: (("q", "a"),),
     Exp: (("q", "t"), ("q", "f")),
     Cell: (("q", "t"), ("q", "f"), ("wt", "a"), ("wf", "a")),
-}
-
-_BASE_INITIALS: dict[type, tuple[str, ...]] = {
-    Com: ("q",),
-    Exp: ("q",),
-    Cell: ("q", "wt", "wf"),
 }
 
 
@@ -79,75 +77,47 @@ class Face:
     label: str
     ty: Type
     flipped: bool      # context faces and shared faces are flipped
-    is_result: bool    # initials of result faces enable initials of the rest
+
+    @property
+    def is_result(self) -> bool:
+        """Unflipped: this face's initials enable the initials of the flipped faces."""
+        return not self.flipped
 
 
-def base_occurrences(t: Type) -> list[tuple[tuple[int, ...], Type]]:
-    """Ground-type occurrences of ``t``, result side first within arrows."""
+Key = tuple[tuple[int, ...], str]              # (path, token)
+Port = tuple[tuple[int, ...], str, str, str]   # (path, token, polarity, kind)
+_OPPOSITE = {"O": "P", "P": "O"}
+
+
+def type_ports(t: Type) -> tuple[list[Port], list[Key], list[tuple[Key, Key]]]:
+    """One walk over ``t``: its ports, its initial ports and its enabling pairs.
+
+    Ports come in move order: result side first within arrows, left first
+    within products.  The other two lists name ports by their keys.  A
+    ground type's initials are its O-questions.
+    """
     if isinstance(t, (Com, Exp, Cell)):
-        return [((), t)]
+        ports = [((), tok, pol, kind) for tok, pol, kind in _BASE_TOKENS[type(t)]]
+        return (ports, [((), tok) for _, tok, pol, kind in ports if (pol, kind) == ("O", "Q")],
+                [(((), a), ((), b)) for a, b in _BASE_ENABLING[type(t)]])
     if isinstance(t, Prod):
-        return (
-            [((0,) + p, g) for p, g in base_occurrences(t.left)]
-            + [((1,) + p, g) for p, g in base_occurrences(t.right)]
-        )
+        halves = ((0, t.left), (1, t.right))
+    elif isinstance(t, Arrow):
+        halves = ((1, t.res), (0, t.arg))
+    else:
+        raise TypeError(f"not a type: {t!r}")
+    ports, initials, enabling = [], [], []
+    for step, sub in halves:
+        flip = isinstance(t, Arrow) and step == 0
+        p, i, e = type_ports(sub)
+        ports += [((step, *path), tok, _OPPOSITE[pol] if flip else pol, kind)
+                  for path, tok, pol, kind in p]
+        initials.append([((step, *path), tok) for path, tok in i])
+        enabling += [(((step, *a), x), ((step, *b), y)) for (a, x), (b, y) in e]
     if isinstance(t, Arrow):
-        return (
-            [((1,) + p, g) for p, g in base_occurrences(t.res)]
-            + [((0,) + p, g) for p, g in base_occurrences(t.arg)]
-        )
-    raise TypeError(f"not a type: {t!r}")
-
-
-def type_initials(t: Type) -> list[tuple[tuple[int, ...], str]]:
-    if isinstance(t, (Com, Exp, Cell)):
-        return [((), tok) for tok in _BASE_INITIALS[type(t)]]
-    if isinstance(t, Prod):
-        return (
-            [((0,) + p, tok) for p, tok in type_initials(t.left)]
-            + [((1,) + p, tok) for p, tok in type_initials(t.right)]
-        )
-    if isinstance(t, Arrow):
-        return [((1,) + p, tok) for p, tok in type_initials(t.res)]
-    raise TypeError(f"not a type: {t!r}")
-
-
-def type_enabling(t: Type) -> list[tuple[tuple[tuple[int, ...], str], tuple[tuple[int, ...], str]]]:
-    """Enabling pairs of ``t`` as (enabler key, enabled key)."""
-    if isinstance(t, (Com, Exp, Cell)):
-        return [(((), a), ((), b)) for a, b in _BASE_ENABLING[type(t)]]
-    if isinstance(t, Prod):
-        out = [(((0,) + p, x), ((0,) + q, y)) for (p, x), (q, y) in type_enabling(t.left)]
-        out += [(((1,) + p, x), ((1,) + q, y)) for (p, x), (q, y) in type_enabling(t.right)]
-        return out
-    if isinstance(t, Arrow):
-        out = [(((1,) + p, x), ((1,) + q, y)) for (p, x), (q, y) in type_enabling(t.res)]
-        out += [(((0,) + p, x), ((0,) + q, y)) for (p, x), (q, y) in type_enabling(t.arg)]
-        out += [
-            (((1,) + p, x), ((0,) + q, y))
-            for p, x in type_initials(t.res)
-            for q, y in type_initials(t.arg)
-        ]
-        return out
-    raise TypeError(f"not a type: {t!r}")
-
-
-def _flips(path: tuple[int, ...], t: Type) -> int:
-    """Number of argument-side arrow edges along ``path``."""
-    n = 0
-    cur = t
-    for step in path:
-        if isinstance(cur, Arrow):
-            if step == 0:
-                n += 1
-                cur = cur.arg
-            else:
-                cur = cur.res
-        elif isinstance(cur, Prod):
-            cur = cur.left if step == 0 else cur.right
-        else:
-            raise ValueError(f"path {path} does not fit type {type_to_str(t)}")
-    return n
+        res, arg = initials
+        return ports, res, enabling + [(r, g) for r in res for g in arg]
+    return ports, initials[0] + initials[1], enabling
 
 
 class Arena:
@@ -163,50 +133,35 @@ class Arena:
         moves: list[Move] = []
         pol: dict[Move, str] = {}
         kind: dict[Move, str] = {}
+        enabling: list[tuple[Move, Move]] = []
+        opening: tuple[list[Move], list[Move]] = ([], [])  # initials of result faces, of the rest
         for f in self.faces:
-            for path, ground in base_occurrences(f.ty):
-                for token, base_pol, base_kind in _BASE_TOKENS[type(ground)]:
-                    m = Move(f.label, path, token)
-                    moves.append(m)
-                    flip = (_flips(path, f.ty) + (1 if f.flipped else 0)) % 2
-                    pol[m] = ("O", "P")[({"O": 0, "P": 1}[base_pol] + flip) % 2]
-                    kind[m] = base_kind
+            ports, initials, pairs = type_ports(f.ty)
+            own: dict[Key, Move] = {}
+            for path, token, p, k in ports:
+                m = own[path, token] = Move(f.label, path, token)
+                moves.append(m)
+                pol[m] = _OPPOSITE[p] if f.flipped else p
+                kind[m] = k
+            enabling += [(own[x], own[y]) for x, y in pairs]
+            opening[f.flipped].extend(own[i] for i in initials)
+        enabling += [(r, c) for c in opening[1] for r in opening[0]]
         self.moves: tuple[Move, ...] = tuple(moves)
         self.rank: dict[Move, int] = {m: k for k, m in enumerate(self.moves)}
         self._pol = pol
         self._kind = kind
-
-        enabling: set[tuple[Move, Move]] = set()
-        for f in self.faces:
-            for (p, x), (q, y) in type_enabling(f.ty):
-                enabling.add((Move(f.label, p, x), Move(f.label, q, y)))
-        result_initials = [
-            Move(f.label, p, tok)
-            for f in self.faces if f.is_result
-            for p, tok in type_initials(f.ty)
-        ]
-        for f in self.faces:
-            if f.is_result:
-                continue
-            for p, tok in type_initials(f.ty):
-                for ini in result_initials:
-                    enabling.add((ini, Move(f.label, p, tok)))
-        # the arena's own move objects, so set lookups succeed on identity
-        own = {m: m for m in self.moves}
-        enabling = {(own[a], own[b]) for a, b in enabling}
         self.enabling: frozenset[tuple[Move, Move]] = frozenset(enabling)
 
-        self._enablers: dict[Move, frozenset[Move]] = {
-            m: frozenset(a for a, b in enabling if b == m) for m in self.moves
-        }
-        self._enabled: dict[Move, frozenset[Move]] = {
-            m: frozenset(b for a, b in enabling if a == m) for m in self.moves
-        }
-        self.initials: frozenset[Move] = frozenset(
-            m for m in self.moves if not self._enablers[m]
-        )
+        enablers: dict[Move, list[Move]] = {m: [] for m in moves}
+        enabled: dict[Move, list[Move]] = {m: [] for m in moves}
+        for x, y in self.enabling:
+            enablers[y].append(x)
+            enabled[x].append(y)
+        self._enablers = {m: frozenset(v) for m, v in enablers.items()}
+        self._enabled = {m: frozenset(v) for m, v in enabled.items()}
+        self.initials: frozenset[Move] = frozenset(m for m in moves if not enablers[m])
 
-        names = names or _standard_names(self)
+        names = names or _standard_names(self.moves)
         if set(names) != set(self.moves):
             raise ValueError("name table does not cover the move set")
         self._names: dict[Move, str] = {m: names[m] for m in self.moves}
@@ -284,38 +239,26 @@ class Arena:
         return f"Arena({parts})"
 
 
-_TOKEN_DISPLAY_ORDER = {"q": 0, "t": 1, "f": 2, "wt": 3, "wf": 4, "a": 5}
-
-
-def _standard_names(a: Arena) -> dict[Move, str]:
+def _standard_names(moves: tuple[Move, ...]) -> dict[Move, str]:
     """Result-first 1-based numbering of ground occurrences across all faces.
 
     A single-occurrence interface keeps the bare token names (q, a, ...).
     """
-    occs: list[tuple[str, tuple[int, ...]]] = []
-    for f in a.faces:
-        for path, _ in base_occurrences(f.ty):
-            occs.append((f.label, path))
-    single = len(occs) == 1
-    index = {occ: i + 1 for i, occ in enumerate(occs)}
-    names: dict[Move, str] = {}
-    for m in a.moves:
-        suffix = "" if single else str(index[(m.face, m.path)])
-        names[m] = f"{m.token}{suffix}"
-    return names
+    index = {occ: k for k, occ in enumerate(dict.fromkeys((m.face, m.path) for m in moves), 1)}
+    if len(index) == 1:
+        return {m: m.token for m in moves}
+    return {m: f"{m.token}{index[m.face, m.path]}" for m in moves}
 
 
 def arena_of_type(t: Type) -> Arena:
     """The arena of a closed type: a single result face."""
-    return Arena([Face("ret", t, flipped=False, is_result=True)])
+    return Arena([Face("ret", t, flipped=False)])
 
 
 def term_arena(result: Type, context: Iterable[tuple[str, Type]]) -> Arena:
     """Interface of a term: result face plus one flipped face per identifier."""
-    faces = [Face("ret", result, flipped=False, is_result=True)]
-    for name, ty in context:
-        faces.append(Face(name, ty, flipped=True, is_result=False))
-    return Arena(faces)
+    return Arena([Face("ret", result, flipped=False)]
+                 + [Face(name, ty, flipped=True) for name, ty in context])
 
 
 def sharing_arena(t: Type) -> Arena:
@@ -324,25 +267,17 @@ def sharing_arena(t: Type) -> Arena:
     Two client faces (p1, p2) and one flipped shared face (p0); port names
     follow the convention that the outermost request/acknowledge pair of a
     face is primed: client 1 is Q'1/A'1 with argument ports Q1/A1, and the
-    shared face is Q'0/A'0/Q0/A0.
+    shared face is Q'0/A'0/Q0/A0.  Deeper occurrences keep an explicit
+    occurrence tag.
     """
-    faces = [
-        Face("p1", t, flipped=False, is_result=True),
-        Face("p2", t, flipped=False, is_result=True),
-        Face("p0", t, flipped=True, is_result=False),
-    ]
-    face_index = {"p1": 1, "p2": 2, "p0": 0}
-    # occurrence 1 (outermost result) is primed, occurrence 2 unprimed,
-    # deeper occurrences keep an explicit occurrence tag
+    ports = type_ports(t)[0]
+    occurrence = {path: j for j, path in enumerate(dict.fromkeys(p[0] for p in ports), 1)}
     names: dict[Move, str] = {}
-    tmp = Arena(faces)  # names recomputed below; reuse structure for moves
-    for label in ("p1", "p2", "p0"):
-        f = tmp.face(label)
-        occs = [path for path, _ in base_occurrences(f.ty)]
-        for j, path in enumerate(occs, start=1):
+    for label, k in (("p1", 1), ("p2", 2), ("p0", 0)):
+        for path, token, _, _ in ports:
+            j = occurrence[path]
             prime = "'" if j == 1 else ""
             tag = "" if j <= 2 else f"_{j}"
-            for m in tmp.face_moves(label):
-                if m.path == path:
-                    names[m] = f"{m.token.upper()}{prime}{face_index[label]}{tag}"
+            names[Move(label, path, token)] = f"{token.upper()}{prime}{k}{tag}"
+    faces = [Face("p1", t, flipped=False), Face("p2", t, flipped=False), Face("p0", t, flipped=True)]
     return Arena(faces, names=names)

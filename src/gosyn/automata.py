@@ -235,7 +235,8 @@ def synchronize_and_hide(
 
     _check_divergence(tau, ext, a, start)
 
-    # hide: subset construction over external labels
+    # hide: subset construction over external labels, numbered breadth-first
+    # over ``out_arena.moves`` as :meth:`StrategyAutomaton.trimmed` numbers
     def closure(states: frozenset) -> frozenset:
         acc = set(states)
         work = list(states)
@@ -256,7 +257,7 @@ def synchronize_and_hide(
 
     rows, _ = explore(closure(frozenset([start])), row_of)
     hidden = sum(len(v) for v in tau.values())
-    out = StrategyAutomaton(out_arena, dict(enumerate(rows)), 0).trimmed()
+    out = StrategyAutomaton(out_arena, dict(enumerate(rows)), 0)
     return out, SyncStats(len(seen), hidden, tuple(stalls))
 
 

@@ -22,7 +22,7 @@ of sharing that the tests hold against the glued one.
 
 from __future__ import annotations
 
-from .arena import Move, arena_of_type, sharing_arena, term_arena
+from .arena import Move, arena_of_type, sharing_arena, term_arena, type_ports
 from .automata import (CompositionStall, StrategyAutomaton, SyncStats, explore, from_rows,
                        glue_pair, relay, synchronize_and_hide)
 from .plays import decide
@@ -131,7 +131,7 @@ def _check_stalls(what: str, stats: SyncStats) -> None:
 
 
 def _keys(ty: Type) -> list[tuple[tuple[int, ...], str]]:
-    return [(m.path, m.token) for m in arena_of_type(ty).moves]
+    return [(path, token) for path, token, _, _ in type_ports(ty)[0]]
 
 
 def identity_strategy(ty: Type, var: str) -> StrategyAutomaton:

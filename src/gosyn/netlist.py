@@ -243,8 +243,7 @@ def synthesis_view(m: SyncMachine) -> SyncMachine:
     are a subset of those that pruning first and dropping races second
     would keep; each row left out was admissible only after a race.
     """
-    inits = frozenset(x for x in m.arena.initials if m.arena.is_input(x))
-    table = {s: {i: e for i, e in row.items() if len(i & inits) <= 1}
+    table = {s: {i: e for i, e in row.items() if len(i & m.arena.initials) <= 1}
              for s, row in m.transitions.items()}
     return prune_inadmissible(SyncMachine(m.arena, table, m.initial))
 

@@ -43,8 +43,8 @@ Status semantics:
 - Deadlock(cycle): a question is pending, no stimulus input is enabled, and
   a whole cycle passes without a pulse.  Running out of max_cycles reports
   the same status with the partial trace.
-- Race(cycle, ports): two opening requests of one shared sub-interface
-  pulse in the same cycle.  Never arbitrated.
+- Race(cycle, ports): two opening requests of one interface (the
+  boundary's or an instance's) pulse in the same cycle.  Never arbitrated.
 - ProtocolViolation: a monitor rejected an observed round.  With
   ``unsafe=True`` violations are recorded as diagnostics and the run
   continues (the escape hatch exists so ill-typed wirings can be watched
@@ -93,11 +93,6 @@ class SimReport:
     @property
     def ok(self) -> bool:
         return self.status == "Completed"
-
-    def moves(self, scope: Optional[str] = None) -> tuple[str, ...]:
-        """The causal linearization of one interface's observed rounds."""
-        rounds = self.trace if scope is None else self.instance_traces[scope]
-        return tuple(name for r in rounds for name in r)
 
     def as_dict(self) -> dict:
         d = {
@@ -230,16 +225,16 @@ class _NetUnit:
 
 class _Scope:
     """A monitored interface: where its port pulses live in the net space,
-    each port's rank in its round, and, for a shared sub-interface, the
-    requests that open a call there."""
+    each port's rank in its round, and the requests that open a session
+    there, when it has two or more (an interface with one cannot race)."""
 
-    def __init__(self, name: str, arena: Arena, prefix: Optional[str], share: bool):
+    def __init__(self, name: str, arena: Arena, prefix: Optional[str]):
         self.name = name
         self.arena = arena
         self.prefix = prefix                 # instance name, None = boundary
         self.rank = {p: k for k, p in enumerate(arena.port_names())}
-        self.openers = tuple([arena.name(m) for m in arena.initials
-                              if share and arena.is_input(m)])
+        opening = [arena.name(m) for m in arena.initials]
+        self.openers = tuple(opening) if len(opening) > 1 else ()
 
 
 class _Device(NamedTuple):
@@ -258,9 +253,8 @@ def _build(device: Device, arena: Optional[Arena]) -> _Device:
         ties: dict[tuple, list[tuple]] = {}
         for src, dst in device.ties:
             ties.setdefault((src.inst, src.port), []).append((dst.inst, dst.port))
-        scopes = [] if device.boundary is None else [_Scope("boundary", device.boundary, None, False)]
-        scopes += [_Scope(n, inst.machine.arena, n, inst.kind == "share")
-                   for n, inst in device.instances.items()]
+        scopes = [] if device.boundary is None else [_Scope("boundary", device.boundary, None)]
+        scopes += [_Scope(n, inst.machine.arena, n) for n, inst in device.instances.items()]
         ins, outs = tuple(device.inputs), tuple(device.outputs)
     elif isinstance(device, (SyncMachine, NetModule)):
         unit: Union[_MachineUnit, _NetUnit]
@@ -275,7 +269,7 @@ def _build(device: Device, arena: Optional[Arena]) -> _Device:
         units = {"dev": unit}
         ties = {(None, p): [("dev", p)] for p in ins}
         ties.update({("dev", p): [(None, p)] for p in outs})
-        scopes = [] if mon_arena is None else [_Scope("boundary", mon_arena, None, False)]
+        scopes = [] if mon_arena is None else [_Scope("boundary", mon_arena, None)]
     else:
         raise TypeError(f"cannot simulate {type(device).__name__}")
     return _Device(units, ties, ins, {p: k for k, p in enumerate(ins + outs)}, scopes)
@@ -366,7 +360,7 @@ def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, keys: tuple,
     wave = ({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here}
             if vcd else None)
 
-    # -- 4. race check on shared sub-interfaces
+    # -- 4. race check on every interface with two or more opening requests
     for s in scopes:
         opened = [p for p in s.openers if p in stamp[s.prefix]]
         if len(opened) >= 2:

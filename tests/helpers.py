@@ -31,6 +31,10 @@ the types whose duplicators and call managers are pinned, and
 its state, against which the simulator's name tables are checked.
 ``parse_json`` and ``from_dict`` read back what ``gosyn.serialize`` writes;
 no library code reads JSON.
+``reference_arena`` builds an arena's tables by four separate walks over
+each face's type, with ``reference_sharing_names`` for the duplicator's
+ports, against which the library's one walk (``arena.type_ports``) is
+checked through ``arena_tables``.
 ``reference_relay`` builds a forwarder over the
 whole protocol automaton of its arena, against which the library's on-demand
 relay is checked.  ``compose_oracle`` walks the interleavings of two glued
@@ -753,6 +757,136 @@ def reference_synthesis_view(m: SyncMachine) -> SyncMachine:
     return SyncMachine(m.arena, table, m.initial)
 
 
+# ------------------------------------------------------------ reference arena
+
+_GROUND_TOKENS = {
+    Com: (("q", "O", "Q"), ("a", "P", "A")),
+    Exp: (("q", "O", "Q"), ("t", "P", "A"), ("f", "P", "A")),
+    Cell: (("q", "O", "Q"), ("t", "P", "A"), ("f", "P", "A"),
+           ("wt", "O", "Q"), ("wf", "O", "Q"), ("a", "P", "A")),
+}
+_GROUND_ENABLING = {
+    Com: (("q", "a"),),
+    Exp: (("q", "t"), ("q", "f")),
+    Cell: (("q", "t"), ("q", "f"), ("wt", "a"), ("wf", "a")),
+}
+_GROUND_INITIALS = {Com: ("q",), Exp: ("q",), Cell: ("q", "wt", "wf")}
+
+
+def _occurrences(t) -> list:
+    """Ground-type occurrences of ``t``, result side first within arrows."""
+    if isinstance(t, (Com, Exp, Cell)):
+        return [((), t)]
+    if isinstance(t, Prod):
+        return ([((0,) + p, g) for p, g in _occurrences(t.left)]
+                + [((1,) + p, g) for p, g in _occurrences(t.right)])
+    return ([((1,) + p, g) for p, g in _occurrences(t.res)]
+            + [((0,) + p, g) for p, g in _occurrences(t.arg)])
+
+
+def _initials(t) -> list:
+    if isinstance(t, (Com, Exp, Cell)):
+        return [((), tok) for tok in _GROUND_INITIALS[type(t)]]
+    if isinstance(t, Prod):
+        return ([((0,) + p, tok) for p, tok in _initials(t.left)]
+                + [((1,) + p, tok) for p, tok in _initials(t.right)])
+    return [((1,) + p, tok) for p, tok in _initials(t.res)]
+
+
+def _enabling(t) -> list:
+    if isinstance(t, (Com, Exp, Cell)):
+        return [(((), a), ((), b)) for a, b in _GROUND_ENABLING[type(t)]]
+    if isinstance(t, Prod):
+        halves = ((0, t.left), (1, t.right))
+    else:
+        halves = ((1, t.res), (0, t.arg))
+    out = [(((k,) + p, x), ((k,) + q, y)) for k, h in halves for (p, x), (q, y) in _enabling(h)]
+    if isinstance(t, Arrow):
+        out += [(((1,) + p, x), ((0,) + q, y)) for p, x in _initials(t.res) for q, y in _initials(t.arg)]
+    return out
+
+
+def _flips(path: tuple, t) -> int:
+    """Number of argument-side arrow edges along ``path``."""
+    n = 0
+    for step in path:
+        if isinstance(t, Arrow):
+            n += step == 0
+            t = t.arg if step == 0 else t.res
+        else:
+            t = t.left if step == 0 else t.right
+    return n
+
+
+def reference_arena(faces: Sequence[Face], names: Optional[dict] = None) -> dict:
+    """The tables of ``Arena(faces, names)``, built by four separate walks.
+
+    Ground occurrences, initial moves and enabling pairs each come from
+    their own recursion over a face's type, and each move's polarity from a
+    walk down its path counting argument edges; each move's enablers and
+    enabled moves come from a scan of every enabling pair.  The tables are
+    keyed as :func:`arena_tables` keys an arena's.
+    """
+    moves, pol, kind = [], {}, {}
+    for f in faces:
+        for path, ground in _occurrences(f.ty):
+            for token, base_pol, base_kind in _GROUND_TOKENS[type(ground)]:
+                m = Move(f.label, path, token)
+                moves.append(m)
+                flip = (_flips(path, f.ty) + f.flipped) % 2
+                pol[m] = ("O", "P")[({"O": 0, "P": 1}[base_pol] + flip) % 2]
+                kind[m] = base_kind
+    enabling = {(Move(f.label, p, x), Move(f.label, q, y))
+                for f in faces for (p, x), (q, y) in _enabling(f.ty)}
+    opening = [Move(f.label, p, tok) for f in faces if not f.flipped for p, tok in _initials(f.ty)]
+    enabling |= {(r, Move(f.label, p, tok))
+                 for f in faces if f.flipped for p, tok in _initials(f.ty) for r in opening}
+    enablers = {m: frozenset(a for a, b in enabling if b == m) for m in moves}
+    if names is None:
+        occs = [(f.label, path) for f in faces for path, _ in _occurrences(f.ty)]
+        index = {occ: k for k, occ in enumerate(occs, start=1)}
+        names = {m: m.token + ("" if len(occs) == 1 else str(index[m.face, m.path])) for m in moves}
+    return {
+        "moves": tuple(moves),
+        "rank": {m: k for k, m in enumerate(moves)},
+        "names": {m: names[m] for m in moves},
+        "polarity": pol,
+        "kind": kind,
+        "enablers_of": enablers,
+        "enabled_by": {m: frozenset(b for a, b in enabling if a == m) for m in moves},
+        "enabling": frozenset(enabling),
+        "initials": frozenset(m for m in moves if not enablers[m]),
+    }
+
+
+def reference_sharing_names(ty) -> dict:
+    """Port names of ``sharing_arena(ty)``: per face, occurrence 1 primed,
+    occurrence 2 bare, deeper occurrences tagged with their number."""
+    names = {}
+    for label, k in (("p1", 1), ("p2", 2), ("p0", 0)):
+        for j, (path, ground) in enumerate(_occurrences(ty), start=1):
+            prime = "'" if j == 1 else ""
+            tag = "" if j <= 2 else f"_{j}"
+            for token, _, _ in _GROUND_TOKENS[type(ground)]:
+                names[Move(label, path, token)] = f"{token.upper()}{prime}{k}{tag}"
+    return names
+
+
+def arena_tables(a: Arena) -> dict:
+    """An arena's tables, keyed as :func:`reference_arena` keys them."""
+    return {
+        "moves": a.moves,
+        "rank": a.rank,
+        "names": {m: a.name(m) for m in a.moves},
+        "polarity": {m: a.polarity(m) for m in a.moves},
+        "kind": {m: a.kind(m) for m in a.moves},
+        "enablers_of": {m: a.enablers_of(m) for m in a.moves},
+        "enabled_by": {m: a.enabled_by(m) for m in a.moves},
+        "enabling": a.enabling,
+        "initials": a.initials,
+    }
+
+
 # ------------------------------------------------------------ reference relay
 
 def reference_relay(arena: Arena, twins: dict) -> StrategyAutomaton:
@@ -837,7 +971,7 @@ def reference_preview(m: SyncMachine, state: int, pulsed: frozenset) -> tuple:
 
 def _arena_from(d: dict) -> Arena:
     faces = [
-        Face(f["label"], parse_type(f["type"]), f["flipped"], f["result"])
+        Face(f["label"], parse_type(f["type"]), f["flipped"])
         for f in d["faces"]
     ]
     names = {

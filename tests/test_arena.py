@@ -1,4 +1,11 @@
-"""Interface construction: ports, polarities, enabling, naming."""
+"""Interface construction: ports, polarities, enabling, naming.
+
+Every arena is built from one walk over each face's type;
+``helpers.reference_arena`` builds the same tables by four separate walks,
+and the two must agree on ground types, products, arrows up to third
+order, term interfaces with two context faces and every shared type's
+duplicator interface.
+"""
 
 import copy
 import os
@@ -9,7 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gosyn.arena import Move, arena_of_type, sharing_arena, term_arena
+from helpers import SHARED_TYPES, arena_tables, reference_arena, reference_sharing_names
+from gosyn.arena import Arena, Face, Move, arena_of_type, sharing_arena, term_arena
+from gosyn.denote import identity_strategy
 from gosyn.syntax import Com, parse_type
 
 
@@ -97,6 +106,7 @@ def test_term_interface_adds_flipped_context_faces():
     a = term_arena(Com(), (("x", Com()),))
     assert [f.label for f in a.faces] == ["ret", "x"]
     assert [f.flipped for f in a.faces] == [False, True]
+    assert [f.is_result for f in a.faces] == [True, False]
     assert names(a) == ("q1", "a1", "q2", "a2")
     # the context command is driven by the program: its request is an output
     assert a.polarity(a.by_name("q2")) == "P"
@@ -179,3 +189,50 @@ def test_port_names_are_unique_and_stable(s):
     assert names(b) == ns
     for n in ns:
         assert a.name(a.by_name(n)) == n
+
+
+WALKED_TYPES = SHARED_TYPES + (
+    "com * com -> com", "exp -> com -> exp", "(com -> com) -> com -> com",
+    "((com -> com) -> com) -> com", "((exp -> com) -> exp) -> exp", "(com -> exp) * cell -> com",
+    "cell -> cell -> cell", "(cell * cell -> com) -> exp",
+)
+
+
+@pytest.mark.parametrize("s", WALKED_TYPES)
+def test_one_walk_builds_the_reference_arena(s):
+    t = parse_type(s)
+    assert arena_tables(arena_of_type(t)) == reference_arena([Face("ret", t, False)])
+
+
+@pytest.mark.parametrize("s", SHARED_TYPES)
+def test_one_walk_builds_the_reference_sharing_arena(s):
+    t = parse_type(s)
+    faces = [Face("p1", t, False), Face("p2", t, False), Face("p0", t, True)]
+    assert arena_tables(sharing_arena(t)) == reference_arena(faces, reference_sharing_names(t))
+
+
+@pytest.mark.parametrize("result, x, y", [
+    ("com", "com", "com"), ("exp", "cell", "exp -> exp"), ("com -> com", "com * com", "cell"),
+    ("(com -> com) -> com", "com -> com -> com", "cell * cell"),
+])
+def test_one_walk_builds_the_reference_term_arena(result, x, y):
+    ctx = (("x", parse_type(x)), ("y", parse_type(y)))
+    faces = [Face("ret", parse_type(result), False)] + [Face(n, t, True) for n, t in ctx]
+    assert arena_tables(term_arena(parse_type(result), ctx)) == reference_arena(faces)
+
+
+def test_sharing_and_identity_build_one_arena_each(monkeypatch):
+    built = []
+    init = Arena.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Arena, "__init__", counted)
+    for s in SHARED_TYPES:
+        t = parse_type(s)
+        for build in (lambda: sharing_arena(t), lambda: identity_strategy(t, "x")):
+            built.clear()
+            build()
+            assert len(built) == 1, s

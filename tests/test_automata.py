@@ -1,10 +1,12 @@
 """Strategy automata: relays, composition, hiding, and the trace oracle."""
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import apply_oracle, language, random_term, to_source
+from helpers import apply_oracle, language, random_program, random_term, to_source
 
 from gosyn.arena import Move, arena_of_type, term_arena
 from gosyn.automata import (
@@ -12,6 +14,7 @@ from gosyn.automata import (
     synchronize_and_hide,
 )
 from gosyn.denote import denote, identity_strategy, interpret
+from gosyn.design import compile_design
 from gosyn.plays import check_play
 from gosyn.syntax import Arrow, Com, parse, parse_type
 from gosyn.typecheck import typecheck
@@ -104,6 +107,31 @@ def test_trimmed_renumbers_breadth_first():
     assert t.initial == 0
     assert sorted(t.transitions) == [0, 1]
     assert language(t, 4) == language(m, 4)
+
+
+def _layout(m: StrategyAutomaton) -> tuple:
+    return m.initial, [(s, list(row.items())) for s, row in m.transitions.items()]
+
+
+def test_hiding_numbers_states_as_trimmed_does(monkeypatch):
+    # every composition while compiling the demos and 80 random programs
+    denote_module = importlib.import_module("gosyn.denote")
+    hide = denote_module.synchronize_and_hide
+    hidden = []
+
+    def recorded(*args):
+        out = hide(*args)
+        hidden.append(out[0])
+        return out
+
+    monkeypatch.setattr(denote_module, "synchronize_and_hide", recorded)
+    for path in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.sci")):
+        compile_design(path.read_text())
+    rng = random.Random(5)
+    for _ in range(80):
+        interpret(random_program(rng, depth=3))
+    assert len(hidden) == 303
+    assert [_layout(m) for m in hidden] == [_layout(m.trimmed()) for m in hidden]
 
 
 def test_remapped_preserves_structure():

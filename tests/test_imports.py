@@ -7,7 +7,9 @@ export, is dead, unless its line is marked ``# noqa``: those are the names
 the tracer wraps there, and a marked name the tracer does not wrap in its
 module fails the check.  Every name ``gosyn.__all__`` exports resolves, once.
 No module reads a private field (``_name``, not a dunder) of anything but
-``self`` or ``cls``: each object keeps its own.
+``self`` or ``cls``: each object keeps its own.  Every private module-level
+name is read in its own module, so none is left behind when its last
+reader goes.
 """
 
 import ast
@@ -116,3 +118,31 @@ def test_private_read_check_sees_other_objects_fields(tmp_path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_field_reads(path):
     assert _private_reads(path) == []
+
+
+def _unread_private_names(path: Path) -> list[str]:
+    """Private module-level names (``_name``, not a dunder) that their module never reads."""
+    tree = ast.parse(path.read_text())
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def test_unread_private_name_check_sees_module_level_names(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    _c = 3\n    return _B\n\n"
+                    "class _K:\n    _d = _f\n")
+    assert _unread_private_names(path) == ["mod.py:1 _A", "mod.py:9 _K"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_module_names_are_read(path):
+    assert _unread_private_names(path) == []

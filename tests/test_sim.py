@@ -192,6 +192,20 @@ def test_reports_match_their_pinned_digest(tmp_path):
         "e6f8ed58dddba731fce40157b5bf0056b12118fbe0b1f37af48d850d74b28943")
 
 
+def test_two_openings_of_any_interface_race_at_every_level():
+    # neither interface is a call manager's: a product result, and a cell's
+    # read and write requests; the race cycle's trace is not compared, as
+    # the machine still plays its race row there
+    for source, stim in (("fn c : com -> fn d : com -> <c, d>", [("q1", "q2")]),
+                         ("fn x : cell -> x", [("q1", "wt1")])):
+        machine = clock_block(denote(typecheck(parse(source))), "protocol")
+        reports = [sim.simulate(machine, stim),
+                   sim.simulate(netlist_of(machine), stim, arena=machine.arena),
+                   sim.simulate(compile_design(source), stim)]
+        assert [(r.status, r.cycle, r.race_ports) for r in reports] == \
+            [("Race", 1, tuple(sorted(stim[0])))] * 3, source
+
+
 def _count_calls(monkeypatch, cls, name: str) -> list:
     calls = []
     method = getattr(cls, name)
