@@ -19,9 +19,13 @@ by resolving each move to its most recently opened pending enabler.
 
 The protocol state is the pending forest, encoded as a key of (move, parent
 position) pairs.  :func:`decide` is the one transition on it per move, and
-:func:`decide_round` the one per round of simultaneous pulses; it remembers
-its answers per arena, so the monitor, the simulator and ``syncmin`` search
-a round once however often it recurs.  A move is legal only if one of its
+:func:`decide_round` the one per round of simultaneous pulses.  It
+remembers, per arena, the answer at every node of its search (a key and the
+moves still to place, in order), which is exact because the first legal
+order from a node depends on that node alone.  So the monitor, the
+simulator and ``syncmin`` search a round once however often it recurs, and
+rounds that share a suffix, or whose keys converge, share the search of
+what they have in common.  A move is legal only if one of its
 enablers is pending, and a pending enabler has been seen, so the set of
 moves seen so far never decides legality.  :func:`blame` takes it only to
 name a refusal Justification (no enabler ever seen) rather than Fork: the
@@ -307,8 +311,9 @@ class _NoOrder(Exception):
     """Unwinds the round search once :func:`may_linearize` refuses the round."""
 
 
-# arena -> {(key, round moves): steps or None}.  An answer depends on nothing
-# else, so every caller shares it, and it lives only as long as its arena.
+# arena -> {(key, moves): steps or None}, for every round decided and every
+# node of its search.  An answer depends on nothing else, so every caller
+# shares it, and it lives only as long as its arena.
 _ROUNDS: "weakref.WeakKeyDictionary[Arena, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -320,56 +325,63 @@ def decide_round(arena: Arena, key: Key, moves: Iterable[Move]) -> Optional[tupl
     :func:`decide` takes along it, or None; answers are remembered per arena.
 
     Legality depends only on the pending forest, so the search runs over
-    (key, moves still to place) and remembers the pairs that fail; a
-    success ends the search, so only failures need remembering.  The first
-    time :func:`decide` refuses a move, the whole round is put to
+    nodes (key, moves still to place, in the given order), and the first
+    legal order from a node depends on that node alone: it tries the moves
+    left in their order, each followed by the first legal order from the
+    node it leads to.  So every node's answer, an order or None, is
+    remembered in the same per-arena table as whole rounds, and a round
+    whose rows share a suffix with an earlier one, or whose keys converge
+    on one already searched, reads the answer instead of searching again.
+
+    The first time :func:`decide` refuses a move, the whole round is put to
     :func:`may_linearize`, and a refusal ends the search.  From the first
-    dead end on, every node is put to it before it is expanded, and a
-    refused node is remembered as failed.  Only subtrees holding no legal
-    order are cut, so the order found is unchanged.  Where the check is
-    exact, a round with no order costs one check, and after its first dead
-    end the search enters no subtree that holds no order.  A round whose
-    first choices all succeed never pays for the check.
+    dead end on, met or read from the table, every node is put to it
+    before it is expanded.  Only subtrees holding no legal order are cut,
+    so the order found is unchanged.  Where the check is exact, a round
+    with no order costs one check, and after its first dead end the search
+    enters no subtree that holds no order.  A round whose first choices all
+    succeed never pays for the check.
     """
     moves = tuple(moves)
     memo = _ROUNDS.setdefault(arena, {})
     if (key, moves) in memo:
         return memo[key, moves]
-    failed: set[tuple[Key, int]] = set()
     refused = False  # whether decide has refused a move of this round yet
+    stuck = False    # whether the search has met a dead end yet
 
-    def search(at: Key, rest: int) -> Optional[list[tuple]]:
-        # ``rest`` has bit i set while moves[i] is still to be placed
-        nonlocal refused
+    def search(at: Key, rest: tuple) -> Optional[tuple[tuple, ...]]:
+        nonlocal refused, stuck
         if not rest:
-            return []
-        if (at, rest) in failed:
-            return None
-        if failed and not may_linearize(
-                arena, at, [m for i, m in enumerate(moves) if rest >> i & 1]):
-            failed.add((at, rest))
-            return None
-        for i, m in enumerate(moves):
-            if rest >> i & 1:
+            return ()
+        node = (at, rest)
+        if node in memo:
+            got = memo[node]
+            stuck = stuck or got is None
+            return got
+        got = None
+        if not stuck or may_linearize(arena, at, rest):
+            for k, m in enumerate(rest):
                 nxt, j, _ = decide(arena, at, m)
                 if nxt is not None:
-                    tail = search(nxt, rest & ~(1 << i))
+                    tail = search(nxt, rest[:k] + rest[k + 1:])
                     if tail is not None:
-                        return [(m, j, nxt)] + tail
+                        got = ((m, j, nxt),) + tail
+                        break
                 elif not refused:
                     if not may_linearize(arena, key, moves):
                         raise _NoOrder
                     refused = True
-        failed.add((at, rest))
-        return None
+        memo[node] = got
+        stuck = stuck or got is None
+        return got
 
     try:
-        steps = search(key, (1 << len(moves)) - 1)
+        return search(key, moves)
     except _NoOrder:
-        steps = None
-    del search  # break the closure's reference cycle
-    memo[key, moves] = got = None if steps is None else tuple(steps)
-    return got
+        memo[key, moves] = None
+        return None
+    finally:
+        del search  # break the closure's reference cycle
 
 
 def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move]) -> Optional[list[Move]]:

@@ -45,6 +45,9 @@ Status semantics:
   the same status with the partial trace.
 - Race(cycle, ports): two opening requests of one interface (the
   boundary's or an instance's) pulse in the same cycle.  Never arbitrated.
+  That cycle keeps only the pulses stamped no later than the racing
+  interface's latest opening, so a machine, its gates and a design, which
+  answer a race differently, report the same cycle.
 - ProtocolViolation: a monitor rejected an observed round.  With
   ``unsafe=True`` violations are recorded as diagnostics and the run
   continues (the escape hatch exists so ill-typed wirings can be watched
@@ -354,18 +357,28 @@ def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, keys: tuple,
                 for o in outs:
                     added += _pulse(stamp, ties, u.name, o, base)
 
-    # -- 3. the observed rounds, causally ordered
+    # -- 3. race check on every interface with two or more opening requests:
+    # the cycle keeps only the pulses stamped no later than the racing
+    # scope's latest opening, what led to the race and no unit's answer to
+    # it, so a machine, its gates and a design read the same there
+    race = None
+    for s in scopes:
+        here = stamp[s.prefix]
+        opened = [p for p in s.openers if p in here]
+        if len(opened) >= 2:
+            race = ("Race", tuple(sorted(opened)))
+            last = max([here[p] for p in opened])
+            stamp = {i: {p: st for p, st in pulses.items() if st <= last}
+                     for i, pulses in stamp.items()}
+            break
+
+    # -- 4. the observed rounds, causally ordered
     boundary = _round_of(stamp[None], dev.ports)
     rounds = tuple([_round_of(stamp[s.prefix], s.rank) for s in scopes])
     wave = ({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here}
             if vcd else None)
-
-    # -- 4. race check on every interface with two or more opening requests
-    for s in scopes:
-        opened = [p for p in s.openers if p in stamp[s.prefix]]
-        if len(opened) >= 2:
-            return _Outcome(deferred, boundary, rounds, wave, keys, (),
-                            ("Race", tuple(sorted(opened))), (), False, False)
+    if race is not None:
+        return _Outcome(deferred, boundary, rounds, wave, keys, (), race, (), False, False)
 
     # -- 5. decide each live monitor's round; in safe mode a refusal ends
     # the cycle, and the scopes before it have still moved

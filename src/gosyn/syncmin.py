@@ -162,11 +162,24 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
 
     States are the quiescent (no output pending) automaton states reachable
     by whole rounds, plus restless split points.  Per state, one cascade
-    with every input presented proposes the sets to try: the inputs consumed
-    at each of its nodes where every enabled output has been emitted.  A run
-    that consumes a set in full ends at such a node of that cascade, so a
-    set not proposed cannot be consumed in one round and its entry stays
-    undefined.  Sets are tried by size, then in ``arena.rank`` order, so
+    runs with every input presented, and its *quiescent* nodes, where every
+    output enabled at the node's automaton state has been emitted, are
+    grouped by the inputs they consumed.  A run that consumes only inputs
+    of a set ``I`` is a run of that cascade, and a run of the cascade that
+    consumed a subset of ``I`` is a run with ``I`` presented, so each tried
+    set's outcomes are read from the groups with no cascade of its own:
+
+    * its complete outcomes are the quiescent nodes that consumed exactly
+      ``I``, and such a node is a split (a port would pulse twice) when its
+      state still enables outputs;
+    * a run with ``I`` presented stops short of consuming it when a
+      quiescent node consumed a proper subset of ``I`` and no input of
+      ``I`` left over can be taken at its state.
+
+    A set no quiescent node consumed cannot be consumed in one round, and
+    its entry stays undefined.  Only a set with several complete outcomes
+    gets a cascade of its own, in input order, to tell arrival order from
+    output order.  Sets are tried by size, then in ``arena.rank`` order, so
     rows and state numbers are those of trying every input subset in turn;
     :func:`~gosyn.automata.explore` numbers the landing states in that order.
     """
@@ -174,18 +187,21 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
         raise ValueError("initial state must be quiescent")
     every = frozenset(m for m in auto.arena.moves if auto.arena.is_input(m))
     rank = auto.arena.rank.__getitem__
+    outputs_from = auto.outputs_from
 
     def row_of(s: int, number) -> dict[frozenset, tuple[frozenset, int]]:
         _, seen = _cascade(auto, s, every)
-        proposed = {every - left for t, left, emitted in seen
-                    if left != every and emitted.issuperset(auto.outputs_from(t))}
-        tried = sorted(proposed, key=lambda i: (len(i), sorted(map(rank, i))))
-        if auto.outputs_from(s):
+        quiescent: dict[frozenset, set[tuple[frozenset, int]]] = {}  # consumed -> (emitted, state)
+        for t, left, emitted in seen:
+            if emitted.issuperset(outputs_from(t)):
+                quiescent.setdefault(every - left, set()).add((emitted, t))
+        tried = sorted((i for i in quiescent if i), key=lambda i: (len(i), sorted(map(rank, i))))
+        if outputs_from(s):
             tried.insert(0, frozenset())  # restless: the leftover runs on empty input
         row: dict[frozenset, tuple[frozenset, int]] = {}
         for inputs in tried:
-            outs, _ = _cascade(auto, s, inputs)
-            complete = {(e, t) for e, t, left, blocked in outs if not left and not blocked}
+            nodes = quiescent.get(inputs, ())
+            complete = {(e, t) for e, t in nodes if not outputs_from(t)}
             if len(complete) > 1:
                 # Input-arrival order alone may not decide a round: such a
                 # set is simply not presentable as one round and the entry
@@ -207,8 +223,11 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
             else:
                 # a port would pulse twice: split the round, if that is
                 # unambiguous, and let the leftover run on empty input
-                split = {(e, t) for e, t, left, blocked in outs if not left and blocked}
-                if len(split) != 1 or any(left for _, _, left, _ in outs):
+                split = {(e, t) for e, t in nodes if outputs_from(t)}
+                # and no run may stop short of consuming every input
+                if len(split) != 1 or any(
+                        c < inputs and all(auto.step(t, i) is None for i in inputs - c)
+                        for c, group in quiescent.items() for _, t in group):
                     continue  # not realizable in one cycle; leave undefined
                 (emitted, target), = split
             row[inputs] = (emitted, number(target))
@@ -255,6 +274,13 @@ def minimize(m: SyncMachine) -> SyncMachine:
 
 # ----------------------------------------- protocol-aware (ISFSM) reducer
 
+def _key_after(key: tuple, steps: Optional[tuple]) -> Optional[tuple]:
+    """The pending-forest key the steps of a decided round leave, or None."""
+    if steps is None:
+        return None
+    return steps[-1][2] if steps else key
+
+
 def _round_step(arena: Arena, key: tuple, moves: frozenset) -> Optional[tuple]:
     """The pending-forest key after the round ``moves`` from ``key``, or None.
 
@@ -263,10 +289,7 @@ def _round_step(arena: Arena, key: tuple, moves: frozenset) -> Optional[tuple]:
     it: a round decided while minimizing a block is not decided again when
     its netlist prunes the minimized machine.
     """
-    steps = decide_round(arena, key, sorted(moves, key=arena.rank.__getitem__))
-    if steps is None:
-        return None
-    return steps[-1][2] if steps else key
+    return _key_after(key, decide_round(arena, key, sorted(moves, key=arena.rank.__getitem__)))
 
 
 def _product_states(m: SyncMachine):
@@ -278,14 +301,32 @@ def _product_states(m: SyncMachine):
     leads to carries the key of that canonical order.  Returns the rows of
     the product (input set -> (outputs, product state)) and the index of
     each (machine state, key) pair.
+
+    Each machine state's rows are prepared once, before the walk, however
+    many keys reach it: their moves in rank order, and their *needs*, the enabler sets of
+    the row's non-initial moves that have no enabler in the row.  Such a
+    move is legal only under an enabler pending in the key, so a key is
+    offered only the rows each of whose needs meets its pending requests;
+    :func:`plays.decide_round` would refuse every other row.
     """
+    arena = m.arena
+    rank, enablers_of = arena.rank.__getitem__, arena.enablers_of
+    offers: dict[int, list[tuple]] = {s: [] for s in m.transitions}
+    for s, table in m.transitions.items():
+        for i, (o, d) in table.items():
+            moves = i | o
+            needs = {e for e in map(enablers_of, moves) if e and e.isdisjoint(moves)}
+            offers[s].append((i, o, d, tuple(sorted(moves, key=rank)), needs))
+
     def row_of(state, number) -> dict[frozenset, tuple[frozenset, int]]:
         s, key = state
+        pending = {e for e, _ in key}
         row = {}
-        for i, (o, d) in m.transitions[s].items():
-            after = _round_step(m.arena, key, i | o)
-            if after is not None:
-                row[i] = (o, number((d, after)))
+        for i, o, d, moves, needs in offers[s]:
+            if all(not need.isdisjoint(pending) for need in needs):
+                after = _key_after(key, decide_round(arena, key, moves))
+                if after is not None:
+                    row[i] = (o, number((d, after)))
         return row
 
     return explore((m.initial, ()), row_of)

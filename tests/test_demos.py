@@ -28,7 +28,7 @@ CONCURRENT_CALLS = """\
 status: Race (cycle 1)
 cycles: 1
 raced:  Q'1, Q'2
-  cycle   1: q1 Q'0
+  cycle   1: q1
 """
 
 SHARED_TWICE = """\

@@ -25,7 +25,9 @@ import gosyn.plays
 from helpers import ProtocolAutomaton, ReferenceMonitor, chain, reference_linearize
 from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.denote import interpret
-from gosyn.plays import _ROUNDS, PlayMonitor, decide, linearize_round, may_linearize
+from gosyn.netlist import synthesis_view
+from gosyn.plays import (_ROUNDS, PlayMonitor, decide, decide_round, linearize_round,
+                         may_linearize)
 from gosyn.syncmin import (_product_states, _round_step, minimize_under_protocol,
                            prune_inadmissible, round_abstract)
 from gosyn.syntax import parse_type
@@ -270,6 +272,38 @@ def test_pruning_the_seq12_block_refutes_rounds_without_an_order(monkeypatch):
     assert calls <= 12_000, calls
 
 
+def _counting_decide(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return decide(*args)
+
+    monkeypatch.setattr(gosyn.plays, "decide", counting)
+    return calls
+
+
+def test_minimizing_the_par5_block_offers_each_key_only_rows_it_may_take(monkeypatch):
+    """``plays.decide`` calls of ``minimize_under_protocol`` on the ``par5``
+    block (12,912 when every row was decided at every key and only whole
+    rounds were remembered)."""
+    raw = round_abstract(interpret(chain(5, "||")))
+    _ROUNDS.pop(raw.arena, None)
+    calls = _counting_decide(monkeypatch)
+    assert minimize_under_protocol(raw).n_states == 5
+    assert len(calls) <= 5_000, len(calls)
+
+
+def test_synthesis_reads_the_rounds_minimizing_decided(monkeypatch):
+    """``plays.decide`` calls of ``synthesis_view`` on the minimized ``seq5``
+    block, right after minimizing it (230 when only whole rounds were
+    remembered): its rounds lead through nodes the minimizer searched."""
+    small = minimize_under_protocol(round_abstract(interpret(chain(5, ";"))))
+    calls = _counting_decide(monkeypatch)
+    synthesis_view(small)
+    assert len(calls) <= 40, len(calls)
+
+
 @pytest.mark.parametrize("tyname,kind", ARENAS)
 def test_may_linearize_conditions_each_refuse(tyname, kind):
     a = _arena(tyname, kind)
@@ -300,7 +334,7 @@ def test_may_linearize_conditions_each_refuse(tyname, kind):
 
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
-def test_round_step_is_the_rank_sorted_linearization(tyname, kind):
+def test_round_step_is_the_rank_sorted_linearization(tyname, kind, monkeypatch):
     a = _arena(tyname, kind)
     rng = random.Random(f"step/{tyname}/{kind}")
     keys = _reachable_keys(a)
@@ -318,8 +352,32 @@ def test_round_step_is_the_rank_sorted_linearization(tyname, kind):
     assert any(w is not None for w in want) and None in want
     assert a not in _ROUNDS
     assert [_round_step(a, key, moves) for key, moves in rounds] == want  # cold memo
-    assert len(_ROUNDS[a]) == len(set(rounds))
+    memo = _ROUNDS[a]
+    assert all((key, tuple(sorted(moves, key=a.rank.__getitem__))) in memo
+               for key, moves in rounds)
+    calls = _counting_decide(monkeypatch)
     assert [_round_step(a, key, moves) for key, moves in rounds] == want  # warm memo
+    assert calls == []
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS)
+def test_a_shared_node_memo_answers_every_round_as_a_fresh_search(tyname, kind):
+    """The memo keeps every node of every search, so a round decided after
+    others reads nodes they left; in either order each answer must be the
+    first legal permutation."""
+    a = _arena(tyname, kind)
+    rng = random.Random(f"nodes/{tyname}/{kind}")
+    keys = _reachable_keys(a)
+    rounds = [(rng.choice(keys), tuple(_random_round(a, rng, 0.1))) for _ in range(300)]
+    want = {r: reference_linearize(a, *r) for r in rounds}
+    assert None in want.values() and any(want.values())
+    _ROUNDS.pop(a, None)
+    for _ in range(2):
+        rng.shuffle(rounds)
+        for key, moves in rounds:
+            steps = decide_round(a, key, moves)
+            got = None if steps is None else [m for m, _, _ in steps]
+            assert got == want[key, moves], (key, [a.name(m) for m in moves])
 
 
 def test_round_step_memo_dies_with_its_arena():

@@ -176,7 +176,7 @@ CLI_DIGESTS = {
     "compile --no-minimize true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
     "ir --sync --no-minimize true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "sim --json shared_twice": "27346e37809407dfed4cc015ba75999a1fbac4d896054e03f100f032fb567c72",
-    "sim --json concurrent_calls": "7f07488277226592420693eaf6ffba7622dc41a5d42fae9cb2186c057bd4ad50",
+    "sim --json concurrent_calls": "06ca0dd196ad7f59c4cfbb55c4f211657e335e9274b3dba819635c2cbf013576",
     "sim --json nested_call": "2c392c47ab524bd9337d1d4e00c9f450f32a49bc9ce7dd37a6e328f750064f03",
     "monitor --json nested_call": "375a657815a0f3d379c745ca3e27e27b86edf43549419c141980ea6f21e14356",
     "monitor --json shared_twice": "cead92c72aef72228cce017525b92b4f641495578ebc757090a1c0c87afa25b4",

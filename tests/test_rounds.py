@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gosyn.design
+import gosyn.syncmin
 from helpers import chain, random_program, reference_round_abstract
 from gosyn.arena import arena_of_type
 from gosyn.automata import from_rows
@@ -65,6 +66,24 @@ def test_rounds_match_every_subset_on_design_blocks(monkeypatch):
             compile_design(source)
         except DesignError:
             assert "com * com" in source  # a shared pair has no manager yet
+
+
+def test_one_cascade_per_clocked_state(monkeypatch):
+    """Each state's tried sets are read from its all-inputs cascade; only a
+    set with several complete outcomes gets one more, in input order (par4
+    took 162 cascades and par5 486 when every tried set had its own)."""
+    calls = []
+
+    def counted(auto, start, inputs, input_order=False):
+        calls.append(input_order)
+        return cascade(auto, start, inputs, input_order)
+
+    cascade = gosyn.syncmin._cascade
+    monkeypatch.setattr(gosyn.syncmin, "_cascade", counted)
+    for n, states in ((4, 16), (5, 32)):
+        calls.clear()
+        assert round_abstract(interpret(chain(n, "||"))).n_states == states
+        assert calls.count(False) == states, (n, len(calls))
 
 
 def test_seq14_is_clocked_quickly(criterion):

@@ -186,24 +186,46 @@ def _runs(tmp: Path):
 
 def test_reports_match_their_pinned_digest(tmp_path):
     # 558 runs: 420 Completed, 33 Deadlock, 31 Race and 74 SimErrors, with
-    # Justification, Fork and Serial violations among their diagnostics
+    # Justification, Fork and Serial violations among their diagnostics; a
+    # race cycle shows only the pulses up to the racing scope's openings
     blob = json.dumps(list(_runs(tmp_path)), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "e6f8ed58dddba731fce40157b5bf0056b12118fbe0b1f37af48d850d74b28943")
+        "930dde2a46d2e940eb26f7f83a96ac04b86c71958f20f5092237826beec3d458")
+
+
+RACES = (("fn c : com -> fn d : com -> <c, d>", [("q1", "q2")]),
+         ("fn x : cell -> x", [("q1", "wt1")]),
+         ("fn c : com -> fn d : com -> <c ; d, d>", [("q1", "q2")]))
+
+
+def _race_reports(source: str, stim) -> list:
+    """The reports of the clocked machine, its netlist and the design."""
+    machine = clock_block(denote(typecheck(parse(source))), "protocol")
+    return [sim.simulate(machine, stim),
+            sim.simulate(netlist_of(machine), stim, arena=machine.arena),
+            sim.simulate(compile_design(source), stim)]
 
 
 def test_two_openings_of_any_interface_race_at_every_level():
     # neither interface is a call manager's: a product result, and a cell's
-    # read and write requests; the race cycle's trace is not compared, as
-    # the machine still plays its race row there
-    for source, stim in (("fn c : com -> fn d : com -> <c, d>", [("q1", "q2")]),
-                         ("fn x : cell -> x", [("q1", "wt1")])):
-        machine = clock_block(denote(typecheck(parse(source))), "protocol")
-        reports = [sim.simulate(machine, stim),
-                   sim.simulate(netlist_of(machine), stim, arena=machine.arena),
-                   sim.simulate(compile_design(source), stim)]
-        assert [(r.status, r.cycle, r.race_ports) for r in reports] == \
+    # read and write requests
+    for source, stim in RACES:
+        assert [(r.status, r.cycle, r.race_ports) for r in _race_reports(source, stim)] == \
             [("Race", 1, tuple(sorted(stim[0])))] * 3, source
+
+
+def test_a_race_cycle_reads_the_same_at_every_level():
+    # the machine plays a race row, its gates treat race rounds as
+    # don't-cares and the design ties its openings to a block: the cycle
+    # shows the openings and nothing any of them answers; only the design
+    # has instance scopes, so their traces are left out
+    for source, stim in RACES:
+        dicts = [r.as_dict() for r in _race_reports(source, stim)]
+        assert {k: v for k, v in dicts[2].pop("instances").items() if any(v)} == {}
+        for d in dicts[:2]:
+            assert d.pop("instances") == {}
+        assert dicts == [{"status": "Race", "cycles": 1, "cycle": 1, "trace": [list(stim[0])],
+                          "race_ports": sorted(stim[0])}] * 3, source
 
 
 def _count_calls(monkeypatch, cls, name: str) -> list:
