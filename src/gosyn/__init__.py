@@ -29,12 +29,10 @@ from .syntax import (
 from .typecheck import SciTypeError, Typed, typecheck
 from .arena import Arena, Face, Move, arena_of_type, sharing_arena, term_arena
 from .plays import (
-    PlayMonitor,
     Violation,
     check_play,
     check_sync_trace,
     decide_round,
-    linearize_round,
 )
 from .automata import (
     CompositionStall,
@@ -85,7 +83,6 @@ __all__ = [
     "NetModule",
     "NonConfluent",
     "ParseError",
-    "PlayMonitor",
     "Prod",
     "SciTypeError",
     "SimError",
@@ -112,7 +109,6 @@ __all__ = [
     "functional_form",
     "glue_pair",
     "interpret",
-    "linearize_round",
     "manager_machine",
     "minimize",
     "minimize_under_protocol",

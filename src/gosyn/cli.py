@@ -41,8 +41,9 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except _DOMAIN_ERRORS as e:
-        kind = type(e).__name__
-        print(f"error[{kind}]: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error[{type(e).__name__}]: {message}", file=sys.stderr)
         return 1
 
 

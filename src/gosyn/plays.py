@@ -22,15 +22,18 @@ position) pairs.  :func:`decide` is the one transition on it per move, and
 :func:`decide_round` the one per round of simultaneous pulses.  It
 remembers, per arena, the answer at every node of its search (a key and the
 moves still to place, in order), which is exact because the first legal
-order from a node depends on that node alone.  So the monitor, the
-simulator and ``syncmin`` search a round once however often it recurs, and
-rounds that share a suffix, or whose keys converge, share the search of
-what they have in common.  A move is legal only if one of its
-enablers is pending, and a pending enabler has been seen, so the set of
-moves seen so far never decides legality.  :func:`blame` takes it only to
-name a refusal Justification (no enabler ever seen) rather than Fork: the
-simulator, which holds keys alone, passes the moves of its earlier rounds,
-and :class:`PlayMonitor` derives them from its log of rounds.
+order from a node depends on that node alone.  So
+:func:`check_sync_trace`, the simulator and ``syncmin`` search a round once
+however often it recurs, and rounds that share a suffix, or whose keys
+converge, share the search of what they have in common.
+:func:`check_play` and :func:`check_sync_trace` are folds of the two over a
+play and a clocked trace.
+
+A move is legal only if one of its enablers is pending, and a pending
+enabler has been seen, so the set of moves seen so far never decides
+legality.  :func:`blame` takes it only to name a refusal Justification (no
+enabler ever seen) rather than Fork: its callers hold keys alone and pass
+the moves of their earlier rounds.
 
 A round has a legal order only if its moves nest: each request's answers
 and openings alternate, and each of its pending intervals lies inside one
@@ -110,99 +113,6 @@ def decide(arena: Arena, key: Key, m: Move) -> tuple[Optional[Key], int, Optiona
     return key[:j] + tuple((e, p - 1 if p > j else p) for e, p in tail), j, None
 
 
-class PlayMonitor:
-    """Incremental legality checker; one instance tracks one interface.
-
-    ``PlayMonitor(arena, key)`` restores one at a ``state_key()``: its play is
-    the pending requests alone, whose enablers count as seen.
-    """
-
-    def __init__(self, arena: Arena, key: Key = ()):
-        self.arena = arena
-        self._start: Key = tuple(key)
-        self._key: Key = self._start
-        self._rounds: list[Sequence[tuple]] = []   # the steps of each round played, in order
-        self._known = frozenset(x for m, _ in self._start for x in (m, *arena.enablers_of(m)))
-        self._length = len(self._start)
-        self.failure: Optional[Violation] = None
-
-    # -- queries
-
-    def pending(self) -> tuple[Move, ...]:
-        return tuple(m for m, _ in self._key)
-
-    def pending_names(self) -> tuple[str, ...]:
-        # of a list, not a generator: see the note in sim.simulate
-        return tuple([self.arena.name(m) for m, _ in self._key])
-
-    def complete(self) -> bool:
-        return self.failure is None and not self._key
-
-    def state_key(self) -> Key:
-        """The pending forest as (move, parent position) pairs."""
-        return self._key
-
-    def justifiers(self) -> tuple[Optional[int], ...]:
-        """Per move played, the play position of its justifier (None if initial)."""
-        return tuple(self._replay()[0])
-
-    def would_accept(self, m: Move) -> bool:
-        return decide(self.arena, self._key, m)[0] is not None
-
-    def legal_moves(self) -> tuple[Move, ...]:
-        return tuple(m for m in self.arena.moves if self.would_accept(m))
-
-    def _replay(self) -> tuple[list[Optional[int]], set[Move]]:
-        """The justifier position of each move played, and every move seen,
-        derived from the logged rounds when asked."""
-        at = list(range(len(self._start)))   # play position of each pending request
-        justifiers: list[Optional[int]] = []
-        seen = set(self._known)
-        size = length = len(self._start)
-        for steps in self._rounds:
-            for m, j, nxt in steps:
-                seen.add(m)
-                justifiers.append(at[j] if j >= 0 else None)
-                if len(nxt) > size:
-                    at.append(length)
-                else:
-                    del at[j]
-                size = len(nxt)
-                length += 1
-        return justifiers, seen
-
-    # -- stepping
-
-    def step(self, m: Move) -> Optional[Violation]:
-        """Feed one move; returns the violation if it is illegal.
-
-        After a violation the monitor is poisoned and refuses further moves.
-        """
-        if self.failure is not None:
-            raise RuntimeError("monitor already failed; create a fresh one")
-        nxt, j, _ = decide(self.arena, self._key, m)
-        if nxt is None:
-            v = blame(self.arena, self._key, (m,), self._replay()[1])[1]
-            self.failure = Violation(v.rule, self._length, v.move, v.message)
-            return self.failure
-        self.take(((m, j, nxt),))
-        return None
-
-    def take(self, steps: Sequence[tuple]) -> None:
-        """Play one round: the (move, j, next key) steps :func:`decide_round`
-        returned at this monitor's key.  The steps are only logged, so a
-        round costs the same however long the play has grown."""
-        if self.failure is not None:
-            raise RuntimeError("monitor already failed; create a fresh one")
-        if steps:
-            self._rounds.append(steps)
-            self._key = steps[-1][2]
-            self._length += len(steps)
-
-    def step_name(self, name: str) -> Optional[Violation]:
-        return self.step(self.arena.by_name(name))
-
-
 _MESSAGES = {
     "Justification": "no earlier request enables it",
     "Fork": "every request that enables it has already completed",
@@ -215,9 +125,9 @@ def blame(arena: Arena, key: Key, moves: Sequence[Move], seen) -> tuple[int, Vio
     """Where a round with no legal order breaks when stepped as given from ``key``.
 
     ``seen`` holds the moves played before ``key``.  Returns the index in
-    ``moves`` of the first refused move and its violation, positioned as a
-    monitor restored at ``key`` would report it: counted from the pending
-    requests, so a caller that knows the play's length adds that length
+    ``moves`` of the first refused move and its violation, whose index
+    counts from ``key``'s pending requests: ``len(key)`` plus the index in
+    ``moves``, so a caller that knows the play's length adds that length
     less ``len(key)``.
     """
     seen = set(seen)
@@ -233,17 +143,29 @@ def blame(arena: Arena, key: Key, moves: Sequence[Move], seen) -> tuple[int, Vio
 
 
 def check_play(arena: Arena, play: Sequence[str]) -> Verdict:
-    """Check a whole play given as port names."""
+    """Check a whole play given as port names: a fold of :func:`decide`.
+
+    Each move's justifier is the play position of the pending request
+    :func:`decide` resolves it to, and a refusal is named by :func:`blame`
+    from the moves played before it.
+    """
     moves = [arena.by_name(n) for n in play]
-    mon = PlayMonitor(arena)
-    for m in moves:
-        v = mon.step(m)
-        if v is not None:
-            return Verdict(False, violation=v)
-    return Verdict(True, pending=mon.pending_names(), justifier=mon.justifiers())
-
-
-restore_monitor = PlayMonitor  # the older name; perfbench/tracer.py counts its calls
+    key: Key = ()
+    at: list[int] = []   # the play position of each pending request
+    justifier: list[Optional[int]] = []
+    for n, m in enumerate(moves):
+        nxt, j, _ = decide(arena, key, m)
+        if nxt is None:
+            v = blame(arena, key, (m,), moves[:n])[1]
+            return Verdict(False, violation=Violation(v.rule, n, v.move, v.message))
+        justifier.append(at[j] if j >= 0 else None)
+        if len(nxt) > len(key):
+            at.append(n)
+        else:
+            del at[j]
+        key = nxt
+    return Verdict(True, pending=tuple(arena.name(m) for m, _ in key),
+                   justifier=tuple(justifier))
 
 
 def may_linearize(arena: Arena, key: Key, moves: Sequence[Move]) -> bool:
@@ -384,37 +306,33 @@ def decide_round(arena: Arena, key: Key, moves: Iterable[Move]) -> Optional[tupl
         del search  # break the closure's reference cycle
 
 
-def linearize_round(arena: Arena, mon: PlayMonitor, round_moves: Iterable[Move]) -> Optional[list[Move]]:
-    """Find an order of simultaneous pulses legal after ``mon``'s history.
-
-    Returns the order of :func:`decide_round` and advances the monitor along
-    its steps, or None (monitor untouched).
-    """
-    steps = decide_round(arena, mon.state_key(), round_moves)
-    if steps is None:
-        return None
-    mon.take(steps)
-    return [m for m, _, _ in steps]
-
-
 def check_sync_trace(arena: Arena, rounds: Sequence[Sequence[str]]) -> tuple[bool, list[list[str]], Optional[Violation]]:
-    """Legality of a clocked trace: each round is a set of same-cycle pulses.
+    """Legality of a clocked trace, each round a set of same-cycle pulses: a
+    fold of :func:`decide_round`.
 
     A trace is legal when every round admits some linear order extending the
     play so far.  Returns (ok, chosen linearization per round, violation).
-    The reported violation pins the first round with no legal order, blaming
-    the move that fails last in the deterministic order.
+    The reported violation pins the first round with no legal order, and
+    :func:`blame` names the first move refused when it is stepped as given.
     """
-    mon = PlayMonitor(arena)
+    key: Key = ()
     lin: list[list[str]] = []
+    seen: set[Move] = set()
     consumed = 0
     for r in rounds:
         moves = [arena.by_name(n) for n in r]
-        order = linearize_round(arena, mon, moves)
-        if order is None:
-            seen = {arena.by_name(n) for r in lin for n in r}
-            i, v = blame(arena, mon.state_key(), moves, seen)
+        steps = decide_round(arena, key, moves)
+        if steps is None:
+            i, v = blame(arena, key, moves, seen)
             return False, lin, Violation(v.rule, consumed + i, v.move, v.message)
-        lin.append([arena.name(m) for m in order])
-        consumed += len(order)
+        lin.append([arena.name(m) for m, _, _ in steps])
+        if steps:
+            seen.update(moves)
+            consumed += len(steps)
+            key = steps[-1][2]
     return True, lin, None
+
+
+# Only the benchmark's tracer (perfbench/tracer.py) reads these names, where
+# ``syncmin`` and ``sim`` import them; ROADMAP item 11 drops them.
+linearize_round = restore_monitor = decide_round

@@ -8,9 +8,8 @@ Two generators and a testbench driver used across the suite:
 - ``chain`` writes the one-line ``seqN`` and ``parN`` programs.
 - ``grow_stimulus`` drives a compiled design or a clocked machine
   adaptively, one legal boundary input per cycle, by replaying the observed
-  trace through a fresh monitor and sampling from its legal-move set.
-- ``drive_session`` uses the same loop to steer a design through one
-  complete session (every question answered), preferring answers.
+  trace to its pending-forest key and sampling the inputs ``decide`` takes
+  there.
 
 ``ReferenceMonitor`` is the protocol monitor written as a forest of linked
 pending-request objects, kept apart from the library's key-based one so the
@@ -56,9 +55,8 @@ from typing import Optional, Sequence
 from gosyn.arena import Arena, Face, Move, arena_of_type, term_arena
 from gosyn.automata import StrategyAutomaton, synchronize_and_hide
 from gosyn.denote import diagonal
-from gosyn.design import Design, compile_design
 from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr, NetModule
-from gosyn.plays import PlayMonitor, decide, linearize_round
+from gosyn.plays import decide, decide_round
 from gosyn.sim import SimReport, simulate
 from gosyn.syncmin import NonConfluent, SyncMachine, _cascade, prune_inadmissible
 from gosyn.syntax import (
@@ -326,30 +324,28 @@ def enumerate_plays(arena: Arena, max_len: int, reentrant: bool = False,
                     complete_only: bool = False, limit: int = 500_000) -> list[tuple[str, ...]]:
     """Brute-force enumeration of legal plays, the reference for everything else.
 
-    Replays every prefix through a fresh :class:`PlayMonitor`, so it does not
-    depend on :class:`ProtocolAutomaton`'s state numbering (both apply
+    Carries each prefix's pending-forest key down the recursion, so it does
+    not depend on :class:`ProtocolAutomaton`'s state numbering (both apply
     :func:`decide`).  By default a play is single-session: each initial
     request fires at most once.
     """
     results: list[tuple[str, ...]] = []
 
-    def go(play: list[Move], used_initials: frozenset[Move]) -> None:
+    def go(play: list[Move], key: tuple, used_initials: frozenset[Move]) -> None:
         if len(results) > limit:
             raise LimitExceeded(f"more than {limit} plays of length <= {max_len}")
-        mon = PlayMonitor(arena)
-        for m in play:
-            assert mon.step(m) is None
-        if not complete_only or mon.complete():
+        if not complete_only or not key:
             results.append(tuple(arena.name(m) for m in play))
         if len(play) == max_len:
             return
         for m in arena.moves:
             if not reentrant and m in arena.initials and m in used_initials:
                 continue
-            if mon.would_accept(m):
-                go(play + [m], used_initials | ({m} if m in arena.initials else frozenset()))
+            nxt = decide(arena, key, m)[0]
+            if nxt is not None:
+                go(play + [m], nxt, used_initials | ({m} if m in arena.initials else frozenset()))
 
-    go([], frozenset())
+    go([], (), frozenset())
     return sorted(results, key=lambda p: (len(p), p))
 
 
@@ -463,13 +459,15 @@ def contraction(m: StrategyAutomaton, first: str, second: str, merged: str,
 
 # ---------------------------------------------------------- adaptive driving
 
-def replay_boundary(arena: Arena, report: SimReport) -> PlayMonitor:
-    """A monitor advanced through every observed boundary round."""
-    mon = PlayMonitor(arena)
+def replay_boundary(arena: Arena, report: SimReport) -> tuple:
+    """The pending-forest key after every observed boundary round."""
+    key: tuple = ()
     for r in report.trace:
-        moves = [arena.by_name(p) for p in r]
-        assert linearize_round(arena, mon, moves) is not None, r
-    return mon
+        steps = decide_round(arena, key, [arena.by_name(p) for p in r])
+        assert steps is not None, r
+        if steps:
+            key = steps[-1][2]
+    return key
 
 
 def grow_stimulus(device, arena: Arena, rng: random.Random, rounds: int = 12,
@@ -485,42 +483,14 @@ def grow_stimulus(device, arena: Arena, rng: random.Random, rounds: int = 12,
     for _ in range(rounds):
         if report.status in ("Race", "ProtocolViolation"):
             return stim, report
-        mon = replay_boundary(arena, report)
-        legal = sorted(arena.name(m) for m in mon.legal_moves() if arena.is_input(m))
+        key = replay_boundary(arena, report)
+        legal = sorted(arena.name(m) for m in arena.moves
+                       if arena.is_input(m) and decide(arena, key, m)[0] is not None)
         if not legal:
             break
         stim.append((rng.choice(legal),))
         report = simulate(device, stim, max_cycles=max_cycles)
     return stim, report
-
-
-def drive_session(design: Design, max_rounds: int = 60,
-                  max_cycles: int = 200) -> list:
-    """A stimulus that steers one session to completion.
-
-    Opens with the first legal initial, then always answers pending
-    questions; raises if the design gets stuck before the play completes.
-    """
-    stim: list[tuple[str, ...]] = []
-    for _ in range(max_rounds):
-        report = simulate(design, stim, max_cycles=max_cycles)
-        assert report.status in ("Completed", "Deadlock"), report.status
-        mon = replay_boundary(design.boundary, report)
-        if stim and mon.complete():
-            return stim
-        legal = [m for m in mon.legal_moves() if design.boundary.is_input(m)]
-        answers = sorted(design.boundary.name(m) for m in legal
-                         if not design.boundary.is_question(m))
-        if answers:
-            stim.append((answers[0],))
-            continue
-        initials = sorted(design.boundary.name(m) for m in legal)
-        if not stim and initials:
-            stim.append((initials[0],))
-            continue
-        raise AssertionError(
-            f"session stuck: status={report.status} pending={report.pending}")
-    raise AssertionError(f"session did not complete in {max_rounds} rounds")
 
 
 # ------------------------------------------------------- reference monitor
@@ -717,8 +687,8 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
     """Rounds admissible in some reachable protocol context, found depth first.
 
     Every (machine state, pending-forest key) pair is expanded once, each
-    round from a fresh restored monitor with its moves sorted by
-    ``arena.rank``; kept rounds and reached states are then renumbered with
+    round decided from the key with its moves sorted by ``arena.rank``;
+    kept rounds and reached states are then renumbered with
     the initial state first, as ``prune_inadmissible`` does.
     """
     keep: set = set()
@@ -730,11 +700,11 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
         s, key = work.pop()
         reach.add(s)
         for i, (o, d) in m.transitions[s].items():
-            mon = PlayMonitor(m.arena, key)
-            if linearize_round(m.arena, mon, sorted(i | o, key=m.arena.rank.__getitem__)) is None:
+            steps = decide_round(m.arena, key, sorted(i | o, key=m.arena.rank.__getitem__))
+            if steps is None:
                 continue
             keep.add((s, i))
-            nxt = (d, mon.state_key())
+            nxt = (d, steps[-1][2] if steps else key)
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)

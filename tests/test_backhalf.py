@@ -93,7 +93,7 @@ def test_legal_rounds_never_reach_the_refutation_check(monkeypatch):
     assert ok
     assert calls == []
     # the counter does see the check: an answer with nothing pending is refuted by it
-    assert plays.linearize_round(arena, plays.PlayMonitor(arena), [arena.by_name("A'1")]) is None
+    assert plays.decide_round(arena, (), [arena.by_name("A'1")]) is None
     assert len(calls) == 1
 
 

@@ -88,6 +88,14 @@ def test_monitor_needs_exactly_one_interface(capsys):
         assert "usage: gosyn monitor" in capsys.readouterr().err
 
 
+def test_monitor_names_an_unknown_port_without_quotes(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text("q1\nzz\n")
+    code, err = _run(capsys, "monitor", str(trace), "--arena", "com -> com")
+    assert code == 1
+    assert err == "error[KeyError]: no port named 'zz'; ports are q1, a1, q2, a2\n"
+
+
 def test_compile_takes_more_than_twelve_inputs(tmp_path, capsys):
     # seq12 has 13 input ports, past the 12 that rounds were once capped at
     path = tmp_path / "seq12.sci"

@@ -92,6 +92,35 @@ def test_marked_imports_are_tracer_targets():
     assert marked and [t for t in marked if t not in TARGETS] == []
 
 
+def _loads(path: Path, names: set[str]) -> list[str]:
+    """Where a module reads one of ``names``, bare or as an attribute."""
+    return sorted(f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names
+                  or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in names)
+
+
+def test_load_check_sees_bare_and_attribute_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import plays\nold = new = len\n\ndef f(x):\n"
+                    "    return old(x) + plays.old(x) + new(x)\n")
+    assert _loads(path, {"old"}) == ["mod.py:5 old", "mod.py:5 plays.old"]
+
+
+MARKED = {t.split(":")[1] for path in SOURCES for t in _marked_imports(path)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_a_marked_import(path):
+    """A name imported on a ``# noqa`` line is kept for the tracer alone."""
+    assert _loads(path, MARKED) == []
+
+
+def test_marked_imports_are_not_exported():
+    assert MARKED and MARKED.isdisjoint(gosyn.__all__)
+
+
 def test_public_names_resolve():
     assert [n for n in gosyn.__all__ if not hasattr(gosyn, n)] == []
 

@@ -1,7 +1,8 @@
-"""The key-based protocol monitor, automaton and round linearizer, checked
-against the object-forest reference monitor in ``helpers``, and the
-round step of ``syncmin``, which reads the per-arena memo of
-``plays.decide_round``, checked against the reference too.
+"""The key-based protocol steps ``decide`` and ``decide_round``, the
+checkers ``check_play`` and ``check_sync_trace`` that fold them, and the
+protocol automaton, checked against the object-forest reference monitor in
+``helpers``, and the round step of ``syncmin``, which reads the per-arena
+memo of ``plays.decide_round``, checked against the reference too.
 
 Arenas are the single-face and sharing interfaces of small types.  The
 sharing interface of a type with a ``cell`` argument is left out: its
@@ -26,7 +27,7 @@ from helpers import ProtocolAutomaton, ReferenceMonitor, chain, reference_linear
 from gosyn.arena import arena_of_type, sharing_arena
 from gosyn.denote import interpret
 from gosyn.netlist import synthesis_view
-from gosyn.plays import (_ROUNDS, PlayMonitor, decide, decide_round, linearize_round,
+from gosyn.plays import (_ROUNDS, blame, check_play, check_sync_trace, decide, decide_round,
                          may_linearize)
 from gosyn.syncmin import (_product_states, _round_step, minimize_under_protocol,
                            prune_inadmissible, round_abstract)
@@ -75,32 +76,47 @@ def _reachable_keys(a, limit: int = 400) -> list:
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
 def test_monitor_matches_reference_on_random_sequences(tyname, kind):
+    """``check_play`` of every prefix, and the key ``decide`` folds to."""
     a = _arena(tyname, kind)
     rng = random.Random(f"{tyname}/{kind}")
     for _ in range(150):
-        mine, ref = PlayMonitor(a), ReferenceMonitor(a)
-        for m in _walk(a, rng, rng.randrange(1, 16)):
-            v, want = mine.step(m), ref.step(m)
+        play = _walk(a, rng, rng.randrange(1, 16))
+        names = [a.name(m) for m in play]
+        key, ref = (), ReferenceMonitor(a)
+        for n, m in enumerate(play, start=1):
+            got, want = check_play(a, names[:n]), ref.step(m)
             if want is not None:
-                assert v is not None and (v.rule, v.index, v.move) == (*want, a.name(m))
+                v = got.violation
+                assert not got.ok and (v.rule, v.index, v.move) == (*want, a.name(m))
                 break
-            assert v is None
-            assert mine.pending_names() == ref.pending_names()
-            assert mine.state_key() == ref.state_key()
-            assert mine.justifiers() == tuple(ref.justifier)
+            key = decide(a, key, m)[0]
+            assert key == ref.state_key()
+            assert got.ok and got.pending == ref.pending_names()
+            assert got.justifier == tuple(ref.justifier)
+
+
+def _seen_at(a, key) -> set:
+    """The moves a play that leaves ``key`` pending has surely seen: its
+    pending requests and their enablers, as ``ReferenceMonitor.restored`` has."""
+    return {x for m, _ in key for x in (m, *a.enablers_of(m))}
 
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
 def test_restored_monitor_matches_reference(tyname, kind):
+    """From every reachable key, each move gives the reference's next key and
+    justifier position, or its violation, named by ``blame``."""
     a = _arena(tyname, kind)
     for key in _reachable_keys(a):
         for m in a.moves:
-            mine, ref = PlayMonitor(a, key), ReferenceMonitor.restored(a, key)
-            v, want = mine.step(m), ref.step(m)
-            assert (None if v is None else (v.rule, v.index)) == want
-            if v is None:
-                assert mine.state_key() == ref.state_key()
-                assert mine.justifiers() == tuple(ref.justifier)
+            ref = ReferenceMonitor.restored(a, key)
+            nxt, j, rule = decide(a, key, m)
+            want = ref.step(m)
+            if want is None:
+                assert (nxt, None if j < 0 else j) == (ref.state_key(), ref.justifier[-1])
+            else:
+                assert nxt is None and rule is not None
+                i, v = blame(a, key, [m], _seen_at(a, key))
+                assert (i, v.rule, v.index) == (0, *want) and want[1] == len(key)
 
 
 @pytest.mark.parametrize("tyname,kind", ARENAS)
@@ -131,8 +147,22 @@ def test_automaton_rows_match_reference_stepping(tyname, kind):
 PAR4 = "com -> com -> com -> com -> com"
 
 
+def _justifiers(key, steps) -> tuple:
+    """The play position of each step's justifier, counting ``key``'s
+    pending requests as the play's first moves."""
+    at = list(range(len(key)))  # the play position of each pending request
+    out = []
+    for n, (m, j, nxt) in enumerate(steps, start=len(key)):
+        out.append(at[j] if j >= 0 else None)
+        if len(nxt) > len(at):
+            at.append(n)
+        else:
+            del at[j]
+    return tuple(out)
+
+
 @pytest.mark.parametrize("tyname,kind", ARENAS + [(PAR4, "single")])
-def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
+def test_decide_round_is_the_first_legal_permutation(tyname, kind):
     a = _arena(tyname, kind)
     most, rounds = (7, 150) if tyname == PAR4 else (6, 300)
     rng = random.Random(f"lin/{tyname}/{kind}")
@@ -146,19 +176,22 @@ def test_linearize_round_is_the_first_legal_permutation(tyname, kind):
         ref = ReferenceMonitor.restored(a, key)
         for m in want or ():
             assert ref.step(m) is None
-        # the second ask, on a fresh monitor, reads the remembered answer
+        # the second ask reads the remembered answer
         for _ in range(2):
-            mon = PlayMonitor(a, key)
-            assert linearize_round(a, mon, moves) == want
-            assert mon.state_key() == ref.state_key()
-            assert mon.justifiers() == tuple(ref.justifier)
+            steps = decide_round(a, key, moves)
+            if want is None:
+                assert steps is None
+                continue
+            assert [m for m, _, _ in steps] == want
+            assert steps[-1][2] == ref.state_key()
+            assert _justifiers(key, steps) == tuple(ref.justifier)
 
 
 def test_par4_round_is_linearized_past_its_dead_branches():
     a = _arena(PAR4, "single")
     q1, a1, q2, a2 = (a.by_name(n) for n in ("q1", "a1", "q2", "a2"))
     key = ((q1, -1),) + tuple((a.by_name(f"q{k}"), 0) for k in range(2, 6))
-    order = linearize_round(a, PlayMonitor(a, key), a.moves)
+    order = [m for m, _, _ in decide_round(a, key, a.moves)]
     assert [a.name(m) for m in order] == "a2 a3 a4 a5 a1 q1 q2 q3 q4 q5".split()
     ref = ReferenceMonitor.restored(a, key)
     assert all(ref.step(m) is None for m in order)
@@ -187,6 +220,71 @@ def test_product_walk_refutes_dead_branches(monkeypatch):
         rows, _ = _product_states(raw)
         assert len(rows) == 2 ** n
         assert calls <= most, (n, calls)
+
+
+def _cut(rng: random.Random, play: list, longest: int) -> list:
+    """``play`` cut into consecutive rounds of 1 to ``longest`` moves."""
+    rounds = []
+    while play:
+        n = rng.randrange(1, longest + 1)
+        rounds.append(play[:n])
+        play = play[n:]
+    return rounds
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS)
+def test_check_sync_trace_matches_check_play_on_one_move_rounds(tyname, kind):
+    a = _arena(tyname, kind)
+    rng = random.Random(f"sync1/{tyname}/{kind}")
+    refused = 0
+    for _ in range(150):
+        names = [a.name(m) for m in _walk(a, rng, rng.randrange(1, 16))]
+        ok, lin, v = check_sync_trace(a, [[n] for n in names])
+        want = check_play(a, names)
+        assert ok == want.ok
+        if ok:
+            assert lin == [[n] for n in names] and v is None
+        else:
+            w = want.violation
+            assert (v.rule, v.index, v.move) == (w.rule, w.index, w.move)
+            assert lin == [[n] for n in names[:w.index]]
+            refused += 1
+    assert refused
+
+
+@pytest.mark.parametrize("tyname,kind", ARENAS)
+def test_check_sync_trace_matches_reference_on_random_rounds(tyname, kind):
+    """Each chosen order is a permutation of its round and steps the reference
+    legally; a refused round has no legal order, and its violation is the
+    reference's on the round stepped as given, at the accepted play's length
+    plus the position ``blame`` names."""
+    a = _arena(tyname, kind)
+    rng = random.Random(f"sync/{tyname}/{kind}")
+    verdicts = set()
+    for _ in range(150):
+        rounds = _cut(rng, [a.name(m) for m in _walk(a, rng, rng.randrange(1, 16))], 4)
+        ok, lin, v = check_sync_trace(a, rounds)
+        verdicts.add(ok)
+        assert ok == (v is None)
+        ref, seen = ReferenceMonitor(a), set()
+        for names, order in zip(rounds, lin):
+            assert sorted(order) == sorted(names)
+            for n in order:
+                assert ref.step(a.by_name(n)) is None
+            seen.update(a.by_name(n) for n in names)
+        if ok:
+            assert len(lin) == len(rounds)
+            continue
+        accepted = sum(len(order) for order in lin)
+        moves = [a.by_name(n) for n in rounds[len(lin)]]
+        key = ref.state_key()
+        assert reference_linearize(a, key, moves) is None
+        i, _ = blame(a, key, moves, seen)
+        assert v.index == accepted + i and v.move == a.name(moves[i])
+        for m in moves[:i]:
+            assert ref.step(m) is None
+        assert ref.step(moves[i]) == (v.rule, v.index)
+    assert verdicts == {True, False}
 
 
 def _refused_rounds_have_no_order(a, key, moves) -> bool:

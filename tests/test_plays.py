@@ -1,5 +1,6 @@
-"""Play legality: the incremental monitor, the brute-force enumerator, and
-the protocol automaton, checked against each other and against closed forms."""
+"""Play legality: the key-based steps ``decide`` and ``decide_round``, the
+checkers that fold them, the brute-force enumerator, and the protocol
+automaton, checked against each other and against closed forms."""
 
 import random
 
@@ -8,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import LimitExceeded, ProtocolAutomaton, enumerate_plays
 
 from gosyn.arena import arena_of_type, sharing_arena
-from gosyn.plays import (PlayMonitor, blame, check_play, check_sync_trace, decide,
-                         decide_round, linearize_round)
+from gosyn.plays import blame, check_play, check_sync_trace, decide, decide_round
 from gosyn.syntax import parse_type
 
 FN = arena_of_type(parse_type("com -> com"))
@@ -89,55 +89,60 @@ def test_cell_write_answers_pick_the_open_write():
     assert v.justifier == (None, 0, None, 2)
 
 
+def _key_after(arena, names) -> tuple:
+    """The pending-forest key after stepping ``decide`` through a legal play."""
+    key = ()
+    for n in names:
+        key = decide(arena, key, arena.by_name(n))[0]
+        assert key is not None, n
+    return key
+
+
 def test_monitor_matches_batch_checker():
-    mon = PlayMonitor(FN)
-    for name in ("q1", "q2", "a2"):
-        assert mon.step_name(name) is None
-    assert mon.pending_names() == ("q1",)
-    assert not mon.complete()
-    assert mon.step_name("a1") is None
-    assert mon.complete()
+    play = ("q1", "q2", "a2", "a1")
+    for n in range(len(play) + 1):
+        key = _key_after(FN, play[:n])
+        v = check_play(FN, play[:n])
+        assert v.ok and v.pending == tuple(FN.name(m) for m, _ in key)
+        assert v.complete == (not key)
+    assert check_play(FN, play[:3]).pending == ("q1",)
+    assert not check_play(FN, play[:3]).complete
+    assert check_play(FN, play).complete
 
 
-def test_monitor_poisons_after_violation():
-    mon = PlayMonitor(FN)
-    assert mon.step_name("q1") is None
-    v = mon.step_name("a2")
-    assert v is not None and v.rule == "Justification"
-    with pytest.raises(RuntimeError):
-        mon.step_name("q1")
+def test_check_play_stops_at_the_first_violation():
+    # q1 again would be a Serial violation, but the play already broke at a2
+    v = check_play(FN, ("q1", "a2", "q1"))
+    assert (v.ok, v.violation.rule, v.violation.index) == (False, "Justification", 1)
+    assert v.pending == () and v.justifier == ()
 
 
-def test_would_accept_agrees_with_step():
-    mon = PlayMonitor(FN)
-    mon.step_name("q1")
-    legal = {FN.name(m) for m in mon.legal_moves()}
+def test_decide_accepts_the_legal_moves_check_play_accepts():
+    key = _key_after(FN, ("q1",))
+    legal = {FN.name(m) for m in FN.moves if decide(FN, key, m)[0] is not None}
     assert legal == {"q2", "a1"}
-    assert mon.would_accept(FN.by_name("q2"))
-    assert not mon.would_accept(FN.by_name("a2"))
+    assert legal == {FN.name(m) for m in FN.moves if check_play(FN, ("q1", FN.name(m))).ok}
+    assert decide(FN, key, FN.by_name("a2")) == (None, -1, "Fork")
 
 
 def test_blame_names_a_refusal_from_the_moves_seen():
-    mon = PlayMonitor(FN)
-    for n in ("q1", "q2", "a2", "q2"):
-        assert mon.step_name(n) is None
+    key = _key_after(FN, ("q1", "q2", "a2", "q2"))
     seen = {FN.by_name(n) for n in ("q1", "q2", "a2")}
     # positions count from the two pending requests, not from the four moves
-    i, v = blame(FN, mon.state_key(), [FN.by_name("q2")], seen)
+    i, v = blame(FN, key, [FN.by_name("q2")], seen)
     assert (i, str(v)) == (0, "Serial violation at move 2 (q2): that request is still "
                               "pending; re-issuing it must wait")
-    assert mon.step_name("a2") is None
+    key = decide(FN, key, FN.by_name("a2"))[0]
     # q2 was seen before, so a second a2 is a Fork, not a Justification
-    assert str(blame(FN, mon.state_key(), [FN.by_name("a2")], seen)[1]) == (
+    assert str(blame(FN, key, [FN.by_name("a2")], seen)[1]) == (
         "Fork violation at move 1 (a2): every request that enables it has already completed")
-    assert blame(FN, mon.state_key(), [FN.by_name("a2")], ())[1].rule == "Justification"
+    assert blame(FN, key, [FN.by_name("a2")], ())[1].rule == "Justification"
     # a move the round steps before the refused one counts as seen
-    i, v = blame(FN, mon.state_key(), [FN.by_name(n) for n in ("q2", "a2", "a2")], ())
+    i, v = blame(FN, key, [FN.by_name(n) for n in ("q2", "a2", "a2")], ())
     assert (i, v.rule, v.index) == (2, "Fork", 3)
     with pytest.raises(ValueError):
-        blame(FN, mon.state_key(), [FN.by_name("a1")], seen)
-    assert mon.step_name("a1") is None
-    assert mon.complete()
+        blame(FN, key, [FN.by_name("a1")], seen)
+    assert decide(FN, key, FN.by_name("a1"))[0] == ()
 
 
 @pytest.mark.parametrize("arena", [FN, sharing_arena(parse_type("com -> com")),
@@ -147,28 +152,28 @@ def test_blame_names_a_refusal_as_the_monitor_does(arena):
     rng = random.Random(5)
     refused = {"Justification": 0, "Fork": 0}
     for _ in range(300):
-        mon = PlayMonitor(arena)
-        play: list = []
+        key, play = (), []
         for _ in range(rng.randrange(1, 12)):
             # mostly moves legal in turn, shuffled, now and then any move
-            moves, at = [], mon.state_key()
+            moves, at = [], key
             for _ in range(rng.choice((1, 1, 2, 3))):
                 legal = [m for m in arena.moves if decide(arena, at, m)[0] is not None]
                 m = rng.choice(legal if legal and rng.random() < 0.8 else arena.moves)
                 moves.append(m)
                 at = decide(arena, at, m)[0] or at
             rng.shuffle(moves)
-            if decide_round(arena, mon.state_key(), moves) is None:
-                i, v = blame(arena, mon.state_key(), moves, play)
-                ref = PlayMonitor(arena)
-                for m in play + moves[:i]:
-                    assert ref.step(m) is None
-                want = ref.step(moves[i])
+            steps = decide_round(arena, key, moves)
+            if steps is None:
+                i, v = blame(arena, key, moves, play)
+                names = [arena.name(m) for m in play + moves[:i + 1]]
+                assert check_play(arena, names[:-1]).ok
+                want = check_play(arena, names).violation
                 assert (v.rule, v.move) == (want.rule, want.move)
-                assert v.index + len(play) - len(mon.state_key()) == want.index
+                assert v.index + len(play) - len(key) == want.index
                 refused[v.rule] = refused.get(v.rule, 0) + 1
                 break
-            play += linearize_round(arena, mon, moves)
+            play += [m for m, _, _ in steps]
+            key = steps[-1][2] if steps else key
     assert min(refused.values()) >= 10, refused
 
 
@@ -201,21 +206,16 @@ def test_enumeration_is_sorted_and_prefix_closed():
         assert p[:-1] in have or p == ()
 
 
-def test_linearize_round_reorders_simultaneous_pulses():
-    mon = PlayMonitor(FN)
-    mon.step_name("q1")
-    mon.step_name("q2")
-    out = linearize_round(FN, mon, [FN.by_name("q2"), FN.by_name("a2")])
-    assert [FN.name(m) for m in out] == ["a2", "q2"]
-    # and the monitor advanced through the found order
-    assert mon.pending_names() == ("q1", "q2")
+def test_decide_round_reorders_simultaneous_pulses():
+    key = _key_after(FN, ("q1", "q2"))
+    steps = decide_round(FN, key, [FN.by_name("q2"), FN.by_name("a2")])
+    assert [FN.name(m) for m, _, _ in steps] == ["a2", "q2"]
+    # each step carries the key it leads to
+    assert [nxt for _, _, nxt in steps] == [_key_after(FN, ("q1",)), key]
 
 
-def test_linearize_round_rejects_impossible_rounds():
-    mon = PlayMonitor(FN)
-    mon.step_name("q1")
-    assert linearize_round(FN, mon, [FN.by_name("a2")]) is None
-    assert mon.pending_names() == ("q1",)           # failure leaves it untouched
+def test_decide_round_rejects_impossible_rounds():
+    assert decide_round(FN, _key_after(FN, ("q1",)), [FN.by_name("a2")]) is None
 
 
 def test_check_sync_trace():
@@ -241,22 +241,20 @@ def test_monitor_and_automaton_agree_on_random_walks(tyname, seed):
     pa = ProtocolAutomaton(a)
     rng = random.Random(seed)
     # half the walks follow legal transitions, half inject arbitrary moves
-    mon = PlayMonitor(a)
+    key = ()
     state = pa.initial
-    alive = True
     for _ in range(rng.randrange(1, 12)):
         if rng.random() < 0.5:
             m = rng.choice(a.moves)
         else:
-            row = pa.transitions[state] if alive else {}
+            row = pa.transitions[state]
             if not row:
                 break
             m = rng.choice(sorted(row, key=a.name))
-        nxt = pa.step(state, m) if alive else None
-        v = mon.step(m) if alive else None
-        assert (nxt is None) == (v is not None)
+        nxt = pa.step(state, m)
+        key = decide(a, key, m)[0]
+        assert (nxt is None) == (key is None)
         if nxt is None:
-            alive = False
             break
         state = nxt
 
