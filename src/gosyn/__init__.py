@@ -46,7 +46,6 @@ from .syncmin import (
     NonConfluent,
     SyncMachine,
     equivalent_under_protocol,
-    minimize,
     minimize_under_protocol,
     prune_inadmissible,
     round_abstract,
@@ -110,7 +109,6 @@ __all__ = [
     "glue_pair",
     "interpret",
     "manager_machine",
-    "minimize",
     "minimize_under_protocol",
     "netlist_of",
     "netlists_of_design",

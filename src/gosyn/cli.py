@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .arena import Arena, arena_of_type, sharing_arena
 from .automata import CompositionStall, DivergenceDetected
-from .denote import denote
+from .denote import interpret
 from .design import (
     DesignError, clock_block, compile_design, design_verilog, netlists_of_design,
     parse_wire_file,
@@ -71,19 +71,16 @@ def _parser() -> argparse.ArgumentParser:
     # argparse leaves a group that mixes a positional and an option out of
     # the usage line, so it is written out here
     i = sub.add_parser("ir", help="dump the compiler's view of a program or type",
-                       usage="%(prog)s [-h] (file | --arena TYPE) [--sync] [--min "
-                             "{plain,protocol} | --no-minimize] [--json PATH] [--dot PATH]")
+                       usage="%(prog)s [-h] (file | --arena TYPE) [--sync] [--no-minimize] "
+                             "[--json PATH] [--dot PATH]")
     what = i.add_mutually_exclusive_group(required=True)
     what.add_argument("file", nargs="?", help="program source (omit with --arena)")
     what.add_argument("--arena", metavar="TYPE",
                       help="describe the interface of a type instead of a program")
     i.add_argument("--sync", action="store_true",
                    help="dump the clocked machine instead of the event automaton")
-    mode = i.add_mutually_exclusive_group()
-    mode.add_argument("--min", choices=("plain", "protocol"), default=None,
-                      help="state minimization applied with --sync")
-    mode.add_argument("--no-minimize", action="store_true",
-                      help="keep the raw round-abstracted machine")
+    i.add_argument("--no-minimize", action="store_true",
+                   help="with --sync, keep the raw round-abstracted machine")
     i.add_argument("--json", metavar="PATH", help="write JSON here instead of stdout")
     i.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
     i.set_defaults(run=_run_ir)
@@ -92,9 +89,8 @@ def _parser() -> argparse.ArgumentParser:
     co.add_argument("file", help="program source")
     co.add_argument("-o", "--output", metavar="PATH", help="Verilog output (default stdout)")
     co.add_argument("--top", metavar="NAME", help="top module name (default: file stem)")
-    mode = co.add_mutually_exclusive_group()
-    mode.add_argument("--min", choices=("plain", "protocol"), default=None)
-    mode.add_argument("--no-minimize", action="store_true")
+    co.add_argument("--no-minimize", action="store_true",
+                    help="keep each block's raw round-abstracted machine")
     co.add_argument("--json", metavar="PATH", help="also dump the netlists as JSON")
     co.add_argument("--dot", metavar="PATH", help="also dump the netlists as DOT")
     co.set_defaults(run=_run_compile)
@@ -149,12 +145,11 @@ def _run_ir(args) -> int:
     src = Path(args.file).read_text()
     stem = Path(args.file).stem
     if args.sync:
-        mode = "none" if args.no_minimize else args.min or "protocol"
-        x = clock_block(denote(typecheck(parse(src))), mode)
+        x = clock_block(interpret(src), not args.no_minimize)
         print(f"{x.n_states} states, clocked rounds:")
         print(x.describe())
     else:
-        x = denote(typecheck(parse(src)))
+        x = interpret(src)
         print(f"{x.n_states} states over {', '.join(x.arena.port_names())}")
     _dump(x, args, stem)
     return 0
@@ -188,8 +183,7 @@ def _arena_table(a: Arena) -> str:
 def _run_compile(args) -> int:
     src = Path(args.file).read_text()
     name = args.top or Path(args.file).stem
-    mode = "none" if args.no_minimize else args.min or "protocol"
-    design = compile_design(src, name=name, min_mode=mode)
+    design = compile_design(src, name=name, minimize=not args.no_minimize)
     mods = netlists_of_design(design)
     _write_or_print(design_verilog(design, mods), args.output)
     if args.json:
@@ -204,7 +198,7 @@ def _run_compile(args) -> int:
 def _load_block(wire_path: Path):
     def load(rel: str):
         src = (wire_path.parent / rel).read_text()
-        return clock_block(denote(typecheck(parse(src))), "protocol")
+        return clock_block(interpret(src))
     return load
 
 

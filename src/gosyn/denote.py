@@ -26,7 +26,7 @@ from .arena import Move, arena_of_type, sharing_arena, term_arena, type_ports
 from .automata import (CompositionStall, StrategyAutomaton, SyncStats, explore, from_rows,
                        glue_pair, relay, synchronize_and_hide)
 from .plays import decide
-from .syntax import App, Arrow, Const, Fst, Lam, Pair, Prod, Snd, Type, Var, CONSTANTS
+from .syntax import App, Arrow, Const, Fst, Lam, Pair, Prod, Snd, Type, Var, CONSTANTS, parse
 from .typecheck import Typed, typecheck
 
 
@@ -288,5 +288,4 @@ def denote(t: Typed) -> StrategyAutomaton:
 
 def interpret(source: str) -> StrategyAutomaton:
     """Parse, typecheck and interpret a closed program."""
-    from .syntax import parse
     return denote(typecheck(parse(source)))

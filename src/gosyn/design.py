@@ -30,8 +30,7 @@ from .arena import Arena, Move, arena_of_type, sharing_arena
 from .denote import denote, diagonal
 from .netlist import (NetModule, emit_verilog, expr_vars, module_header, netlist_of,
                       verilog_name)
-from .syncmin import (SyncMachine, minimize, minimize_under_protocol,
-                      round_abstract)
+from .syncmin import SyncMachine, minimize_under_protocol, round_abstract
 from .syntax import (Lam, ParseError, Term, Type, Var, map_subterms, parse, parse_type,
                      type_to_str)
 from .typecheck import typecheck
@@ -134,16 +133,10 @@ def manager_machine(ty: Type) -> SyncMachine:
 
 # -------------------------------------------------- compiling to a design
 
-def clock_block(auto, min_mode: str) -> SyncMachine:
-    """Round-abstract an event automaton, then reduce it as ``min_mode`` says."""
+def clock_block(auto, minimize: bool = True) -> SyncMachine:
+    """Round-abstract an event automaton and, if ``minimize``, reduce it."""
     m = round_abstract(auto)
-    if min_mode == "none":
-        return m
-    if min_mode == "plain":
-        return minimize(m)
-    if min_mode == "protocol":
-        return minimize_under_protocol(m)
-    raise ValueError(f"unknown minimization mode {min_mode!r}")
+    return minimize_under_protocol(m) if minimize else m
 
 
 def _rename_uses(t: Term, name: str, fresh: Callable[[], str], out: list[str]) -> Term:
@@ -158,12 +151,13 @@ def _rename_uses(t: Term, name: str, fresh: Callable[[], str], out: list[str]) -
     return map_subterms(t, lambda s: _rename_uses(s, name, fresh, out))
 
 
-def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -> Design:
+def compile_design(source: str, name: str = "top", minimize: bool = True) -> Design:
     """Compile a closed program into a design.
 
     Outer lambda-bound identifiers used more than once get a call manager
     each; sharing buried deeper (tuple components, storage cells) is already
-    serialized inside the block machine and stays flattened.
+    serialized inside the block machine and stays flattened.  With
+    ``minimize=False`` the block keeps its raw round-abstracted machine.
     """
     typed = typecheck(parse(source))
     params: list[tuple[str, Type]] = []
@@ -185,7 +179,7 @@ def compile_design(source: str, name: str = "top", min_mode: str = "protocol") -
         uses[pname] = got
         ctx.extend((u, pty) for u in got or [pname])
 
-    block = Instance("body", clock_block(denote(typecheck(body, tuple(ctx))), min_mode), "block")
+    block = Instance("body", clock_block(denote(typecheck(body, tuple(ctx))), minimize), "block")
     full = arena_of_type(typed.ty)
     design = Design(name, {"body": block}, [], list(full.input_names()),
                     list(full.output_names()), boundary=full)

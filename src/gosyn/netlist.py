@@ -18,6 +18,7 @@ all and comes out as pure continuous assignments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Union
@@ -316,6 +317,9 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
 def module_header(name: str, clocked: bool, inputs: Iterable[str],
                   outputs: Iterable[str]) -> list[str]:
     """The ``module`` line and port list, over names already in Verilog form."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", name):
+        raise ValueError(f"module name {name!r} is not a Verilog identifier; "
+                         f"name the top module with --top")
     ports = ["input wire clk", "input wire rst"] if clocked else []
     ports += [f"input wire {p}" for p in inputs]
     ports += [f"output wire {p}" for p in outputs]

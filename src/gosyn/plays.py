@@ -149,15 +149,17 @@ def check_play(arena: Arena, play: Sequence[str]) -> Verdict:
     :func:`decide` resolves it to, and a refusal is named by :func:`blame`
     from the moves played before it.
     """
-    moves = [arena.by_name(n) for n in play]
     key: Key = ()
+    played: list[Move] = []
     at: list[int] = []   # the play position of each pending request
     justifier: list[Optional[int]] = []
-    for n, m in enumerate(moves):
+    for n, name in enumerate(play):
+        m = arena.by_name(name)
         nxt, j, _ = decide(arena, key, m)
         if nxt is None:
-            v = blame(arena, key, (m,), moves[:n])[1]
+            v = blame(arena, key, (m,), played)[1]
             return Verdict(False, violation=Violation(v.rule, n, v.move, v.message))
+        played.append(m)
         justifier.append(at[j] if j >= 0 else None)
         if len(nxt) > len(key):
             at.append(n)

@@ -14,16 +14,14 @@ would have to pulse twice in one cycle the round is split and the leftover
 work runs in follow-on rounds with empty input (the machine is then
 "restless" in between).
 
-Two reducers follow:
+:func:`minimize_under_protocol` then merges states whose rounds agree,
+treating input sets that the interface protocol cannot present as free
+choices, which is what lets a strictly sequential machine collapse into
+plain wires.
 
-* :func:`minimize` merges states with identical completed behavior, reading
-  an undefined entry as "hold" (no outputs, stay put);
-* :func:`minimize_under_protocol` additionally treats input sets that the
-  interface protocol cannot present as free choices, which is what lets a
-  strictly sequential machine collapse into plain wires.
-
-:func:`equivalent_under_protocol` replays both machines side by side over
-every protocol-admissible round, which is the safety net for the reducers.
+:func:`equivalent_under_protocol` replays a machine and its reduction side
+by side over every protocol-admissible round, which is the safety net for
+the reducer.
 """
 
 from __future__ import annotations
@@ -235,41 +233,6 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
 
     rows, _ = explore(auto.initial, row_of)
     return SyncMachine(auto.arena, dict(enumerate(rows)), 0)
-
-
-# ----------------------------------------------------------- plain reducer
-
-def minimize(m: SyncMachine) -> SyncMachine:
-    """Merge states indistinguishable when undefined entries mean "hold"."""
-    states = sorted(m.transitions)
-    cls = {s: 0 for s in states}
-    while True:
-        sigs: dict[tuple, int] = {}
-        nxt: dict[int, int] = {}
-        for s in states:
-            rowsig = []
-            for i, (o, d) in m.rows(s):
-                if not o and cls[d] == cls[s]:
-                    continue  # an explicit hold entry is the same as none
-                rowsig.append((m.names(i), m.names(o), cls[d]))
-            sig = (cls[s], tuple(rowsig))
-            nxt[s] = sigs.setdefault(sig, len(sigs))
-        if nxt == cls:
-            break
-        cls = nxt
-
-    reps: dict[int, int] = {}
-    for s in states:
-        reps.setdefault(cls[s], s)
-    renum = initial_first(reps, cls[m.initial])
-    table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {renum[c]: {} for c in reps}
-    for c, s in reps.items():
-        row = table[renum[c]]
-        for i, (o, d) in m.transitions[s].items():
-            if not o and cls[d] == cls[s]:
-                continue
-            row[i] = (o, renum[cls[d]])
-    return SyncMachine(m.arena, table, renum[cls[m.initial]])
 
 
 # ----------------------------------------- protocol-aware (ISFSM) reducer
@@ -558,8 +521,6 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
     search deepening from one class.
     """
     rows, index = _product_states(m)
-    if len(rows) == 1 and not rows[0]:
-        return SyncMachine(m.arena, {0: {}}, 0)
     compat = _compatibility(m, rows, index)
     pool = _cover_pool(compat)
     chosen = _closed_cover(rows, pool, compat, exact=len(rows) <= EXACT_LIMIT)
@@ -624,7 +585,7 @@ def equivalent_under_protocol(ref: SyncMachine, other: SyncMachine,
     Joint breadth-first run of both machines against the interface monitor.
     Admissibility is judged on the reference's round (inputs plus its
     outputs), stepped by :func:`_round_step` in the canonical order the
-    reducers use.  ``other`` may define extra rounds; those are don't-cares.
+    reducer uses.  ``other`` may define extra rounds; those are don't-cares.
     """
     if ref.arena.port_names() != other.arena.port_names():
         raise ValueError("machines talk over different interfaces")

@@ -1,11 +1,10 @@
-"""The back half of the pipeline, end to end: clocking, both reducers and
+"""The back half of the pipeline, end to end: clocking, the reducer and
 gate synthesis must not change what a block does.
 
-Each machine (raw, plainly reduced and protocol-minimized) is driven by an
-adaptively grown legal stimulus with idle cycles mixed in, then the same
-stimulus drives its netlist; the two runs must agree cycle for cycle.  Both
-reduced machines must also reproduce every protocol-admissible round of the
-raw one.
+Each machine (raw and protocol-minimized) is driven by an adaptively grown
+legal stimulus with idle cycles mixed in, then the same stimulus drives its
+netlist; the two runs must agree cycle for cycle.  The reduced machine must
+also reproduce every protocol-admissible round of the raw one.
 
 Round linearization asks ``plays.may_linearize`` to refute a round only
 once its search meets a refused move; the rounds of the ``shared_twice``
@@ -29,13 +28,12 @@ from helpers import chain, expr_eval, grow_stimulus, random_program
 from gosyn import design as design_module, plays
 from gosyn.arena import sharing_arena
 from gosyn.denote import interpret
-from gosyn.design import DesignError, compile_design, design_verilog, netlists_of_design
-from gosyn.netlist import emit_verilog, netlist_of
+from gosyn.design import (DesignError, clock_block, compile_design, design_verilog,
+                          netlists_of_design)
+from gosyn.netlist import emit_verilog, module_header, netlist_of
 from gosyn.plays import check_sync_trace
 from gosyn.sim import parse_stimulus, simulate
-from gosyn.syncmin import (
-    equivalent_under_protocol, minimize, minimize_under_protocol, round_abstract,
-)
+from gosyn.syncmin import equivalent_under_protocol, minimize_under_protocol, round_abstract
 from gosyn.syntax import parse_type
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -43,12 +41,10 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 def _check_block(source: str, rng: random.Random, rounds: int) -> None:
     raw = round_abstract(interpret(source))
-    reduced = minimize(raw)
     small = minimize_under_protocol(raw)
-    for machine in (reduced, small):
-        eq = equivalent_under_protocol(raw, machine, 64)
-        assert eq.equivalent, f"{source}: {eq.diff}"
-    for machine in (raw, reduced, small):
+    eq = equivalent_under_protocol(raw, small, 64)
+    assert eq.equivalent, f"{source}: {eq.diff}"
+    for machine in (raw, small):
         stim = []
         for r in grow_stimulus(machine, machine.arena, rng, rounds=rounds)[0]:
             if rng.random() < 0.3:
@@ -62,16 +58,39 @@ def _check_block(source: str, rng: random.Random, rounds: int) -> None:
 
 def test_random_blocks_cosimulate_with_their_netlists(criterion):
     rng = random.Random(2009)
-    with criterion(1, "30 random depth-3 blocks: netlists agree with machines, reducers exact", 60):
+    with criterion(1, "30 random depth-3 blocks: netlists agree with machines, reducer exact", 60):
         for _ in range(30):
             _check_block(random_program(rng, depth=3), rng, rounds=12)
 
 
 def test_demo_blocks_cosimulate_with_their_netlists(criterion):
     rng = random.Random(2009)
-    with criterion(2, "demo blocks: netlists agree with machines, reducers exact", 60):
+    with criterion(2, "demo blocks: netlists agree with machines, reducer exact", 60):
         for path in sorted(DEMOS.glob("*.sci")):
             _check_block(path.read_text(), rng, rounds=30)
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.sci")))
+def test_clock_block_reduces_only_when_asked(demo):
+    auto = interpret((DEMOS / f"{demo}.sci").read_text())
+    raw = round_abstract(auto)
+    kept = clock_block(auto, minimize=False)
+    assert (kept.transitions, kept.initial) == (raw.transitions, raw.initial)
+    small, want = clock_block(auto), minimize_under_protocol(raw)
+    assert (small.transitions, small.initial) == (want.transitions, want.initial)
+    assert small.n_states <= raw.n_states
+
+
+@pytest.mark.parametrize("name, ok", [
+    ("top", True), ("_q2", True), ("a$b", True), ("Q9_body", True),
+    ("my-seq", False), ("2top_body", False), ("$x", False), ("a b", False), ("", False),
+])
+def test_module_header_takes_only_verilog_identifiers(name, ok):
+    if ok:
+        assert module_header(name, True, ["a"], ["b"])[0] == f"module {name} ("
+    else:
+        with pytest.raises(ValueError, match="not a Verilog identifier.*--top"):
+            module_header(name, True, ["a"], ["b"])
 
 
 def test_legal_rounds_never_reach_the_refutation_check(monkeypatch):

@@ -51,10 +51,10 @@ def test_check_reports_a_missing_file(tmp_path, capsys):
     ["sim", "x.sci", "--stimulus", "x.stim", "--max-cycles", "-3"],
     ["ir", "--async", "x.sci"],
     ["ir"], ["ir", "x.sci", "--arena", "com"],
-    ["ir", "--sync", "x.sci", "--min", "plain", "--no-minimize"],
-    ["ir", "--sync", "x.sci", "--min", "protocol", "--no-minimize"],
-    ["compile", "x.sci", "--no-minimize", "--min", "plain"],
-    ["compile", "x.sci", "--no-minimize", "--min", "protocol"],
+    ["ir", "--sync", "x.sci", "--min", "plain"],
+    ["ir", "--sync", "x.sci", "--min", "protocol"],
+    ["compile", "x.sci", "--min", "plain"],
+    ["compile", "x.sci", "--min", "protocol"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -68,8 +68,8 @@ def test_ir_usage_shows_that_it_takes_a_file_or_an_arena(capsys):
         main(["ir", "-h"])
     assert exc.value.code == 0
     usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
-    assert usage == ("usage: gosyn ir [-h] (file | --arena TYPE) [--sync] "
-                     "[--min {plain,protocol} | --no-minimize] [--json PATH] [--dot PATH]")
+    assert usage == ("usage: gosyn ir [-h] (file | --arena TYPE) [--sync] [--no-minimize] "
+                     "[--json PATH] [--dot PATH]")
 
 
 def test_sim_refuses_a_stimulus_for_another_interface(capsys):
@@ -128,3 +128,18 @@ def test_compile_names_the_module_after_the_file(tmp_path, capsys):
     path.write_text("fn x : com -> fn y : com -> x ; y\n")
     assert main(["compile", str(path)]) == 0
     assert capsys.readouterr().out.startswith("module q2 (")
+
+
+@pytest.mark.parametrize("demo, stem, top, bad", [
+    ("seq", "my-seq", None, "my-seq"), ("shared_twice", "shared_twice", "2top", "2top_body"),
+])
+def test_compile_refuses_a_module_name_verilog_cannot_declare(tmp_path, capsys, demo, stem, top,
+                                                               bad):
+    path = tmp_path / f"{stem}.sci"
+    path.write_text((DEMOS / f"{demo}.sci").read_text())
+    code, err = _run(capsys, "compile", str(path), *(["--top", top] if top else []))
+    assert code == 1
+    assert err.startswith(f"error[ValueError]: module name '{bad}' is not a Verilog identifier")
+    assert "--top" in err
+    assert main(["compile", str(path), "--top", "my_seq"]) == 0
+    assert "\nmodule my_seq (" in "\n" + capsys.readouterr().out

@@ -14,14 +14,18 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from helpers import random_program, reference_closed_cover
 from gosyn import syncmin
 from gosyn.denote import interpret
+from gosyn.arena import arena_of_type
 from gosyn.sim import simulate
 from gosyn.syncmin import (
-    _closed_cover, _compatibility, _cover_pool, _incompatible_clique, _product_states,
-    equivalent_under_protocol, minimize_under_protocol, round_abstract,
+    SyncMachine, _closed_cover, _compatibility, _cover_pool, _incompatible_clique,
+    _product_states, equivalent_under_protocol, minimize_under_protocol, round_abstract,
 )
+from gosyn.syntax import parse_type
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -115,3 +119,9 @@ def test_cover_cliffs_minimize_quickly(criterion):
             assert small.n_states == states, source
             eq = equivalent_under_protocol(raw, small, 64)
             assert eq.equivalent, f"{source}: {eq.diff}"
+
+
+@pytest.mark.parametrize("ty", ["com", "com -> com", "cell"])
+def test_a_machine_with_no_rounds_stays_one_state(ty):
+    m = minimize_under_protocol(SyncMachine(arena_of_type(parse_type(ty)), {0: {}}, 0))
+    assert (m.transitions, m.initial) == ({0: {}}, 0)

@@ -12,8 +12,8 @@ The command-line digests cover ``compile`` (alone, and with ``--json`` and
 ``--dot``), ``ir`` and ``ir --sync`` on every demo program, ``sim --json``
 on the demos that have a stimulus, and ``monitor --json`` on the demo
 traces: exit code, stdout, stderr and each file written, in that order.
-``compile`` and ``ir --sync`` also run with ``--min plain`` and with
-``--no-minimize`` on every demo program.
+``compile`` and ``ir --sync`` also run with ``--no-minimize`` on every
+demo program.
 The constant digests hold each constant machine's rows in row order,
 which ``outputs_from`` and the cascade read.  The duplicator digests hold
 the rows of ``diagonal`` in row order, state numbering included, and the
@@ -151,28 +151,16 @@ CLI_DIGESTS = {
     "compile --json --dot true": "59cb40dcf332f0ff046ae2862caec96b3fdfcf178c400a91536d58cc16579c9f",
     "ir true": "da2d3d9f0e7cce34e945d957f34a0cadd7d80e07377cb2e08bbc70ea6eaa276c",
     "ir --sync true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
-    "compile --min plain count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
-    "ir --sync --min plain count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
     "compile --no-minimize count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
     "ir --sync --no-minimize count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
-    "compile --min plain loop": "42e7d97e8b4d6c98f1d8af07015770220c5b34088cf7d55db891b951dac4e88f",
-    "ir --sync --min plain loop": "4c98d64af6a247190cf6726671f1e3f0e88667b7bf4abe9e51647d2b9ac0ae94",
     "compile --no-minimize loop": "4dee462ad24e473429b8bb960fdc1b79bb148fc694840822261b8a832c40f271",
     "ir --sync --no-minimize loop": "719f1c33c8a0e9a51eb1516b50800cca7a2f58d5dd6259854247a3bdead11f23",
-    "compile --min plain par_pair": "3b127aeb6dd0244b26baf3bcb97cdfa57254c82091c4b023ea26e7c9843116ef",
-    "ir --sync --min plain par_pair": "a1ff9f43ffa24a8fbb247de58c576173586c268857f719fc29c007e889c0fe35",
     "compile --no-minimize par_pair": "3b127aeb6dd0244b26baf3bcb97cdfa57254c82091c4b023ea26e7c9843116ef",
     "ir --sync --no-minimize par_pair": "a1ff9f43ffa24a8fbb247de58c576173586c268857f719fc29c007e889c0fe35",
-    "compile --min plain seq": "9421f8ea33db489f48375d2ec681a04c09bb943afbef9157ca31d0414a2305cb",
-    "ir --sync --min plain seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
     "compile --no-minimize seq": "9421f8ea33db489f48375d2ec681a04c09bb943afbef9157ca31d0414a2305cb",
     "ir --sync --no-minimize seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
-    "compile --min plain shared_twice": "d8d1adf4c44be93522f8e562dc4c9ae5918c64e1e8fd9916b05fdf4262c594b9",
-    "ir --sync --min plain shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
     "compile --no-minimize shared_twice": "d8d1adf4c44be93522f8e562dc4c9ae5918c64e1e8fd9916b05fdf4262c594b9",
     "ir --sync --no-minimize shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
-    "compile --min plain true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
-    "ir --sync --min plain true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "compile --no-minimize true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
     "ir --sync --no-minimize true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "sim --json shared_twice": "27346e37809407dfed4cc015ba75999a1fbac4d896054e03f100f032fb567c72",
@@ -230,9 +218,8 @@ def _demo_runs() -> dict[str, list[str]]:
                                                  "--dot", "@dot"]
         runs[f"ir {p.stem}"] = ["ir", str(p)]
         runs[f"ir --sync {p.stem}"] = ["ir", "--sync", str(p)]
-        for flags in (["--min", "plain"], ["--no-minimize"]):
-            runs[f"compile {' '.join(flags)} {p.stem}"] = ["compile", str(p), *flags]
-            runs[f"ir --sync {' '.join(flags)} {p.stem}"] = ["ir", "--sync", *flags, str(p)]
+        runs[f"compile --no-minimize {p.stem}"] = ["compile", str(p), "--no-minimize"]
+        runs[f"ir --sync --no-minimize {p.stem}"] = ["ir", "--sync", "--no-minimize", str(p)]
     runs["sim --json shared_twice"] = [
         "sim", str(DEMOS / "shared_twice.sci"),
         "--stimulus", str(DEMOS / "shared_twice.stim"), "--json", "@json"]

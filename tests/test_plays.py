@@ -117,6 +117,16 @@ def test_check_play_stops_at_the_first_violation():
     assert v.pending == () and v.justifier == ()
 
 
+def test_a_violation_is_reported_before_a_later_unknown_port():
+    # both checkers name ports one move (or round) at a time, so "zz" is never looked up
+    v = check_play(FN, ("a1", "zz"))
+    ok, _, w = check_sync_trace(FN, [["a1"], ["zz"]])
+    assert not v.ok and not ok and v.violation == w
+    assert (w.rule, w.index, w.move) == ("Justification", 0, "a1")
+    with pytest.raises(KeyError):
+        check_play(FN, ("zz",))
+
+
 def test_decide_accepts_the_legal_moves_check_play_accepts():
     key = _key_after(FN, ("q1",))
     legal = {FN.name(m) for m in FN.moves if decide(FN, key, m)[0] is not None}

@@ -48,7 +48,7 @@ LOOP_STIM = [("q1",), ("t3",), ("a2",), ("t3",), (), ("a2",), ("f3",), ("q1",), 
 
 
 def loop_block():
-    return clock_block(denote(typecheck(parse((DEMOS / "loop.sci").read_text()))), "protocol")
+    return clock_block(denote(typecheck(parse((DEMOS / "loop.sci").read_text()))))
 
 
 def loop_stimulus(seed: int, sessions: int = 12, iterations: int = 30) -> list:
@@ -100,7 +100,7 @@ def test_settle_previews_a_unit_only_when_its_inputs_grow(monkeypatch):
 def test_a_unit_fed_the_same_pulses_again_next_cycle_is_previewed_again():
     # each true guard asks again, so the block sees {t2} cycle after cycle
     source = "fn guard : exp -> while guard do skip"
-    machine = clock_block(denote(typecheck(parse(source))), "protocol")
+    machine = clock_block(denote(typecheck(parse(source))))
     stim = [("q1",), ("t2",), ("t2",), ("t2",), ("f2",)]
     want = (("q1", "q2"), ("t2", "q2"), ("t2", "q2"), ("t2", "q2"), ("f2", "a1"), ())
     for device, kw in ((machine, {}), (netlist_of(machine, "busy"), {"arena": machine.arena}),
@@ -138,7 +138,7 @@ def _random_stimulus(rng: random.Random, inputs, rounds: int = 40) -> list:
 
 
 def _wire(name: str):
-    load = lambda rel: clock_block(denote(typecheck(parse((DEMOS / rel).read_text()))), "protocol")
+    load = lambda rel: clock_block(denote(typecheck(parse((DEMOS / rel).read_text()))))
     return parse_wire_file((DEMOS / f"{name}.wire").read_text(), name=name, load=load)
 
 
@@ -200,7 +200,7 @@ RACES = (("fn c : com -> fn d : com -> <c, d>", [("q1", "q2")]),
 
 def _race_reports(source: str, stim) -> list:
     """The reports of the clocked machine, its netlist and the design."""
-    machine = clock_block(denote(typecheck(parse(source))), "protocol")
+    machine = clock_block(denote(typecheck(parse(source))))
     return [sim.simulate(machine, stim),
             sim.simulate(netlist_of(machine), stim, arena=machine.arena),
             sim.simulate(compile_design(source), stim)]
@@ -268,7 +268,7 @@ def _preview_machines():
     for path in sorted(DEMOS.glob("*.sci")):
         auto = denote(typecheck(parse(path.read_text())))
         yield path.stem, round_abstract(auto)
-        yield path.stem, clock_block(auto, "protocol")
+        yield path.stem, clock_block(auto)
     for ty in ("com -> com", "exp"):
         yield ty, manager_machine(parse_type(ty))
 
