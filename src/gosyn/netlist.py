@@ -10,15 +10,27 @@ an acknowledgement often combinationally depends on a request in the same
 cycle, and keeping the request out of the answer's support is what keeps
 tied-together netlists acyclic.
 
-Next-state logic keeps full input support, and every state bit holds itself
-when no defined round matches, so an illegal pulse set parks the machine
-instead of scrambling it.  A machine with a single state needs no clock at
-all and comes out as pure continuous assignments.
+The logic is two-level and exact: each cone computes the same Boolean
+function as the sum of one minterm per round over the full inputs, on every
+state code, one-hot or not.  Three rules make it small.
+
+- A state bit holds unless its own rows leave it.  Each input set labels
+  at most one row of a state, so ``next(d)`` is the transitions into ``d``
+  from other states, ``OR (st_s & C[s->d])``, plus ``st_d & ~C[d->other]``,
+  or plain ``st_d`` when no row leaves ``d``.  An input set with no row
+  parks the machine instead of scrambling it.
+- Every sum of row minterms becomes a sum of prime cubes (:func:`_cubes`):
+  the next-state sums over all inputs, and each state's output projections
+  over the output's reduced support.
+- States whose output cube sums are equal share one term,
+  ``(st_a | st_b) & f``.
+
+A machine with a single state needs no clock at all and comes out as pure
+continuous assignments.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Union
@@ -156,8 +168,93 @@ class NetModule:
         return eval(compile(src, f"<cones of {self.name}>", "eval"))
 
 
-def _minterm(vars_order: tuple[str, ...], on: frozenset) -> Expr:
-    return eand(EVar(v) if v in on else ENot(EVar(v)) for v in vars_order)
+def _cubes(full: int, on: Iterable[int]) -> list[tuple[int, int]]:
+    """An exact sum of prime cubes for the ON set ``on`` over the variables in ``full``.
+
+    Minterms are bit masks within ``full``, one bit per variable; a cube
+    ``(care, value)`` holds the minterms ``m`` with ``m & care == value``.
+    There are no don't-cares: the cubes cover ``on`` and nothing else.  The
+    primes come from Quine-McCluskey merging of cubes that differ in one
+    cared-for bit, each carrying the minterms it holds.  The cover takes
+    every essential prime; then, for each minterm still open, fewest
+    holding primes first, the prime that holds the most open minterms (the
+    larger cube on a tie); and finally drops any picked prime the others
+    cover.  The result is sorted, so it depends on no set order.
+    """
+    on = set(on)
+    if len(on) <= 1:
+        return [(full, m) for m in on]
+    # cubes grouped by care mask; each holds its minterms as a bit set over
+    # the positions of ``on``
+    primes: dict[tuple[int, int], int] = {}
+    level = {full: {m: 1 << k for k, m in enumerate(sorted(on))}}
+    while level:
+        up: dict[int, dict[int, int]] = {}
+        for care, vals in level.items():
+            merged = set()
+            for val, holds in vals.items():
+                free = care & ~val
+                while free:
+                    b = free & -free
+                    free ^= b
+                    other = vals.get(val | b)
+                    if other is not None:
+                        group = up.get(care ^ b)
+                        if group is None:
+                            group = up[care ^ b] = {}
+                        group[val] = holds | other
+                        merged.add(val)
+                        merged.add(val | b)
+            primes.update(((care, v), h) for v, h in vals.items() if v not in merged)
+        level = up
+    # held_by[k]: the primes holding minterm k, larger cubes first
+    held_by: list[list] = [[] for _ in on]
+    for p in sorted(primes, key=lambda p: (p[0].bit_count(), p)):
+        holds = primes[p]
+        while holds:
+            b = holds & -holds
+            holds ^= b
+            held_by[b.bit_length() - 1].append(p)
+    chosen = sorted({ps[0] for ps in held_by if len(ps) == 1})
+    left = (1 << len(on)) - 1
+    for p in chosen:
+        left &= ~primes[p]
+    picked = []
+    for k in sorted(range(len(on)), key=lambda k: len(held_by[k])):
+        if left >> k & 1:
+            best = max(held_by[k], key=lambda p: (left & primes[p]).bit_count())
+            picked.append(best)
+            left &= ~primes[best]
+    # drop each picked prime that the others cover, last picked first
+    for p in picked[::-1]:
+        others = 0
+        for q in chosen + picked:
+            if q != p:
+                others |= primes[q]
+        if not primes[p] & ~others:
+            picked.remove(p)
+    return sorted(chosen + picked)
+
+
+def _sop(literals: list[tuple[Expr, Expr]], cubes: list[tuple[int, int]]) -> Expr:
+    """The cubes as a sum of products; ``literals[i]`` is variable ``i``'s
+    (negated, plain) literal, for bit ``1 << i`` of each mask."""
+    products = []
+    for care, val in cubes:
+        lits = []
+        while care:
+            b = care & -care
+            care ^= b
+            lits.append(literals[b.bit_length() - 1][val & b != 0])
+        products.append(eand(lits))
+    return eor(products)
+
+
+def _gate(x: Expr, f: Expr) -> Expr:
+    """``x & f`` with a product ``f`` flattened and a constant-true ``f`` dropped."""
+    if f == EConst(True):
+        return x
+    return EAnd((x, *f.xs)) if isinstance(f, EAnd) else EAnd((x, f))
 
 
 def _reduced_support(entries, inputs: tuple[str, ...], outs_of, en_map):
@@ -267,8 +364,13 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     outs_of = {(s, i): outs for s in states for i, outs, _ in named[s]}
     en_map = {arena.name(m): names(arena.enablers_of(m))
               for m in arena.moves if arena.is_input(m)}
+    # input sets as bit masks over in_ports, and each input's two literals
+    place = {v: 1 << k for k, v in enumerate(in_ports)}
+    mask = {i: sum(place[v] for v in i) for s in states for i, _, _ in named[s]}
+    literals = [(ENot(EVar(v)), EVar(v)) for v in in_ports]
 
-    # output logic with per-output support reduction
+    # output logic with per-output support reduction; states with equal
+    # cube sums share one term
     assigns: list[tuple[str, Expr]] = []
     for o in out_ports:
         entries: dict[int, tuple[set, set]] = {}
@@ -281,32 +383,47 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
                     off.add(frozenset())  # a cycle with no pulses is always possible
                 entries[s] = (on, off)
         support, entries = _reduced_support(entries, in_ports, outs_of, en_map)
-        terms = []
+        cared = sum(place[v] for v in support)
+        sharing: dict[tuple, list[int]] = {}
         for s in states:
-            if s not in entries:
-                continue
-            seen_projections = set()
-            for i_set in sorted(entries[s][0], key=sorted):
-                proj = i_set & frozenset(support)
-                if proj in seen_projections:
-                    continue
-                seen_projections.add(proj)
-                lits = [] if single else [EVar(bit[s])]
-                lits.append(_minterm(support, proj))
-                terms.append(eand(x for x in lits if x != EConst(True)))
+            if s in entries and entries[s][0]:
+                cubes = _cubes(cared, {mask[i] & cared for i in entries[s][0]})
+                sharing.setdefault(tuple(cubes), []).append(s)
+        terms = []
+        for cubes, shared in sharing.items():
+            f = _sop(literals, cubes)
+            if single:
+                terms.append(f)
+            elif f == EConst(True):
+                terms.extend(EVar(bit[s]) for s in shared)
+            else:
+                terms.append(_gate(eor(EVar(bit[s]) for s in shared), f))
         assigns.append((o, eor(terms)))
 
     if single:
         return NetModule(name, in_ports, out_ports, (), tuple(assigns), ())
 
-    # next-state: transition products plus a hold term per bit, each row's
-    # minterm built once
-    minterms = {s: [(_minterm(in_ports, i), to) for i, _, to in named[s]] for s in states}
+    # next-state: each bit is entered from other states and holds unless one
+    # of its own rows leaves it
+    into: dict[int, dict[int, list[int]]] = {d: {} for d in states}
+    leaving: dict[int, list[int]] = {s: [] for s in states}
+    for s in states:
+        for i, _, to in named[s]:
+            if to != s:
+                into[to].setdefault(s, []).append(mask[i])
+                leaving[s].append(mask[i])
+    full = (1 << len(in_ports)) - 1
     nexts: list[tuple[str, Expr]] = []
     for d in states:
-        terms = [eand([EVar(bit[s]), mt]) for s in states for mt, to in minterms[s] if to == d]
-        matched = eor([mt for mt, _ in minterms[d]])
-        terms.append(eand([EVar(bit[d]), ENot(matched)]))
+        terms = [_gate(EVar(bit[s]), _sop(literals, _cubes(full, ms)))
+                 for s, ms in into[d].items()]
+        if not leaving[d]:
+            terms.append(EVar(bit[d]))
+        else:
+            leave = _sop(literals, _cubes(full, leaving[d]))
+            if leave != EConst(True):
+                terms.append(_gate(EVar(bit[d]), leave.x if isinstance(leave, ENot)
+                                   else ENot(leave)))
         nexts.append((bit[d], eor(terms)))
 
     ordered_bits = tuple(bit[s] for s in sorted(states, key=lambda s: order[s]))
@@ -317,7 +434,8 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
 def module_header(name: str, clocked: bool, inputs: Iterable[str],
                   outputs: Iterable[str]) -> list[str]:
     """The ``module`` line and port list, over names already in Verilog form."""
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", name):
+    if not (name.isascii() and (name[:1].isalpha() or name[:1] == "_")
+            and all(c.isalnum() or c in "_$" for c in name)):
         raise ValueError(f"module name {name!r} is not a Verilog identifier; "
                          f"name the top module with --top")
     ports = ["input wire clk", "input wire rst"] if clocked else []

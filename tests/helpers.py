@@ -18,7 +18,9 @@ exact closed-cover search with no bounds, against which the library's
 bounded one is checked.  ``reference_round_abstract`` tries every input
 subset at every state, against which the library's cascade-proposed round
 sets are checked.  ``expr_eval`` walks a netlist expression tree, against
-which the library's compiled cones are checked.
+which the library's compiled cones are checked.  ``reference_netlist_of``
+writes every cone as one minterm per round, against which the library's
+prime-cube cones are checked.
 ``reference_prune_inadmissible`` is the depth-first pruning walk, against
 which the library's breadth-first product walk is checked.
 ``reference_synthesis_view`` prunes first and drops race rows second, the
@@ -53,9 +55,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from gosyn.arena import Arena, Face, Move, arena_of_type, term_arena
-from gosyn.automata import StrategyAutomaton, synchronize_and_hide
+from gosyn.automata import StrategyAutomaton, initial_first, synchronize_and_hide
 from gosyn.denote import diagonal
-from gosyn.netlist import EAnd, EConst, ENot, EOr, EVar, Expr, NetModule
+from gosyn.netlist import (EAnd, EConst, ENot, EOr, EVar, Expr, NetModule, _reduced_support,
+                           eand, eor, synthesis_view)
 from gosyn.plays import decide, decide_round
 from gosyn.sim import SimReport, simulate
 from gosyn.syncmin import NonConfluent, SyncMachine, _cascade, prune_inadmissible
@@ -909,6 +912,69 @@ def expr_eval(e: Expr, env: dict[str, bool]) -> bool:
     if isinstance(e, EOr):
         return any(expr_eval(x, env) for x in e.xs)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# ------------------------------------------------ reference netlist
+
+def reference_netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
+    """The netlist written as one minterm per round.
+
+    Each output sums, per state, one minterm per distinct ON projection
+    over the output's reduced support; each state bit sums one minterm per
+    row that enters it, from any state, plus a hold term that negates the
+    sum of all of its own rows.  Registers, ports and supports are the
+    library's, so every cone must compute the same function as
+    ``netlist_of``'s.
+    """
+    machine = synthesis_view(machine)
+    arena = machine.arena
+    in_ports, out_ports = arena.input_names(), arena.output_names()
+    states = sorted(machine.transitions)
+    order = initial_first(states, machine.initial)
+    bit = {s: f"st{order[s]}" for s in states}
+    single = len(states) == 1
+
+    def names(ms) -> frozenset:
+        return frozenset(arena.name(m) for m in ms)
+
+    def minterm(vars_order, on) -> Expr:
+        return eand(EVar(v) if v in on else ENot(EVar(v)) for v in vars_order)
+
+    named = {s: [(names(i), names(outs), to) for i, (outs, to) in machine.rows(s)]
+             for s in states}
+    outs_of = {(s, i): outs for s in states for i, outs, _ in named[s]}
+    en_map = {arena.name(m): names(arena.enablers_of(m))
+              for m in arena.moves if arena.is_input(m)}
+    assigns = []
+    for o in out_ports:
+        entries = {}
+        for s in states:
+            on, off = set(), set()
+            for i, outs, _ in named[s]:
+                (on if o in outs else off).add(i)
+            if on or off:
+                if frozenset() not in machine.transitions[s]:
+                    off.add(frozenset())
+                entries[s] = (on, off)
+        support, entries = _reduced_support(entries, in_ports, outs_of, en_map)
+        terms = []
+        for s in states:
+            for proj in sorted({i & frozenset(support) for i in entries.get(s, ((), ()))[0]},
+                               key=sorted):
+                lits = [] if single else [EVar(bit[s])]
+                lits.append(minterm(support, proj))
+                terms.append(eand(x for x in lits if x != EConst(True)))
+        assigns.append((o, eor(terms)))
+    if single:
+        return NetModule(name, in_ports, out_ports, (), tuple(assigns), ())
+    nexts = []
+    for d in sorted(states, key=lambda s: order[s]):
+        terms = [eand([EVar(bit[s]), minterm(in_ports, i)])
+                 for s in states for i, _, to in named[s] if to == d]
+        terms.append(eand([EVar(bit[d]), ENot(eor(minterm(in_ports, i) for i, _, _ in named[d]))]))
+        nexts.append((bit[d], eor(terms)))
+    return NetModule(name, in_ports, out_ports, tuple(b for b, _ in nexts), tuple(assigns),
+                     tuple(nexts))
 
 
 # ------------------------------------------------ reference machine preview

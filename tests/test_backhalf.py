@@ -84,6 +84,7 @@ def test_clock_block_reduces_only_when_asked(demo):
 @pytest.mark.parametrize("name, ok", [
     ("top", True), ("_q2", True), ("a$b", True), ("Q9_body", True),
     ("my-seq", False), ("2top_body", False), ("$x", False), ("a b", False), ("", False),
+    ("é", False), ("aé", False),
 ])
 def test_module_header_takes_only_verilog_identifiers(name, ok):
     if ok:

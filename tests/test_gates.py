@@ -1,0 +1,128 @@
+"""Gate logic is exact: prime cubes compute what one minterm per round does.
+
+``netlist_of`` writes every sum of row minterms as a sum of prime cubes,
+lets a state bit hold unless one of its own rows leaves it, and shares one
+output term among states with equal cube sums.  None of that may change a
+cone's Boolean function, so each module's cones are compared with those of
+``helpers.reference_netlist_of``, which writes one minterm per round, on
+every one-hot state code (and a few codes that are not one-hot) and every
+input subset.  The hold contract is checked against the round table alone:
+from each one-hot state, the next state is the target of the row the
+pulses select in ``synthesis_view``, or the state itself when none does.
+
+The modules are the instances of the pinned designs that compile, the call
+managers of the pinned shared types with at most nine inputs, and thirty
+random depth-3 blocks.
+"""
+
+import functools
+import random
+
+from helpers import SHARED_TYPES, SLOW_MANAGERS, random_program, reference_netlist_of
+from test_pins import PROGRAMS
+from gosyn.automata import CompositionStall, initial_first
+from gosyn.denote import interpret
+from gosyn.design import DesignError, clock_block, compile_design, manager_machine
+from gosyn.netlist import _cubes, netlist_of, synthesis_view
+from gosyn.syntax import parse_type
+
+MAX_MANAGER_INPUTS = 9
+
+
+@functools.cache
+def _machines() -> tuple:
+    """(label, machine) of every module the checks run on."""
+    seen: dict[int, tuple] = {}
+    for name, source in PROGRAMS.items():
+        try:
+            design = compile_design(source, name=name)
+        except (CompositionStall, DesignError):
+            continue  # pair_seq and cell_fst have no design
+        for iname, inst in design.instances.items():
+            seen.setdefault(id(inst.machine), (f"{name}.{iname}", inst.machine))
+    managers = []
+    for ty in SHARED_TYPES:
+        if ty in SLOW_MANAGERS:
+            continue
+        try:
+            m = manager_machine(parse_type(ty))
+        except DesignError:
+            continue  # a product or cell parameter gets no call manager
+        if len(m.arena.input_names()) <= MAX_MANAGER_INPUTS:
+            managers.append((f"manager {ty}", m))
+    rng = random.Random(2009)
+    blocks = [(f"random block {k}", clock_block(interpret(random_program(rng, depth=3))))
+              for k in range(30)]
+    return (*seen.values(), *managers, *blocks)
+
+
+def _pulse_sets(inputs: tuple) -> list[dict]:
+    return [{v: bool(bits >> k & 1) for k, v in enumerate(inputs)}
+            for bits in range(1 << len(inputs))]
+
+
+def test_the_modules_cover_designs_managers_and_random_blocks():
+    labels = [label for label, _ in _machines()]
+    assert sum(label.startswith("manager ") for label in labels) == 8
+    assert sum(label.startswith("random block ") for label in labels) == 30
+    assert {"loop.body", "shared_twice.body", "par4.body", "and3.body"} <= set(labels)
+
+
+def test_cones_equal_one_minterm_per_round():
+    rng = random.Random(2009)
+    for label, m in _machines():
+        got, want = netlist_of(m), reference_netlist_of(m)
+        assert (got.inputs, got.outputs, got.state_bits) == \
+            (want.inputs, want.outputs, want.state_bits), label
+        n = len(got.state_bits)
+        codes = [tuple(j == i for j in range(n)) for i in range(n)] or [()]
+        codes += [tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(2 if n else 0)]
+        for code in codes:
+            state = dict(zip(got.state_bits, code))
+            for pulses in _pulse_sets(got.inputs):
+                assert got.eval(state, pulses) == want.eval(state, pulses), (label, code, pulses)
+
+
+def test_a_state_bit_moves_only_by_its_rows():
+    for label, m in _machines():
+        gates, view = netlist_of(m), synthesis_view(m)
+        if not gates.clocked:
+            continue
+        arena = view.arena
+        states = sorted(view.transitions)
+        order = initial_first(states, view.initial)
+        bit = {s: f"st{order[s]}" for s in states}
+        for s in states:
+            here = {b: b == bit[s] for b in gates.state_bits}
+            for pulses in _pulse_sets(gates.inputs):
+                row = view.transitions[s].get(
+                    frozenset(arena.by_name(p) for p, on in pulses.items() if on))
+                to = s if row is None else row[1]
+                _, nxt = gates.eval(here, pulses)
+                assert nxt == {b: b == bit[to] for b in gates.state_bits}, (label, s, pulses)
+
+
+def _holds(cube: tuple, m: int) -> bool:
+    care, val = cube
+    return m & care == val
+
+
+def test_cubes_are_an_exact_sorted_sum_of_primes():
+    rng = random.Random(1956)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        full = (1 << n) - 1
+        on = {m for m in range(1 << n) if rng.random() < rng.random()}
+        cubes = _cubes(full, on)
+        assert cubes == sorted(cubes)
+        assert {m for m in range(1 << n) if any(_holds(c, m) for c in cubes)} == on
+        for care, val in cubes:
+            for k in range(n):
+                b = 1 << k
+                if care & b:  # dropping any literal would reach the OFF set
+                    wider = (care & ~b, val & ~b)
+                    assert any(_holds(wider, m) and m not in on for m in range(1 << n))
+        # no cube is covered by the others
+        for c in cubes:
+            rest = [d for d in cubes if d != c]
+            assert any(_holds(c, m) and not any(_holds(d, m) for d in rest) for m in on)

@@ -58,29 +58,29 @@ PROGRAMS = {
 
 DESIGN_DIGESTS = {
     "count_to_zero": "b3e37377e9ebeeb79068ce8c364731cfb892a5de071905b814a29409865b1d49",
-    "loop": "6665863e3a786fdce0f7e07eac10e9c65a997b91de6577a9a92adc85e292d212",
-    "par_pair": "bf41d7db60f85eb5caba466595048974e427593e207038de62287ba59a95c047",
+    "loop": "d99c52c6b47b3293ba1a52f9a287309b13070582007cd68e8a3dbf9374efbb16",
+    "par_pair": "a8572e75363737ca736797af717bfd90f6a2bd55c80d457a20a9cbcd0e9ba722",
     "seq": "5f5e20b2c737d35172f9840d930edf0e8864632a18e4713edee88f84ee523533",
-    "shared_twice": "371cbe1856243031e25c6483221d7641263b48708158e9dfff5f1d1f1b2b2c3a",
+    "shared_twice": "ec6119429709d59c16a0dbfeb65fe4fb83ff03d7864c889e1c4d07e71745514f",
     "true": "c945e417d044422623a5563491398ee7cc184db548f7bf728b3df6f2c9ad578d",
     "seq2": "001340193d65da831b8a8dc27145ad71d5c73897f78db73d10c49d3a9ce62677",
     "seq3": "c7b3b00b55fc9fce0b78d6c64fc0ccbb8affe09083f9a6a8b1b3e59a98745992",
     "seq4": "de3bce8b4040a7352c30ce4dc1b6636c6915ec812e06346b0f32db0a5610b93c",
     "seq5": "12355d62886882dff58ec6491c1ae4c5b0452e3961cd13f0a3f13935bb6ceea4",
-    "par2": "1e180d832d7af8f55dd0f56c4081fe1bbcb855853e27b79b7d435c4dd3632e35",
-    "par3": "04c0993f7457a4bd01f0e541263bd37051bb293563f84ff78542feb6b28f5a75",
-    "par4": "398e0720e8a30b2ae2f9bbc56a2b2f31ebcb1a2feee9e78d33005802d81a5c52",
-    "if": "d3a3fb569dcc2d3ddb26e0e3e7e02a5d7b7bb8369740882faf8bb98dcb3fea08",
+    "par2": "2f69c22c4914a3345504f89aab447f55ca65b9e0855720c006cc0794bb51fb70",
+    "par3": "eff09290638250c8294e1869dfe5b8a34fbf686f159dc3652bf85d76b9ef5958",
+    "par4": "dece7ed92a80ca2f1874793c8422accbf89f6d3e031116158b29ed4ff692709e",
+    "if": "3d3ff849518393c2516fc66d0f0549752e74bcfadd438ade73e627c57626b122",
     "newloop": "485e9a5d96931201ee0e3ddd544a92d88e76d7c02b6fd1f28ac7e744df9d17bf",
     "pair_seq": "4ad642d7d197904ec73ea9717b642f6061f71c61d612785255dc6735db28fcb1",
     "and3": "08e9ed666eefb7f1571aaa3abc0a48fab9e9447c1081afe302618df9ca29a935",
     "and4": "4812f69c8ea0d5bb43bde18770f2cef5aca66a83fc9a13817b005dd07fd6a186",
     "cell_fst": "69f518424f3173f74c2cf9f18536a44d8c1dff01489d79070f50f019abcb2a33",
-    "if_if": "7e5311cbff8577610b8f74684724be92d734e27503395dbab365f511bcc33350",
-    "while_if": "0840c219bb0cb9ce2cf319cff05d0c78923e94f3466f830ddc9c8c6fc5b74699",
-    "call_if_if": "7c32c846996da75f737c3e66fea474609957351a938b552ba948d52cac3f896b",
-    "if_if_if": "692ac3a69180b03631ddf58d33e06239eeb483baff114e8f23821baf3ee10bcb",
-    "call_if": "6568ef8995fb57d72367c8a905c5698cbd37261515fd6119c183d31fb176ce3f",
+    "if_if": "70d99b1d3451fbfa03e30129c5671dbe329fb31faa11c84224c49b40eddb91d8",
+    "while_if": "c1ddfdf6bcf513783aef3a7960a7d260542bf15042982b1d4a596b0783d88657",
+    "call_if_if": "1891a2f6ac7567729a274c6a1fbda736c77227e6f9c5272c2170f71df0796dd5",
+    "if_if_if": "a022c851575dc6683d14b47566489eca763e80caf20c30d36d60fe0a5edf48f0",
+    "call_if": "b75d64b86cc38c65608a3a02381e8d34817925d5244acf95c5fbb6343cebdd1d",
     "seq_use3": "34693864cbd79d591a7113ab186a83caa972af54e54c58e5cf59828d7b4c5ec0",
     "dropped": "2fe2be1ed8d75c31079335691c7b02dfc782a6903b92fdc5615b4a2cd6a1ecb2",
 }
@@ -131,20 +131,20 @@ CLI_DIGESTS = {
     "compile --json --dot count_to_zero": "bc5408fa35493fd25c082b65965532153f19d34211a52810b2f151b4a505f7a1",
     "ir count_to_zero": "a4c38d11ee2dd6583cb1b81645be54e26700a231c1085adb857ca6777dc5608c",
     "ir --sync count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
-    "compile loop": "4cfd25f0b488e55f4a029b984da1c0542d6607288ce5e4e16d3de0968da64e93",
-    "compile --json --dot loop": "b9f287846b7cd7dce99eff2a89fba5faab40bb7df798651b8dcaafe07230373c",
+    "compile loop": "ec0270ec56734b23310ce1e19c48eac71175def48d8a0c5f816bbf6d3be24deb",
+    "compile --json --dot loop": "e2af25392796ed2e145445277778a231c6ea662a39b188d8e4e50269db428193",
     "ir loop": "fe579f71b39a72533b3422e26d2df24b292128f94e602bdb038e36a12ad0b692",
     "ir --sync loop": "3d495de1750f4f16d8f45132fb97136b0fa6976e9038ecc91921a3f624b8183d",
-    "compile par_pair": "e15473ef470a864181aa91940527b44d7bb0a405da542145900bb6f112dd0d9c",
-    "compile --json --dot par_pair": "80758fbe0f02bba40e727d7608e95a32ad2894a10e98040d18f2a7f56716ed83",
+    "compile par_pair": "d5ae4ed987866337fa2f737b87bf048413f8f8f037a34462dd6bec9b325603b9",
+    "compile --json --dot par_pair": "8db3c9aa2bb668d7e46895dfda9a36e582aa94886ae503ae28cd47bb782d465e",
     "ir par_pair": "dc5eda12041231885092586b5de2e36ae629f9884610b216e37713f307b48e19",
     "ir --sync par_pair": "bf354967bd9fa1311adc724874bc5accb1a3bf62d8f88ee6303967cb219d815d",
     "compile seq": "f46fb5e56ed2f4958984f17e1fd9619c271ce1b4d39e78a44acafdfd2cb12d39",
     "compile --json --dot seq": "7ea614e1d9c55d265640063079c3749f8aed4c2608f194d77dd83ad0cf593b79",
     "ir seq": "eab6ae10bd83e6d36912c6996a906994d98452fca956ef720e4ca33f26d87a2b",
     "ir --sync seq": "b6db562b33b059e5807e45046f38373321e3b986b8c35aa9d5a7aeda3df02e1d",
-    "compile shared_twice": "01e851eea113a63ee41d6534ea183bafb7e6cecef3bef5790e8b7d9092f4aad6",
-    "compile --json --dot shared_twice": "8551ab4f0f94f55e1828d09e827ecb082c8e8799e1acdf772ec610226282b4bc",
+    "compile shared_twice": "34d13b5d29eae35e291ff93a7ad64c9270456b36960f756bf9c32caf5f2ff6cc",
+    "compile --json --dot shared_twice": "96601d4867d038b543edb93968489a952470b28977197533d63073e00d4fe9d7",
     "ir shared_twice": "0dc3b723972b64b3aff1d4912f6916d460b62e730f437be114f93a455b8e0179",
     "ir --sync shared_twice": "ad8cbab39da34a8c8e5cf67fd01b3c438beaf21da8809297db9cc445a7c218da",
     "compile true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
@@ -153,13 +153,13 @@ CLI_DIGESTS = {
     "ir --sync true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "compile --no-minimize count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
     "ir --sync --no-minimize count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
-    "compile --no-minimize loop": "4dee462ad24e473429b8bb960fdc1b79bb148fc694840822261b8a832c40f271",
+    "compile --no-minimize loop": "34ccb3b6b7ef037e4721b978cab63e875cc4dfd4372113371a0c296631e398f9",
     "ir --sync --no-minimize loop": "719f1c33c8a0e9a51eb1516b50800cca7a2f58d5dd6259854247a3bdead11f23",
-    "compile --no-minimize par_pair": "3b127aeb6dd0244b26baf3bcb97cdfa57254c82091c4b023ea26e7c9843116ef",
+    "compile --no-minimize par_pair": "59d3b2a268bb99fb6e1536ad2ef6b2ab15a9a4655f050057adc1bd2444a9ffc4",
     "ir --sync --no-minimize par_pair": "a1ff9f43ffa24a8fbb247de58c576173586c268857f719fc29c007e889c0fe35",
-    "compile --no-minimize seq": "9421f8ea33db489f48375d2ec681a04c09bb943afbef9157ca31d0414a2305cb",
+    "compile --no-minimize seq": "8920f9d5d2b620a570b46f5e033e6c404a9d5fd9b15edab5cc5535ecf3b6929d",
     "ir --sync --no-minimize seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
-    "compile --no-minimize shared_twice": "d8d1adf4c44be93522f8e562dc4c9ae5918c64e1e8fd9916b05fdf4262c594b9",
+    "compile --no-minimize shared_twice": "ecff3f5ef6d5045998d2aec1414115f3f6bef4c68526763f9c67ce3c3ab72ba0",
     "ir --sync --no-minimize shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
     "compile --no-minimize true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
     "ir --sync --no-minimize true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
