@@ -10,20 +10,33 @@ an acknowledgement often combinationally depends on a request in the same
 cycle, and keeping the request out of the answer's support is what keeps
 tied-together netlists acyclic.
 
-The logic is two-level and exact: each cone computes the same Boolean
-function as the sum of one minterm per round over the full inputs, on every
-state code, one-hot or not.  Three rules make it small.
+The logic is two-level.  Each output cone computes the same Boolean
+function as the sum of one minterm per round over its reduced support, on
+every state code, one-hot or not.  The next-state cones honour a care-set
+contract instead: in one-hot state ``s``, on each input set of ``s``'s
+*care set*, the next code is one-hot at the target of the row those inputs
+select, or at ``s`` itself when no row does.  The care set holds ``s``'s
+rows, the empty round, and every input set that
+:func:`plays.decide_round` admits at one of ``s``'s protocol contexts, the
+pending-forest keys the product walk of :func:`synthesis_view` reaches
+``s`` with (:func:`care_sets`).  An admitted input set with no row thus
+parks the machine instead of scrambling it.  Every other input set is one
+no legal environment presents in ``s``, and the safe-mode testbench holds it
+back, so it is a don't-care of the next-state logic.  These rules make the
+logic small.
 
 - A state bit holds unless its own rows leave it.  Each input set labels
   at most one row of a state, so ``next(d)`` is the transitions into ``d``
-  from other states, ``OR (st_s & C[s->d])``, plus ``st_d & ~C[d->other]``,
-  or plain ``st_d`` when no row leaves ``d``.  An input set with no row
-  parks the machine instead of scrambling it.
+  from other states, ``OR (st_s & C[s->d])``, plus ``st_d & ~C[d->other]``
+  or ``st_d & C[d stays]`` (its own rows into ``d`` and its parked care
+  set), whichever has fewer literals, or plain ``st_d`` when no row leaves
+  ``d``.
 - Every sum of row minterms becomes a sum of prime cubes (:func:`_cubes`):
-  the next-state sums over all inputs, and each state's output projections
-  over the output's reduced support.
-- States whose output cube sums are equal share one term,
-  ``(st_a | st_b) & f``.
+  the next-state sums over all inputs, expanded against the care set's
+  other input sets, and each state's output projections over the output's
+  reduced support, exactly.
+- States whose cube sums into one target, or for one output, are equal
+  share one term, ``(st_a | st_b) & f``.
 
 A machine with a single state needs no clock at all and comes out as pure
 continuous assignments.
@@ -33,9 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .automata import initial_first
+from .plays import decide_round
 from .syncmin import SyncMachine, prune_inadmissible
 
 # ------------------------------------------------------- tiny expression AST
@@ -168,26 +182,37 @@ class NetModule:
         return eval(compile(src, f"<cones of {self.name}>", "eval"))
 
 
-def _cubes(full: int, on: Iterable[int]) -> list[tuple[int, int]]:
-    """An exact sum of prime cubes for the ON set ``on`` over the variables in ``full``.
+def _cubes(full: int, on: Iterable[int], off: Optional[Iterable[int]] = None
+           ) -> list[tuple[int, int]]:
+    """A sum of prime cubes over the variables in ``full`` that holds ``on`` and misses ``off``.
 
     Minterms are bit masks within ``full``, one bit per variable; a cube
     ``(care, value)`` holds the minterms ``m`` with ``m & care == value``.
-    There are no don't-cares: the cubes cover ``on`` and nothing else.  The
-    primes come from Quine-McCluskey merging of cubes that differ in one
-    cared-for bit, each carrying the minterms it holds.  The cover takes
-    every essential prime; then, for each minterm still open, fewest
-    holding primes first, the prime that holds the most open minterms (the
-    larger cube on a tie); and finally drops any picked prime the others
-    cover.  The result is sorted, so it depends on no set order.
+    Minterms in neither set are don't-cares.  Without ``off`` the OFF set
+    is the complement of ``on`` and the sum is exact, over the primes
+    :func:`_merged_primes` finds; with ``off`` the primes are those
+    :func:`_expanded_primes` finds.  The cover takes every essential prime;
+    then, for each minterm still open, fewest holding primes first, the
+    prime that holds the most open minterms (the larger cube on a tie); and
+    finally drops any picked prime the others cover.  The result is sorted,
+    so it depends on no set order.
     """
-    on = set(on)
+    on = sorted(set(on))
+    if off is not None:
+        return sorted(_cover(_expanded_primes(full, on, set(off)), len(on)))
     if len(on) <= 1:
         return [(full, m) for m in on]
+    return sorted(_cover(_merged_primes(full, on), len(on)))
+
+
+def _merged_primes(full: int, on: list[int]) -> dict[tuple[int, int], int]:
+    """Every prime of the ON set ``on`` (sorted), by Quine-McCluskey merging
+    of cubes that differ in one cared-for bit; each prime maps to the
+    minterms it holds, as a bit set over the positions of ``on``."""
     # cubes grouped by care mask; each holds its minterms as a bit set over
     # the positions of ``on``
     primes: dict[tuple[int, int], int] = {}
-    level = {full: {m: 1 << k for k, m in enumerate(sorted(on))}}
+    level = {full: {m: 1 << k for k, m in enumerate(on)}}
     while level:
         up: dict[int, dict[int, int]] = {}
         for care, vals in level.items():
@@ -207,8 +232,49 @@ def _cubes(full: int, on: Iterable[int]) -> list[tuple[int, int]]:
                         merged.add(val | b)
             primes.update(((care, v), h) for v, h in vals.items() if v not in merged)
         level = up
+    return primes
+
+
+def _expanded_primes(full: int, on: list[int], off: set[int]) -> dict[tuple[int, int], int]:
+    """Primes that avoid ``off`` and hold every minterm of ``on`` (sorted),
+    each mapped to the minterms it holds as a bit set over the positions of
+    ``on``.
+
+    Each ON minterm ``m`` that no prime found so far holds is expanded to
+    one prime (Brayton et al.'s EXPAND).  The expansion keeps the set
+    ``{(o ^ m) & care}`` over the OFF minterms ``o``.  The cube
+    ``(care, m & care)`` holds ``o`` exactly when that difference is zero,
+    so dropping bit ``b`` is legal exactly when ``b`` is not in the set.
+    Bits are tried in the order of how many ON minterms differ from ``m``
+    in them, most first, so the cube grows towards the other ON minterms.
+    """
+    primes: dict[tuple[int, int], int] = {}
+    nb = full.bit_length()
+    ones = [sum(m >> k & 1 for m in on) for k in range(nb)]
+    for m in on:
+        if any(m & care == val for care, val in primes):
+            continue
+        care, apart = full, {o ^ m for o in off}
+        # raise first the bits in which most ON minterms differ from m
+        for k in sorted(range(nb), key=lambda k: ones[k] - len(on) if m >> k & 1
+                        else -ones[k]):
+            b = 1 << k
+            if care & b and b not in apart:
+                care ^= b
+                apart = {d & ~b for d in apart}
+        primes[care, m & care] = 0
+    for k, m in enumerate(on):
+        for care, val in primes:
+            if m & care == val:
+                primes[care, val] |= 1 << k
+    return primes
+
+
+def _cover(primes: dict[tuple[int, int], int], n: int) -> list[tuple[int, int]]:
+    """An irredundant choice of ``primes`` that holds all ``n`` minterms;
+    each prime maps to the bit set of the minterms it holds."""
     # held_by[k]: the primes holding minterm k, larger cubes first
-    held_by: list[list] = [[] for _ in on]
+    held_by: list[list] = [[] for _ in range(n)]
     for p in sorted(primes, key=lambda p: (p[0].bit_count(), p)):
         holds = primes[p]
         while holds:
@@ -216,11 +282,11 @@ def _cubes(full: int, on: Iterable[int]) -> list[tuple[int, int]]:
             holds ^= b
             held_by[b.bit_length() - 1].append(p)
     chosen = sorted({ps[0] for ps in held_by if len(ps) == 1})
-    left = (1 << len(on)) - 1
+    left = (1 << n) - 1
     for p in chosen:
         left &= ~primes[p]
     picked = []
-    for k in sorted(range(len(on)), key=lambda k: len(held_by[k])):
+    for k in sorted(range(n), key=lambda k: len(held_by[k])):
         if left >> k & 1:
             best = max(held_by[k], key=lambda p: (left & primes[p]).bit_count())
             picked.append(best)
@@ -233,7 +299,7 @@ def _cubes(full: int, on: Iterable[int]) -> list[tuple[int, int]]:
                 others |= primes[q]
         if not primes[p] & ~others:
             picked.remove(p)
-    return sorted(chosen + picked)
+    return chosen + picked
 
 
 def _sop(literals: list[tuple[Expr, Expr]], cubes: list[tuple[int, int]]) -> Expr:
@@ -250,6 +316,11 @@ def _sop(literals: list[tuple[Expr, Expr]], cubes: list[tuple[int, int]]) -> Exp
     return eor(products)
 
 
+def _size(cubes: list[tuple[int, int]]) -> int:
+    """The literals of a sum of cubes: one more than its ``&`` and ``|`` operators."""
+    return sum(care.bit_count() for care, _ in cubes)
+
+
 def _gate(x: Expr, f: Expr) -> Expr:
     """``x & f`` with a product ``f`` flattened and a constant-true ``f`` dropped."""
     if f == EConst(True):
@@ -257,14 +328,15 @@ def _gate(x: Expr, f: Expr) -> Expr:
     return EAnd((x, *f.xs)) if isinstance(f, EAnd) else EAnd((x, f))
 
 
-def _reduced_support(entries, inputs: tuple[str, ...], outs_of, en_map):
+def _reduced_support(entries, full: int, outs_of, enablers):
     """Greedily drop input variables while ON/OFF stay distinguishable.
 
-    ``entries`` maps state -> (on_sets, off_sets) of input-name frozensets.
-    A drop that makes an ON row and an OFF row project onto the same pulses
-    can still go through when each clashing round that differs is a denser
-    reading of the other: its extra pulses are echoes that only its own
-    outputs enable (and the other round's outputs do not).  Such a round
+    ``entries`` maps state -> (ON, OFF) sets of input masks, one bit per
+    input within ``full``, so projecting a round onto a trial support is one
+    ``&``.  A drop that makes an ON row and an OFF row project onto the same
+    pulses can still go through when each clashing round that differs is a
+    denser reading of the other: its extra pulses are echoes that only its
+    own outputs enable (and the other round's outputs do not).  Such a round
     asserts that its routing can be recognized from a pulse that the routing
     itself produced, which gates cannot honour, so it is discarded for this
     output and the other reading keeps its meaning.  Every other clash keeps
@@ -272,40 +344,48 @@ def _reduced_support(entries, inputs: tuple[str, ...], outs_of, en_map):
     the other side's outputs (a chain that simply ran further) and any clash
     against the synthetic empty round.
 
-    ``outs_of`` maps (state, round inputs) to the round's output names and
-    ``en_map`` maps an input name to the names that enable it.  Returns
-    (support, entries) with entries reflecting any discards.
+    ``outs_of`` maps (state, round input mask) to the round's output mask
+    and ``enablers[k]`` is the output mask that enables input bit ``k``.
+    Variables are tried from the lowest bit up.  Returns (support mask,
+    entries) with entries reflecting any discards.
     """
-    support = list(inputs)
+    support = full
     entries = {s: (set(on), set(off)) for s, (on, off) in entries.items()}
 
     def doomable(s, r, other) -> bool:
-        extras = r - other
+        extras = r & ~other
         if not extras:
             return False
         mine = outs_of.get((s, r))
         theirs = outs_of.get((s, other))
         if mine is None or theirs is None:
             return False  # the synthetic empty round has no story to compare
-        return all(en_map.get(x, frozenset()) & mine
-                   and not en_map.get(x, frozenset()) & theirs
-                   for x in extras)
+        while extras:
+            b = extras & -extras
+            extras ^= b
+            en = enablers[b.bit_length() - 1]
+            if not en & mine or en & theirs:
+                return False
+        return True
 
-    def clashes(trial: frozenset):
+    def clashes(trial: int):
         """Each state's (ON, OFF) round pairs that project onto the same
         pulses of ``trial``: its ON rounds bucketed by projection, then each
         OFF round's bucket."""
         for s, (on_sets, off_sets) in entries.items():
-            by_projection: dict[frozenset, list] = {}
+            by_projection: dict[int, list] = {}
             for r_on in on_sets:
                 by_projection.setdefault(r_on & trial, []).append(r_on)
             for r_off in off_sets:
                 for r_on in by_projection.get(r_off & trial, ()):
                     yield s, r_on, r_off
 
-    for v in inputs:
-        doom: list[tuple[int, bool, frozenset]] = []
-        for s, r_on, r_off in clashes(frozenset(support) - {v}):
+    bits = full
+    while bits:
+        v = bits & -bits
+        bits ^= v
+        doom: list[tuple[int, bool, int]] = []
+        for s, r_on, r_off in clashes(support & ~v):
             hit = False
             if doomable(s, r_on, r_off):
                 doom.append((s, True, r_on))
@@ -318,12 +398,12 @@ def _reduced_support(entries, inputs: tuple[str, ...], outs_of, en_map):
         else:
             for s, is_on, r in doom:
                 entries[s][0 if is_on else 1].discard(r)
-            support = [w for w in support if w != v]
-    return tuple(support), entries
+            support &= ~v
+    return support, entries
 
 
-def synthesis_view(m: SyncMachine) -> SyncMachine:
-    """The round table synthesis starts from.
+def synthesis_view(m: SyncMachine) -> tuple[SyncMachine, dict[int, tuple]]:
+    """The round table synthesis starts from, with each state's protocol contexts.
 
     Two reductions relative to the machine, in this order.  First, rounds in
     which two opening requests land in the same cycle are dropped.
@@ -333,7 +413,8 @@ def synthesis_view(m: SyncMachine) -> SyncMachine:
     reproduce an arbitrary tie-break.  Then rounds no legal environment can
     produce are removed, by :func:`prune_inadmissible` on the race-free
     table, so the protocol product it walks never enters a context that
-    only a race reaches.
+    only a race reaches.  The contexts are the pending-forest keys that walk
+    reached each state with.
 
     Dropping races first is sound: a run the simulator completes never
     presents two openings in one cycle (it stops with ``Race``), so it
@@ -346,8 +427,56 @@ def synthesis_view(m: SyncMachine) -> SyncMachine:
     return prune_inadmissible(SyncMachine(m.arena, table, m.initial))
 
 
+def care_sets(view: SyncMachine, contexts: dict[int, tuple]) -> dict[int, set[int]]:
+    """Per state, the input masks its next state is cared for on.
+
+    Bit ``k`` of a mask is input ``view.arena.input_names()[k]``.  A state
+    is cared for on its rows, on the empty round, and on every input set
+    that :func:`plays.decide_round` admits at one of its contexts, which is
+    what the simulator's safe-mode testbench lets through.  Inputs are
+    enabled by outputs alone, so no input of a round justifies another, and
+    dropping an input from a legal order leaves a legal order.  The sets
+    admitted at a key are thus closed under subsets, and they grow from the
+    inputs admitted alone, one input of higher rank at a time.
+    """
+    arena = view.arena
+    place = {v: 1 << k for k, v in enumerate(arena.input_names())}
+    moves = sorted((m for m in arena.moves if arena.is_input(m)), key=arena.rank.__getitem__)
+    bit = [place[arena.name(m)] for m in moves]
+    admitted_at: dict[tuple, set[int]] = {}
+
+    def admitted(key: tuple) -> set[int]:
+        got = admitted_at.get(key)
+        if got is None:
+            singles = [k for k, m in enumerate(moves) if decide_round(arena, key, (m,)) is not None]
+            got = admitted_at[key] = {0, *(bit[k] for k in singles)}
+            work = [((k,), bit[k]) for k in singles]  # rank-ordered move indices, mask
+            while work:
+                ks, mask = work.pop()
+                for k in singles[singles.index(ks[-1]) + 1:]:
+                    grown = ks + (k,)
+                    if decide_round(arena, key, [moves[j] for j in grown]) is not None:
+                        got.add(mask | bit[k])
+                        work.append((grown, mask | bit[k]))
+        return got
+
+    care = {}
+    for s, keys in contexts.items():
+        care[s] = {0, *(sum(place[arena.name(m)] for m in i) for i in view.transitions[s])}
+        for key in keys:
+            care[s] |= admitted(key)
+    return care
+
+
+def _terms(bits: list[Expr], f: Expr) -> list[Expr]:
+    """``(b1 | b2 | ...) & f`` as terms of a sum, with no gate for a constant-true ``f``."""
+    if f == EConst(True):
+        return list(bits)
+    return [_gate(eor(bits), f)]
+
+
 def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
-    machine = synthesis_view(machine)
+    machine, contexts = synthesis_view(machine)
     arena = machine.arena
     in_ports, out_ports = arena.input_names(), arena.output_names()
     states = sorted(machine.transitions)
@@ -355,73 +484,89 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     bit = {s: f"st{order[s]}" for s in states}
     single = len(states) == 1
 
-    def names(ms) -> frozenset:
-        return frozenset(arena.name(m) for m in ms)
+    # input and output sets as bit masks over in_ports and out_ports, and
+    # each input's two literals
+    place = {v: 1 << k for k, v in enumerate(in_ports + out_ports)}
 
-    # each state's rows in row order, named once: (inputs, outputs, target)
-    named = {s: [(names(i), names(outs), to) for i, (outs, to) in machine.rows(s)]
-             for s in states}
-    outs_of = {(s, i): outs for s in states for i, outs, _ in named[s]}
-    en_map = {arena.name(m): names(arena.enablers_of(m))
-              for m in arena.moves if arena.is_input(m)}
-    # input sets as bit masks over in_ports, and each input's two literals
-    place = {v: 1 << k for k, v in enumerate(in_ports)}
-    mask = {i: sum(place[v] for v in i) for s in states for i, _, _ in named[s]}
+    def mask(ms) -> int:
+        return sum(place[arena.name(m)] for m in ms)
+
+    # each state's rows in row order: (input mask, output mask, target)
+    rows = {s: [(mask(i), mask(outs) >> len(in_ports), to) for i, (outs, to) in machine.rows(s)]
+            for s in states}
+    outs_of = {(s, i): outs for s in states for i, outs, _ in rows[s]}
+    enablers = [mask(arena.enablers_of(arena.by_name(v))) >> len(in_ports) for v in in_ports]
     literals = [(ENot(EVar(v)), EVar(v)) for v in in_ports]
+    full = (1 << len(in_ports)) - 1
 
     # output logic with per-output support reduction; states with equal
     # cube sums share one term
     assigns: list[tuple[str, Expr]] = []
-    for o in out_ports:
+    for k, o in enumerate(out_ports):
         entries: dict[int, tuple[set, set]] = {}
         for s in states:
             on, off = set(), set()
-            for i, outs, _ in named[s]:
-                (on if o in outs else off).add(i)
+            for i, outs, _ in rows[s]:
+                (on if outs >> k & 1 else off).add(i)
             if on or off:
                 if frozenset() not in machine.transitions[s]:
-                    off.add(frozenset())  # a cycle with no pulses is always possible
+                    off.add(0)  # a cycle with no pulses is always possible
                 entries[s] = (on, off)
-        support, entries = _reduced_support(entries, in_ports, outs_of, en_map)
-        cared = sum(place[v] for v in support)
+        cared, entries = _reduced_support(entries, full, outs_of, enablers)
         sharing: dict[tuple, list[int]] = {}
         for s in states:
             if s in entries and entries[s][0]:
-                cubes = _cubes(cared, {mask[i] & cared for i in entries[s][0]})
+                cubes = _cubes(cared, {i & cared for i in entries[s][0]})
                 sharing.setdefault(tuple(cubes), []).append(s)
         terms = []
         for cubes, shared in sharing.items():
             f = _sop(literals, cubes)
-            if single:
-                terms.append(f)
-            elif f == EConst(True):
-                terms.extend(EVar(bit[s]) for s in shared)
-            else:
-                terms.append(_gate(eor(EVar(bit[s]) for s in shared), f))
+            terms += [f] if single else _terms([EVar(bit[s]) for s in shared], f)
         assigns.append((o, eor(terms)))
 
     if single:
         return NetModule(name, in_ports, out_ports, (), tuple(assigns), ())
 
     # next-state: each bit is entered from other states and holds unless one
-    # of its own rows leaves it
-    into: dict[int, dict[int, list[int]]] = {d: {} for d in states}
-    leaving: dict[int, list[int]] = {s: [] for s in states}
+    # of its own rows leaves it; a state's input sets outside its care set
+    # are don't-cares, and sources with equal entry cubes share one term
+    care = care_sets(machine, contexts)
+    summed: dict[tuple, list[tuple[int, int]]] = {}
+
+    def cubes_of(on: set[int], off: set[int]) -> list[tuple[int, int]]:
+        """:func:`_cubes` over all inputs, once per (ON, OFF) pair: a state
+        that leaves for one target enters it on the cubes it leaves on."""
+        key = (frozenset(on), frozenset(off))
+        if key not in summed:
+            summed[key] = _cubes(full, on, off)
+        return summed[key]
+
+    into: dict[int, dict[int, set[int]]] = {d: {} for d in states}
+    leaving: dict[int, set[int]] = {s: set() for s in states}
     for s in states:
-        for i, _, to in named[s]:
+        for i, _, to in rows[s]:
             if to != s:
-                into[to].setdefault(s, []).append(mask[i])
-                leaving[s].append(mask[i])
-    full = (1 << len(in_ports)) - 1
+                into[to].setdefault(s, set()).add(i)
+                leaving[s].add(i)
     nexts: list[tuple[str, Expr]] = []
     for d in states:
-        terms = [_gate(EVar(bit[s]), _sop(literals, _cubes(full, ms)))
-                 for s, ms in into[d].items()]
+        sharing = {}
+        for s, ms in into[d].items():
+            sharing.setdefault(tuple(cubes_of(ms, care[s] - ms)), []).append(s)
+        terms = []
+        for cubes, shared in sharing.items():
+            terms += _terms([EVar(bit[s]) for s in shared], _sop(literals, cubes))
         if not leaving[d]:
             terms.append(EVar(bit[d]))
         else:
-            leave = _sop(literals, _cubes(full, leaving[d]))
-            if leave != EConst(True):
+            # hold on ~leave or on stay, whichever has fewer literals
+            stays = care[d] - leaving[d]
+            leave, stay = cubes_of(leaving[d], stays), cubes_of(stays, leaving[d])
+            if _size(stay) < _size(leave):
+                if stay:
+                    terms += _terms([EVar(bit[d])], _sop(literals, stay))
+            elif leave != [(0, 0)]:
+                leave = _sop(literals, leave)
                 terms.append(_gate(EVar(bit[d]), leave.x if isinstance(leave, ENot)
                                    else ENot(leave)))
         nexts.append((bit[d], eor(terms)))

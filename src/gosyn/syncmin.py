@@ -550,15 +550,18 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
     return SyncMachine(m.arena, out, 0)
 
 
-def prune_inadmissible(m: SyncMachine) -> SyncMachine:
+def prune_inadmissible(m: SyncMachine) -> tuple[SyncMachine, dict[int, tuple]]:
     """Drop rounds that no legal environment can produce, keep states as-is.
 
     A round survives if its moves linearize legally in at least one reachable
-    protocol context of its state.  Netlist emission runs this first: the
+    protocol context of its state.  Returns the pruned machine and, per
+    state of it, those contexts: the pending-forest keys the product walk
+    reached it with, in walk order.  Netlist emission runs this first: the
     dropped entries become don't-cares, which is what lets support reduction
     cut the false combinational paths that order-conflated rounds would
     otherwise create (an answer pulse deciding the routing of a request that
-    causally preceded it).
+    causally preceded it), and the contexts bound each state's care set, so
+    the netlist walks the product once.
 
     The contexts are those of :func:`_product_states`, whose rounds are
     linearized in the arena's canonical move order and remembered per arena
@@ -567,13 +570,15 @@ def prune_inadmissible(m: SyncMachine) -> SyncMachine:
     """
     rows, index = _product_states(m)
     keep = {(s, i) for (s, _), p in index.items() for i in rows[p]}
-    reach = {s for s, _ in index}
+    contexts: dict[int, list] = {}
+    for s, key in index:
+        contexts.setdefault(s, []).append(key)
 
-    perm = initial_first(reach, m.initial)
+    perm = initial_first(contexts, m.initial)
     table = {perm[s]: {i: (o, perm[d]) for i, (o, d) in m.transitions[s].items()
                        if (s, i) in keep}
              for s in perm}
-    return SyncMachine(m.arena, table, 0)
+    return SyncMachine(m.arena, table, 0), {perm[s]: tuple(keys) for s, keys in contexts.items()}
 
 
 # ------------------------------------------------------------- equivalence

@@ -20,7 +20,9 @@ subset at every state, against which the library's cascade-proposed round
 sets are checked.  ``expr_eval`` walks a netlist expression tree, against
 which the library's compiled cones are checked.  ``reference_netlist_of``
 writes every cone as one minterm per round, against which the library's
-prime-cube cones are checked.
+prime-cube cones are checked, and ``care_sets`` finds the input sets each
+state's next state is cared for on by trying every input subset at every
+protocol context.
 ``reference_prune_inadmissible`` is the depth-first pruning walk, against
 which the library's breadth-first product walk is checked.
 ``reference_synthesis_view`` prunes first and drops race rows second, the
@@ -61,7 +63,8 @@ from gosyn.netlist import (EAnd, EConst, ENot, EOr, EVar, Expr, NetModule, _redu
                            eand, eor, synthesis_view)
 from gosyn.plays import decide, decide_round
 from gosyn.sim import SimReport, simulate
-from gosyn.syncmin import NonConfluent, SyncMachine, _cascade, prune_inadmissible
+from gosyn.syncmin import (NonConfluent, SyncMachine, _cascade, _product_states,
+                           prune_inadmissible)
 from gosyn.syntax import (
     App, Arrow, Cell, Com, Const, Exp, Fst, Lam, Pair, Prod, Snd, Term, Var,
     parse_type, type_to_str,
@@ -719,15 +722,16 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
     return SyncMachine(m.arena, table, 0)
 
 
-def reference_synthesis_view(m: SyncMachine) -> SyncMachine:
+def reference_synthesis_view(m: SyncMachine) -> tuple[SyncMachine, dict]:
     """``synthesis_view`` with its reductions swapped: every round admissible
     in some context the whole machine reaches, races included, less the
-    rounds with two opening requests."""
-    m = prune_inadmissible(m)
+    rounds with two opening requests.  The contexts are those of the walk
+    with races."""
+    m, contexts = prune_inadmissible(m)
     inits = frozenset(x for x in m.arena.initials if m.arena.is_input(x))
     table = {s: {i: e for i, e in row.items() if len(i & inits) <= 1}
              for s, row in m.transitions.items()}
-    return SyncMachine(m.arena, table, m.initial)
+    return SyncMachine(m.arena, table, m.initial), contexts
 
 
 # ------------------------------------------------------------ reference arena
@@ -926,7 +930,7 @@ def reference_netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     library's, so every cone must compute the same function as
     ``netlist_of``'s.
     """
-    machine = synthesis_view(machine)
+    machine, _ = synthesis_view(machine)
     arena = machine.arena
     in_ports, out_ports = arena.input_names(), arena.output_names()
     states = sorted(machine.transitions)
@@ -940,11 +944,18 @@ def reference_netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     def minterm(vars_order, on) -> Expr:
         return eand(EVar(v) if v in on else ENot(EVar(v)) for v in vars_order)
 
+    # _reduced_support reads port sets as masks, bit k for port k
+    def mask(ports, names_) -> int:
+        return sum(1 << k for k, v in enumerate(ports) if v in names_)
+
+    def unmask(i: int) -> frozenset:
+        return frozenset(v for k, v in enumerate(in_ports) if i >> k & 1)
+
     named = {s: [(names(i), names(outs), to) for i, (outs, to) in machine.rows(s)]
              for s in states}
-    outs_of = {(s, i): outs for s in states for i, outs, _ in named[s]}
-    en_map = {arena.name(m): names(arena.enablers_of(m))
-              for m in arena.moves if arena.is_input(m)}
+    outs_of = {(s, mask(in_ports, i)): mask(out_ports, outs)
+               for s in states for i, outs, _ in named[s]}
+    enablers = [mask(out_ports, names(arena.enablers_of(arena.by_name(v)))) for v in in_ports]
     assigns = []
     for o in out_ports:
         entries = {}
@@ -956,13 +967,17 @@ def reference_netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
                 if frozenset() not in machine.transitions[s]:
                     off.add(frozenset())
                 entries[s] = (on, off)
-        support, entries = _reduced_support(entries, in_ports, outs_of, en_map)
+        cared, entries = _reduced_support(
+            {s: tuple({mask(in_ports, i) for i in side} for side in e) for s, e in entries.items()},
+            (1 << len(in_ports)) - 1, outs_of, enablers)
+        support = unmask(cared)
+        entries = {s: tuple({unmask(i) for i in side} for side in e) for s, e in entries.items()}
         terms = []
         for s in states:
             for proj in sorted({i & frozenset(support) for i in entries.get(s, ((), ()))[0]},
                                key=sorted):
                 lits = [] if single else [EVar(bit[s])]
-                lits.append(minterm(support, proj))
+                lits.append(minterm([v for v in in_ports if v in support], proj))
                 terms.append(eand(x for x in lits if x != EConst(True)))
         assigns.append((o, eor(terms)))
     if single:
@@ -975,6 +990,22 @@ def reference_netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
         nexts.append((bit[d], eor(terms)))
     return NetModule(name, in_ports, out_ports, tuple(b for b, _ in nexts), tuple(assigns),
                      tuple(nexts))
+
+
+def care_sets(view: SyncMachine) -> dict[int, set[frozenset]]:
+    """Per state of a synthesis view, the input sets its next state is cared
+    for on, by brute force: its rows, the empty round, and every input
+    subset that ``decide_round`` admits at some key the product walk
+    reaches the state with."""
+    arena = view.arena
+    inputs = sorted((m for m in arena.moves if arena.is_input(m)), key=arena.rank.__getitem__)
+    care = {s: set(row) | {frozenset()} for s, row in view.transitions.items()}
+    for s, key in _product_states(view)[1]:
+        for n in range(len(inputs) + 1):
+            for moves in itertools.combinations(inputs, n):
+                if decide_round(arena, key, moves) is not None:
+                    care[s].add(frozenset(moves))
+    return care
 
 
 # ------------------------------------------------ reference machine preview

@@ -14,6 +14,8 @@ on the demos that have a stimulus, and ``monitor --json`` on the demo
 traces: exit code, stdout, stderr and each file written, in that order.
 ``compile`` and ``ir --sync`` also run with ``--no-minimize`` on every
 demo program.
+A total of the Verilog's ``&`` and ``|`` operators over the compiling
+programs may not grow.
 The constant digests hold each constant machine's rows in row order,
 which ``outputs_from`` and the cascade read.  The duplicator digests hold
 the rows of ``diagonal`` in row order, state numbering included, and the
@@ -28,9 +30,10 @@ from pathlib import Path
 import pytest
 
 from helpers import SHARED_TYPES, SLOW_MANAGERS, chain
+from gosyn.automata import CompositionStall
 from gosyn.cli import main
 from gosyn.denote import const_automaton, diagonal
-from gosyn.design import compile_design, design_verilog, manager_machine
+from gosyn.design import DesignError, compile_design, design_verilog, manager_machine
 from gosyn.syntax import CONSTANTS, parse_type
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -58,29 +61,29 @@ PROGRAMS = {
 
 DESIGN_DIGESTS = {
     "count_to_zero": "b3e37377e9ebeeb79068ce8c364731cfb892a5de071905b814a29409865b1d49",
-    "loop": "d99c52c6b47b3293ba1a52f9a287309b13070582007cd68e8a3dbf9374efbb16",
+    "loop": "e65dc241e09c8fa7afbddd38b3cee8e1336b391fe921015171da2fd72291065a",
     "par_pair": "a8572e75363737ca736797af717bfd90f6a2bd55c80d457a20a9cbcd0e9ba722",
     "seq": "5f5e20b2c737d35172f9840d930edf0e8864632a18e4713edee88f84ee523533",
-    "shared_twice": "ec6119429709d59c16a0dbfeb65fe4fb83ff03d7864c889e1c4d07e71745514f",
+    "shared_twice": "4efec63ff779f045bd049adf1ac7fbe90c52254010844c064759e949845956a1",
     "true": "c945e417d044422623a5563491398ee7cc184db548f7bf728b3df6f2c9ad578d",
     "seq2": "001340193d65da831b8a8dc27145ad71d5c73897f78db73d10c49d3a9ce62677",
     "seq3": "c7b3b00b55fc9fce0b78d6c64fc0ccbb8affe09083f9a6a8b1b3e59a98745992",
     "seq4": "de3bce8b4040a7352c30ce4dc1b6636c6915ec812e06346b0f32db0a5610b93c",
     "seq5": "12355d62886882dff58ec6491c1ae4c5b0452e3961cd13f0a3f13935bb6ceea4",
     "par2": "2f69c22c4914a3345504f89aab447f55ca65b9e0855720c006cc0794bb51fb70",
-    "par3": "eff09290638250c8294e1869dfe5b8a34fbf686f159dc3652bf85d76b9ef5958",
-    "par4": "dece7ed92a80ca2f1874793c8422accbf89f6d3e031116158b29ed4ff692709e",
-    "if": "3d3ff849518393c2516fc66d0f0549752e74bcfadd438ade73e627c57626b122",
+    "par3": "fa9ef465f83df16a57a399a0532a0611052840549be807c1324ee0af418c0684",
+    "par4": "9804c897985023cb00f4019784a2780ec42833fa4e15a123bb6d186069612107",
+    "if": "b447f1f5a1d27d54b7f057afc7b5e417c2ebd66ea3fda80a55d5da1e31bf9811",
     "newloop": "485e9a5d96931201ee0e3ddd544a92d88e76d7c02b6fd1f28ac7e744df9d17bf",
     "pair_seq": "4ad642d7d197904ec73ea9717b642f6061f71c61d612785255dc6735db28fcb1",
     "and3": "08e9ed666eefb7f1571aaa3abc0a48fab9e9447c1081afe302618df9ca29a935",
     "and4": "4812f69c8ea0d5bb43bde18770f2cef5aca66a83fc9a13817b005dd07fd6a186",
     "cell_fst": "69f518424f3173f74c2cf9f18536a44d8c1dff01489d79070f50f019abcb2a33",
-    "if_if": "70d99b1d3451fbfa03e30129c5671dbe329fb31faa11c84224c49b40eddb91d8",
-    "while_if": "c1ddfdf6bcf513783aef3a7960a7d260542bf15042982b1d4a596b0783d88657",
-    "call_if_if": "1891a2f6ac7567729a274c6a1fbda736c77227e6f9c5272c2170f71df0796dd5",
-    "if_if_if": "a022c851575dc6683d14b47566489eca763e80caf20c30d36d60fe0a5edf48f0",
-    "call_if": "b75d64b86cc38c65608a3a02381e8d34817925d5244acf95c5fbb6343cebdd1d",
+    "if_if": "357a67cb2182fd705e249676b86c53cc3a003ecd93b0cfc1a2d8dafc56b57255",
+    "while_if": "b3883a591294e0ec585a3c4f20aab7fd2cd949bd26998f4cad55d8affa9b8a98",
+    "call_if_if": "9ad6a3ca23d0ba8d35995d011adf17ad43045d5edf216d254fb535a2d1d85a7a",
+    "if_if_if": "727cebf7958fd2f2ed92bca1200076f1a52766012750c3875d8141053dd93c64",
+    "call_if": "7861de8896a427144331317f5a21c8b3d1384daee11b45e64fd5cb04fb638eaf",
     "seq_use3": "34693864cbd79d591a7113ab186a83caa972af54e54c58e5cf59828d7b4c5ec0",
     "dropped": "2fe2be1ed8d75c31079335691c7b02dfc782a6903b92fdc5615b4a2cd6a1ecb2",
 }
@@ -131,8 +134,8 @@ CLI_DIGESTS = {
     "compile --json --dot count_to_zero": "bc5408fa35493fd25c082b65965532153f19d34211a52810b2f151b4a505f7a1",
     "ir count_to_zero": "a4c38d11ee2dd6583cb1b81645be54e26700a231c1085adb857ca6777dc5608c",
     "ir --sync count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
-    "compile loop": "ec0270ec56734b23310ce1e19c48eac71175def48d8a0c5f816bbf6d3be24deb",
-    "compile --json --dot loop": "e2af25392796ed2e145445277778a231c6ea662a39b188d8e4e50269db428193",
+    "compile loop": "1cf3de34527444ea6096627c05044952229cf596a34026f8732cfa32109f6ff1",
+    "compile --json --dot loop": "3f67fb67b093a277c60568c96548f455f5de5a70afccbe02e067c05afc1f90c5",
     "ir loop": "fe579f71b39a72533b3422e26d2df24b292128f94e602bdb038e36a12ad0b692",
     "ir --sync loop": "3d495de1750f4f16d8f45132fb97136b0fa6976e9038ecc91921a3f624b8183d",
     "compile par_pair": "d5ae4ed987866337fa2f737b87bf048413f8f8f037a34462dd6bec9b325603b9",
@@ -143,8 +146,8 @@ CLI_DIGESTS = {
     "compile --json --dot seq": "7ea614e1d9c55d265640063079c3749f8aed4c2608f194d77dd83ad0cf593b79",
     "ir seq": "eab6ae10bd83e6d36912c6996a906994d98452fca956ef720e4ca33f26d87a2b",
     "ir --sync seq": "b6db562b33b059e5807e45046f38373321e3b986b8c35aa9d5a7aeda3df02e1d",
-    "compile shared_twice": "34d13b5d29eae35e291ff93a7ad64c9270456b36960f756bf9c32caf5f2ff6cc",
-    "compile --json --dot shared_twice": "96601d4867d038b543edb93968489a952470b28977197533d63073e00d4fe9d7",
+    "compile shared_twice": "31a4c079fad359d119086c5d8c2c43475e6b19b263756aeb8552bd09576511d4",
+    "compile --json --dot shared_twice": "10ad710fdfe17b905a05c3880ae5e3c94b8efbdbf6371cdc45732ce1e4aa37a8",
     "ir shared_twice": "0dc3b723972b64b3aff1d4912f6916d460b62e730f437be114f93a455b8e0179",
     "ir --sync shared_twice": "ad8cbab39da34a8c8e5cf67fd01b3c438beaf21da8809297db9cc445a7c218da",
     "compile true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
@@ -153,13 +156,13 @@ CLI_DIGESTS = {
     "ir --sync true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "compile --no-minimize count_to_zero": "15c1b1831b974f135560cee80e39ff7b5cd49527cd616facd3e88603329a4aad",
     "ir --sync --no-minimize count_to_zero": "71cdb078be3c20a76acbfae5d1d11149cd8062cdb66eec6637fba9e19d06fc84",
-    "compile --no-minimize loop": "34ccb3b6b7ef037e4721b978cab63e875cc4dfd4372113371a0c296631e398f9",
+    "compile --no-minimize loop": "a3352a64f5f6589c38d5034fdd492bbdd2760969bfbbc8e7519cdb3e29f7453b",
     "ir --sync --no-minimize loop": "719f1c33c8a0e9a51eb1516b50800cca7a2f58d5dd6259854247a3bdead11f23",
-    "compile --no-minimize par_pair": "59d3b2a268bb99fb6e1536ad2ef6b2ab15a9a4655f050057adc1bd2444a9ffc4",
+    "compile --no-minimize par_pair": "f17d79e76403977378505d252612aa080c8d15deec6f86f1ac0c63a4e71a9ddb",
     "ir --sync --no-minimize par_pair": "a1ff9f43ffa24a8fbb247de58c576173586c268857f719fc29c007e889c0fe35",
-    "compile --no-minimize seq": "8920f9d5d2b620a570b46f5e033e6c404a9d5fd9b15edab5cc5535ecf3b6929d",
+    "compile --no-minimize seq": "cf60533f0904be3e90be0dbe63059290a8eb29a9c64b7140bfe15c46cb43cac4",
     "ir --sync --no-minimize seq": "7482d7592e2c2a070a0723adb9d97011cbc346f5f5ece20a6811b4ea026695c3",
-    "compile --no-minimize shared_twice": "ecff3f5ef6d5045998d2aec1414115f3f6bef4c68526763f9c67ce3c3ab72ba0",
+    "compile --no-minimize shared_twice": "10e09cc66b659328d8f85d2163f63a95033c9b443a1487421e038cd47cbcde4b",
     "ir --sync --no-minimize shared_twice": "8707caaf9ed72362439f4e1814c8eb412665268a49cc45abfc35441019dee380",
     "compile --no-minimize true": "7d3994ca117698996e69f928088c172c786957cdb1d7d6ef534b5c494d91c851",
     "ir --sync --no-minimize true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
@@ -169,6 +172,11 @@ CLI_DIGESTS = {
     "monitor --json nested_call": "375a657815a0f3d379c745ca3e27e27b86edf43549419c141980ea6f21e14356",
     "monitor --json shared_twice": "cead92c72aef72228cce017525b92b4f641495578ebc757090a1c0c87afa25b4",
 }
+
+# the ``&`` and ``|`` operators of the Verilog of every program above whose
+# design compiles (3,749 before protocol don't-cares reached the next-state
+# logic), so that more gates fail here and not only in the benchmark
+VERILOG_OPS = 1732
 
 CONST_DIGESTS = {
     "skip": "7fe6a6a2a9b8d9316df1ad1347518a6c66bb121cc29fd29dc8231bd9d62b554a",
@@ -270,6 +278,17 @@ def manager_text(ty: str) -> str:
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_design_digest(name):
     assert _sha(design_text(name)) == DESIGN_DIGESTS[name]
+
+
+def test_gate_operators_stay_within_their_total():
+    total = 0
+    for name, source in PROGRAMS.items():
+        try:
+            verilog = design_verilog(compile_design(source, name=name))
+        except (CompositionStall, DesignError):
+            continue  # pair_seq, cell_fst and the three combinational cycles
+        total += verilog.count("&") + verilog.count("|")
+    assert total <= VERILOG_OPS
 
 
 @pytest.mark.parametrize("run", DEMO_RUNS)

@@ -39,7 +39,7 @@ def _shape(m) -> tuple:
 def _check_prune(source: str) -> None:
     raw = round_abstract(interpret(source))
     for m in (raw, minimize_under_protocol(raw)):
-        assert _shape(prune_inadmissible(m)) == _shape(reference_prune_inadmissible(m)), source
+        assert _shape(prune_inadmissible(m)[0]) == _shape(reference_prune_inadmissible(m)), source
 
 
 def test_prune_matches_depth_first_walk_on_demos_and_cliffs():
@@ -89,7 +89,7 @@ def test_seq10_product_walk_is_quick(criterion):
         raw = round_abstract(auto)
         rows, _ = _product_states(raw)
         assert len(rows) == 11
-        pruned = prune_inadmissible(raw)
+        pruned, _ = prune_inadmissible(raw)
         assert pruned.n_states == raw.n_states
         eq = equivalent_under_protocol(raw, minimize_under_protocol(raw), 64)
         assert eq.equivalent, eq.diff

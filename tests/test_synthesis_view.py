@@ -53,7 +53,7 @@ def _embed(small, big) -> None:
 
 
 def _check_view(m) -> None:
-    view, ref = synthesis_view(m), reference_synthesis_view(m)
+    view, ref = synthesis_view(m)[0], reference_synthesis_view(m)[0]
     _embed(view, ref)
     if len(_input_initials(m)) == 1:
         assert (view.initial, view.transitions) == (ref.initial, ref.transitions)
