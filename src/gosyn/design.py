@@ -11,14 +11,6 @@ ports.  Designs come from three places:
   serializes them onto one boundary face;
 * a wire file written by hand (``share``/``inst``/``input``/``output``/
   ``tie`` lines), which is how deliberately broken hookups are expressed.
-
-The call manager is the clocked duplicator plus a takeover rule: when a
-round that the duplicator defines arrives together with an extra opening
-request from the other client, the manager answers the round and starts the
-newcomer's session in the same cycle, abandoning any reply it still owed.
-That rule is what a tied-back netlist actually exercises when a block
-re-requests before its previous session closed; without it those pulses
-would fall on the floor silently.
 """
 
 from __future__ import annotations
@@ -95,12 +87,10 @@ class Design:
 # ------------------------------------------------------------ call manager
 
 def manager_machine(ty: Type) -> SyncMachine:
-    """Clocked duplicator with the takeover rule folded in.
+    """The call manager for ``ty``: the clocked duplicator.
 
-    Every round of the duplicator survives unchanged.  On top of those, for
-    each defined round (state, T) and each client opening request not in T,
-    the round T plus that request maps to the round's outputs plus the
-    session start, landing in the fresh session's state.
+    It serves one client session at a time, and none of its rounds holds
+    both clients' opening requests.
     """
     arena = sharing_arena(ty)
     inits = [[m for m in arena.face_moves(face) if m in arena.initials] for face in ("p1", "p2")]
@@ -110,25 +100,11 @@ def manager_machine(ty: Type) -> SyncMachine:
                 f"cannot share an identifier of type {type_to_str(ty)}: a call manager "
                 f"serves one opening request per client, this type has {len(init)}")
     base = round_abstract(diagonal(ty))
-    openers: list[tuple[Move, frozenset, int]] = []
     for init in inits:
-        entry = base.transitions[base.initial].get(frozenset(init))
-        if entry is None:
+        if frozenset(init) not in base.transitions[base.initial]:
             raise DesignError(
                 f"the duplicator for {type_to_str(ty)} does not serve an opening request when idle")
-        openers.append((init[0], entry[0], entry[1]))
-
-    table = {s: dict(row) for s, row in base.transitions.items()}
-    for s, row in base.transitions.items():
-        for t_in, (t_out, _) in row.items():
-            for opener, start_out, start_state in openers:
-                if opener in t_in:
-                    continue
-                hijacked = t_in | {opener}
-                if hijacked in table[s]:
-                    continue  # a genuinely legal round takes priority
-                table[s][hijacked] = (t_out | start_out, start_state)
-    return SyncMachine(base.arena, table, base.initial)
+    return base
 
 
 # -------------------------------------------------- compiling to a design

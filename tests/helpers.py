@@ -27,9 +27,8 @@ protocol context.
 which the library's breadth-first product walk is checked.
 ``reference_synthesis_view`` prunes first and drops race rows second, the
 order that ``synthesis_view`` used before it dropped races first; the
-library's view is checked to be a sub-table of it.  ``SHARED_TYPES`` lists
-the types whose duplicators and call managers are pinned, and
-``SLOW_MANAGERS`` those whose managers take seconds to build or refuse.
+library's view is checked to equal it.  ``SHARED_TYPES`` lists the types
+whose duplicators and call managers are pinned.
 ``reference_preview`` picks a machine unit's row by scanning every row of
 its state, against which the simulator's name tables are checked.
 ``parse_json`` and ``from_dict`` read back what ``gosyn.serialize`` writes;
@@ -81,7 +80,6 @@ SHARED_TYPES = (
     "cell -> com", "com * com", "com * exp", "exp * exp", "com * com * com",
     "com -> cell", "cell * exp", "cell * cell",
 )
-SLOW_MANAGERS = ("com -> cell", "cell * exp", "cell * cell")  # seconds to refuse or build
 
 
 # ----------------------------------------------------------- source printing

@@ -16,11 +16,11 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 NESTED_CALL = """\
 status: Deadlock (cycle 5)
 cycles: 5
-monitor[m]: Serial violation at move 5 (Q'0): that request is still pending; re-issuing it must wait
-pending: m:Q'2, m:Q'0
+monitor[m]: Serial violation at move 5 (Q0): that request is still pending; re-issuing it must wait
+pending: m:Q'2, m:Q'0, m:Q0, m:Q2, m:Q'1
   cycle   1: GO Q'0
-  cycle   2: Q0 Q'0
-  cycle   3: Q0 A0
+  cycle   2: Q0
+  cycle   3: Q0
   cycle   4: A'0
 """
 

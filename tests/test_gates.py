@@ -27,7 +27,7 @@ random depth-3 blocks.
 import functools
 import random
 
-from helpers import SHARED_TYPES, SLOW_MANAGERS, care_sets, random_program, reference_netlist_of
+from helpers import SHARED_TYPES, care_sets, random_program, reference_netlist_of
 from test_pins import PROGRAMS
 from gosyn import netlist
 from gosyn.automata import CompositionStall, initial_first
@@ -52,8 +52,6 @@ def _machines() -> tuple:
             seen.setdefault(id(inst.machine), (f"{name}.{iname}", inst.machine))
     managers = []
     for ty in SHARED_TYPES:
-        if ty in SLOW_MANAGERS:
-            continue
         try:
             m = manager_machine(parse_type(ty))
         except DesignError:

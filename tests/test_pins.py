@@ -21,7 +21,7 @@ which ``outputs_from`` and the cascade read.  The duplicator digests hold
 the rows of ``diagonal`` in row order, state numbering included, and the
 manager digests the rounds of ``manager_machine`` (state, inputs, outputs,
 target, sorted), or the type and message of the error it raises, for
-every type whose manager builds within a second.
+every shared type.
 """
 
 import hashlib
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SHARED_TYPES, SLOW_MANAGERS, chain
+from helpers import SHARED_TYPES, chain
 from gosyn.automata import CompositionStall
 from gosyn.cli import main
 from gosyn.denote import const_automaton, diagonal
@@ -111,22 +111,25 @@ DIAGONAL_DIGESTS = {
 }
 
 MANAGER_DIGESTS = {
-    "com": "6ab734166a49c8725fc87433b045dabfeb1f4ad81b2e40e17f515e8724f7829e",
-    "exp": "62f385c02e962a58981d51473c2061e3e6cd913912ee3afbb1b194902e9e9044",
+    "com": "e1e479d991657cb15a094cde5118b1abc85e7b7c24b8dbef67ce2542d6f96c01",
+    "exp": "28013d39393f02600c4d1da26ede0210ee396fc6fb357737104a4618ecf25327",
     "cell": "0cdc60a4827861709a2f221da04ba217db94c2bb2a6f57545dd01607b45f917f",
-    "com -> com": "0002343e3fe0ddbc6f2773372481f487f93f7625ab9f999aff02798136b47d68",
-    "exp -> com": "17cd1a954bf8506b3dd9873f9177fba9212c2bb746815924ac6253e826435465",
-    "com -> exp": "6a05d4e5459ae2a94f12364b3a671a5395726a6ea7e3392bc626f010746ac582",
-    "exp -> exp": "88ceea30c2fa65cbd0015d5c2b96e271a09dc65619a553c6e3eb1a099bd1c8c4",
-    "com -> com -> com": "67f8642149b4424cba0127e3fce16942184fc4b055db032bd025d88a431bffbf",
-    "(com -> com) -> com": "ef913a47496f65d813bd2315c1d47fad64f73147c64d5c3bd5becc94103902d0",
-    "(exp -> com) -> com": "267d8e0733e64fd38fc7c20c5fc1626f16c29e58c761065e04c9c2d513849f6f",
-    "exp -> exp -> exp": "4328e9b652fa0024ab631aa93678cb25c26370c53f2fe87f8a73566c1fc7e087",
-    "cell -> com": "d73745245d8a5071605bbd78c3c50f6a70f0089803c0fdd287f582792572f6f0",
+    "com -> com": "31b589613d501843f400662126c63a48ce515bbf19a29e64577a8ce16e8eb8d1",
+    "exp -> com": "5ef781e5b7d73d7dbf346e4953ace6670efd2643898320134045b0230212a48e",
+    "com -> exp": "88390c5257f7cf1e2cd232d0b9ba1fbe56b706cdfdb249c8de2e1ee92aae76db",
+    "exp -> exp": "d1415dce150ca22b737631f1221d75c50942bfa6637479df2e6eb8f3c9a7034e",
+    "com -> com -> com": "f3f248a11d9ce01f3f27817401a2b94599c83a48f47c4a5a4e02ab9b01e0ca89",
+    "(com -> com) -> com": "6e2f628e6995e46b6658354d3bdc84700eb0648937cf51e8f9ac5cd161de51d5",
+    "(exp -> com) -> com": "14eaad7aec779cf5b26ca5c2c184f4baa05974c808a7e0294f64392460bc55d3",
+    "exp -> exp -> exp": "a8baefc164274358dff4c4af962b35314ec7fd18f1899230d439bed9a5708469",
+    "cell -> com": "d4624cceb4705039ccaeacbc4f96200c120c7ec573812a0f76bfdec6d7d57b22",
     "com * com": "4ad642d7d197904ec73ea9717b642f6061f71c61d612785255dc6735db28fcb1",
     "com * exp": "9a190fc212e8126503c20a7083c7c4a52d8528b9d78e08e9149b00aa18603114",
     "exp * exp": "26efaf71f0d642ba5b2f80fcb7e9c44890d83b7d9f4553f0f6cad04c12a24f54",
     "com * com * com": "7825830373a2c3f777deafd9bb131a2c43f765e393266b9fd1100ee6d6a31f76",
+    "com -> cell": "4c9c165a6705a194a0f3632fe6e9514db2084b4484a86c79b0084c692bd10560",
+    "cell * exp": "9a26db71cad13faa3ecce152fdf9eb63e1922e584402702055c4960e43e56916",
+    "cell * cell": "ada353d2df9ffe169eb4f5fcf52e9badfe123684256366f4fa776d608af874b7",
 }
 
 CLI_DIGESTS = {
@@ -168,7 +171,7 @@ CLI_DIGESTS = {
     "ir --sync --no-minimize true": "10e23f2e06719a1f2b9590d58589b4b679b770ecf66b42693db70e403e9805f5",
     "sim --json shared_twice": "27346e37809407dfed4cc015ba75999a1fbac4d896054e03f100f032fb567c72",
     "sim --json concurrent_calls": "06ca0dd196ad7f59c4cfbb55c4f211657e335e9274b3dba819635c2cbf013576",
-    "sim --json nested_call": "2c392c47ab524bd9337d1d4e00c9f450f32a49bc9ce7dd37a6e328f750064f03",
+    "sim --json nested_call": "7f7daeb7ff51e9b1884113bd7d56b83fab242011e8526901722e23e4de25659d",
     "monitor --json nested_call": "375a657815a0f3d379c745ca3e27e27b86edf43549419c141980ea6f21e14356",
     "monitor --json shared_twice": "cead92c72aef72228cce017525b92b4f641495578ebc757090a1c0c87afa25b4",
 }
@@ -306,6 +309,6 @@ def test_diagonal_rows_digest(ty):
     assert _sha(diagonal_text(ty)) == DIAGONAL_DIGESTS[ty]
 
 
-@pytest.mark.parametrize("ty", [t for t in SHARED_TYPES if t not in SLOW_MANAGERS])
+@pytest.mark.parametrize("ty", SHARED_TYPES)
 def test_manager_rows_digest(ty):
     assert _sha(manager_text(ty)) == MANAGER_DIGESTS[ty]
