@@ -153,12 +153,9 @@ class Arena:
         self.enabling: frozenset[tuple[Move, Move]] = frozenset(enabling)
 
         enablers: dict[Move, list[Move]] = {m: [] for m in moves}
-        enabled: dict[Move, list[Move]] = {m: [] for m in moves}
         for x, y in self.enabling:
             enablers[y].append(x)
-            enabled[x].append(y)
         self._enablers = {m: frozenset(v) for m, v in enablers.items()}
-        self._enabled = {m: frozenset(v) for m, v in enabled.items()}
         self.initials: frozenset[Move] = frozenset(m for m in moves if not enablers[m])
 
         names = names or _standard_names(self.moves)
@@ -207,9 +204,6 @@ class Arena:
 
     def enablers_of(self, m: Move) -> frozenset[Move]:
         return self._enablers[m]
-
-    def enabled_by(self, m: Move) -> frozenset[Move]:
-        return self._enabled[m]
 
     def input_names(self) -> tuple[str, ...]:
         """Names of the input ports (O-moves), in move order."""

@@ -182,6 +182,9 @@ def synchronize_and_hide(
 ) -> tuple[StrategyAutomaton, SyncStats]:
     """Connect ``a``'s moves to ``b``'s per ``link``, hide them, relabel the rest.
 
+    The product of the two automata and the hidden automaton are both
+    walked by :func:`explore`.
+
     Raises :class:`DivergenceDetected` when a reachable hidden loop offers no
     external event.  Stalls (one side pulsing a linked move the other cannot
     take) are recorded in the stats; they cannot arise between components
@@ -193,47 +196,35 @@ def synchronize_and_hide(
     if len(back) != len(link):
         raise ValueError("link must be a bijection")
 
-    # product exploration with internal (hidden) edges
-    start = (a.initial, b.initial)
-    seen = {start}
-    todo = [start]
-    tau: dict[tuple[int, int], list[tuple[tuple[int, int], Move]]] = {}
-    ext: dict[tuple[int, int], dict[Move, tuple[int, int]]] = {}
     stalls: list[str] = []
-    while todo:
-        sa, sb = todo.pop()
-        taus: list[tuple[tuple[int, int], Move]] = []
-        row: dict[Move, tuple[int, int]] = {}
+
+    def product_row(state, number) -> tuple[list[tuple[int, Move]], dict[Move, int]]:
+        """The internal (hidden) edges and the external row of a product state."""
+        sa, sb = state
+        taus: list[tuple[int, Move]] = []
+        row: dict[Move, int] = {}
         for ma, da in a.transitions[sa].items():
             if ma in linked_a:
-                mb = link[ma]
-                db = b.transitions[sb].get(mb)
+                db = b.transitions[sb].get(link[ma])
                 if db is None:
                     if not a.arena.is_input(ma):
                         stalls.append(f"{a.arena.name(ma)} has no taker")
                     continue
-                taus.append((((da, db)), ma))
+                taus.append((number((da, db)), ma))
             else:
-                row[relabel_a[ma]] = (da, sb)
+                row[relabel_a[ma]] = number((da, sb))
         for mb, db in b.transitions[sb].items():
             if mb in linked_b:
                 # the pair itself is handled from a's side; only note a stall
                 if not b.arena.is_input(mb) and back[mb] not in a.transitions[sa]:
                     stalls.append(f"{b.arena.name(mb)} has no taker")
                 continue
-            row[relabel_b[mb]] = (sa, db)
-        tau[(sa, sb)] = taus
-        ext[(sa, sb)] = row
-        for nxt, _ in taus:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-        for nxt in row.values():
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
+            row[relabel_b[mb]] = number((sa, db))
+        return taus, row
 
-    _check_divergence(tau, ext, a, start)
+    product, _ = explore((a.initial, b.initial), product_row)
+    tau, ext = zip(*product)
+    _check_divergence(tau, ext, a)
 
     # hide: subset construction over external labels, numbered breadth-first
     # over ``out_arena.moves`` as :meth:`StrategyAutomaton.trimmed` numbers
@@ -255,23 +246,23 @@ def synchronize_and_hide(
                 labels.setdefault(m, set()).add(nxt)
         return {m: number(closure(frozenset(labels[m]))) for m in out_arena.moves if m in labels}
 
-    rows, _ = explore(closure(frozenset([start])), row_of)
-    hidden = sum(len(v) for v in tau.values())
+    rows, _ = explore(closure(frozenset({0})), row_of)
+    hidden = sum(len(v) for v in tau)
     out = StrategyAutomaton(out_arena, dict(enumerate(rows)), 0)
-    return out, SyncStats(len(seen), hidden, tuple(stalls))
+    return out, SyncStats(len(product), hidden, tuple(stalls))
 
 
-def _check_divergence(tau, ext, a: StrategyAutomaton, start) -> None:
+def _check_divergence(tau, ext, a: StrategyAutomaton) -> None:
     # a state escapes if it offers an external event now or after some taus
-    escapes = {s: bool(row) for s, row in ext.items()}
+    escapes = [bool(row) for row in ext]
     changed = True
     while changed:
         changed = False
-        for s, taus in tau.items():
+        for s, taus in enumerate(tau):
             if not escapes[s] and any(escapes[n] for n, _ in taus):
                 escapes[s] = True
                 changed = True
-    for s, taus in tau.items():
+    for s, taus in enumerate(tau):
         if not escapes[s] and taus:
             cycle = []
             cur = s
@@ -297,29 +288,20 @@ def glue_pair(
 ) -> StrategyAutomaton:
     """Disjoint union of two automata sharing the idle state.
 
-    Sound when at most one component is ever active: every consumer of a
-    tuple drives its components strictly one at a time, so the glued machine
+    Each non-idle state is tagged with its side, the idle state of both is
+    ``0``, and :meth:`StrategyAutomaton.trimmed` numbers the union.  Sound
+    when at most one component is ever active: every consumer of a tuple
+    drives its components strictly one at a time, so the glued machine
     serializes exactly like its environment does.
     """
-    trans: dict[int, dict[Move, int]] = {0: {}}
-    ids_a = {a.initial: 0}
-    for s in sorted(a.transitions):
-        if s != a.initial:
-            ids_a[s] = len(ids_a)
-    ids_b = {b.initial: 0}
-    for s in sorted(b.transitions):
-        if s != b.initial:
-            ids_b[s] = len(ids_a) + len(ids_b) - 1
-
-    for s, row in a.transitions.items():
-        dst = trans.setdefault(ids_a[s], {})
-        for m, d in row.items():
-            dst[relabel_a[m]] = ids_a[d]
-    for s, row in b.transitions.items():
-        dst = trans.setdefault(ids_b[s], {})
-        for m, d in row.items():
-            mm = relabel_b[m]
-            if mm in dst and dst[mm] != ids_b[d]:
-                raise ValueError(f"pair components clash on {out_arena.name(mm)} at the idle state")
-            dst[mm] = ids_b[d]
+    trans: dict[Hashable, dict[Move, Hashable]] = {}
+    for side, m, relabel in ((0, a, relabel_a), (1, b, relabel_b)):
+        tag: dict[int, Hashable] = {s: (side, s) for s in m.transitions}
+        tag[m.initial] = 0
+        for s, row in m.transitions.items():
+            dst = trans.setdefault(tag[s], {})
+            for mv, d in row.items():
+                mm = relabel[mv]
+                if dst.setdefault(mm, tag[d]) != tag[d]:
+                    raise ValueError(f"pair components clash on {out_arena.name(mm)} at the idle state")
     return StrategyAutomaton(out_arena, trans, 0).trimmed()

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
-from .automata import initial_first
 from .plays import decide_round
 from .syncmin import SyncMachine, prune_inadmissible
 
@@ -479,9 +478,9 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     machine, contexts = synthesis_view(machine)
     arena = machine.arena
     in_ports, out_ports = arena.input_names(), arena.output_names()
-    states = sorted(machine.transitions)
-    order = initial_first(states, machine.initial)
-    bit = {s: f"st{order[s]}" for s in states}
+    # numbered initial-first by prune_inadmissible: states 0 .. n - 1, initial 0
+    states = range(len(machine.transitions))
+    bit = [f"st{s}" for s in states]
     single = len(states) == 1
 
     # input and output sets as bit masks over in_ports and out_ports, and
@@ -571,9 +570,7 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
                                    else ENot(leave)))
         nexts.append((bit[d], eor(terms)))
 
-    ordered_bits = tuple(bit[s] for s in sorted(states, key=lambda s: order[s]))
-    nexts.sort(key=lambda kv: ordered_bits.index(kv[0]))
-    return NetModule(name, in_ports, out_ports, ordered_bits, tuple(assigns), tuple(nexts))
+    return NetModule(name, in_ports, out_ports, tuple(bit), tuple(assigns), tuple(nexts))
 
 
 def module_header(name: str, clocked: bool, inputs: Iterable[str],

@@ -828,7 +828,6 @@ def reference_arena(faces: Sequence[Face], names: Optional[dict] = None) -> dict
         "polarity": pol,
         "kind": kind,
         "enablers_of": enablers,
-        "enabled_by": {m: frozenset(b for a, b in enabling if a == m) for m in moves},
         "enabling": frozenset(enabling),
         "initials": frozenset(m for m in moves if not enablers[m]),
     }
@@ -856,7 +855,6 @@ def arena_tables(a: Arena) -> dict:
         "polarity": {m: a.polarity(m) for m in a.moves},
         "kind": {m: a.kind(m) for m in a.moves},
         "enablers_of": {m: a.enablers_of(m) for m in a.moves},
-        "enabled_by": {m: a.enabled_by(m) for m in a.moves},
         "enabling": a.enabling,
         "initials": a.initials,
     }

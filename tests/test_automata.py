@@ -10,7 +10,7 @@ from helpers import apply_oracle, language, random_program, random_term, to_sour
 
 from gosyn.arena import Move, arena_of_type, term_arena
 from gosyn.automata import (
-    DivergenceDetected, StrategyAutomaton, from_rows, glue_pair, relay,
+    CompositionStall, DivergenceDetected, StrategyAutomaton, from_rows, glue_pair, relay,
     synchronize_and_hide,
 )
 from gosyn.denote import denote, identity_strategy, interpret
@@ -155,9 +155,39 @@ def test_stats_report_product_and_hidden_sizes():
     relabel_a = {m: Move("ret", m.path[1:], m.token)
                  for m in fn.arena.moves if m.path[0] == 1}
     auto, stats = synchronize_and_hide(fn, arg, link, out, relabel_a, {})
-    assert stats.product_states >= auto.n_states
-    assert stats.hidden_events > 0
-    assert stats.stalls == ()
+    assert (stats.product_states, stats.hidden_events, stats.stalls) == (4, 2, ())
+    assert auto.n_states == 2
+
+
+# (product states, hidden events, stalls, first stall) of each composition
+# ``denote`` makes, in call order; ``cell_fst`` stops at its stalled projection
+DENOTE_STATS = {
+    "fn c : com -> new x in (x := 1 ; while !x do (c ; x := 0))": [
+        (8, 4, 0, None), (8, 3, 0, None), (8, 4, 0, None), (10, 4, 0, None),
+        (13, 5, 0, None), (15, 4, 0, None), (14, 10, 0, None)],
+    "fn v : exp -> ((v and v) and v) and v": [
+        (18, 9, 0, None), (24, 11, 0, None), (30, 11, 0, None)],
+    "fn p : cell * exp -> fst p": [(200, 51, 104, "wt2 has no taker")],
+}
+
+
+@pytest.mark.parametrize("source", DENOTE_STATS)
+def test_denote_reports_pinned_composition_stats(source, monkeypatch):
+    denote_module = importlib.import_module("gosyn.denote")
+    real, got = denote_module.synchronize_and_hide, []
+
+    def spy(*args):
+        auto, stats = real(*args)
+        got.append((stats.product_states, stats.hidden_events, len(stats.stalls),
+                    stats.stalls[0] if stats.stalls else None))
+        return auto, stats
+
+    monkeypatch.setattr(denote_module, "synchronize_and_hide", spy)
+    try:
+        denote(typecheck(parse(source)))
+    except CompositionStall:
+        pass
+    assert got == DENOTE_STATS[source]
 
 
 @settings(max_examples=25, deadline=None)

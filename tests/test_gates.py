@@ -21,7 +21,9 @@ check.  The library's care sets must equal the brute-force ones.
 
 The modules are the instances of the pinned designs that compile, the call
 managers of the pinned shared types with at most nine inputs, and thirty
-random depth-3 blocks.
+random depth-3 blocks.  That each state bit is named after its state's id
+in ``synthesis_view``, which numbers the initial state 0, is also checked
+on the three larger managers.
 """
 
 import functools
@@ -40,6 +42,18 @@ MAX_MANAGER_INPUTS = 9
 
 
 @functools.cache
+def _managers() -> tuple:
+    """(label, machine) of the call manager of every pinned shared type that has one."""
+    managers = []
+    for ty in SHARED_TYPES:
+        try:
+            managers.append((f"manager {ty}", manager_machine(parse_type(ty))))
+        except DesignError:
+            continue  # a product or cell parameter gets no call manager
+    return tuple(managers)
+
+
+@functools.cache
 def _machines() -> tuple:
     """(label, machine) of every module the checks run on."""
     seen: dict[int, tuple] = {}
@@ -50,14 +64,8 @@ def _machines() -> tuple:
             continue  # pair_seq and cell_fst have no design
         for iname, inst in design.instances.items():
             seen.setdefault(id(inst.machine), (f"{name}.{iname}", inst.machine))
-    managers = []
-    for ty in SHARED_TYPES:
-        try:
-            m = manager_machine(parse_type(ty))
-        except DesignError:
-            continue  # a product or cell parameter gets no call manager
-        if len(m.arena.input_names()) <= MAX_MANAGER_INPUTS:
-            managers.append((f"manager {ty}", m))
+    managers = [(label, m) for label, m in _managers()
+                if len(m.arena.input_names()) <= MAX_MANAGER_INPUTS]
     rng = random.Random(2009)
     blocks = [(f"random block {k}", clock_block(interpret(random_program(rng, depth=3))))
               for k in range(30)]
@@ -94,6 +102,22 @@ def test_the_modules_cover_designs_managers_and_random_blocks():
     assert sum(label.startswith("manager ") for label in labels) == 8
     assert sum(label.startswith("random block ") for label in labels) == 30
     assert {"loop.body", "shared_twice.body", "par4.body", "and3.body"} <= set(labels)
+
+
+def test_state_bits_are_the_views_own_ids():
+    # netlist_of names bit ``st{s}`` after state ``s`` of the view, which
+    # prune_inadmissible numbers initial-first
+    big = [(label, m) for label, m in _managers()
+           if len(m.arena.input_names()) > MAX_MANAGER_INPUTS]
+    assert len(big) == 3
+    for label, m in (*_machines(), *big):
+        view, contexts = synthesis_view(m)
+        n = len(view.transitions)
+        assert (sorted(view.transitions), view.initial, sorted(contexts)) == \
+            (list(range(n)), 0, list(range(n))), label
+        gates = netlist_of(m)
+        assert gates.state_bits == (tuple(f"st{s}" for s in range(n)) if n > 1 else ()), label
+        assert gates.reset_state() == {b: b == "st0" for b in gates.state_bits}, label
 
 
 def test_cones_equal_one_minterm_per_round():

@@ -422,7 +422,7 @@ def test_may_linearize_conditions_each_refuse(tyname, kind):
         # (b): a pending request issued again, with none of its answers
         if pending:
             m = rng.choice(sorted(pending, key=a.name))
-            answers = {x for x in a.enabled_by(m) if not a.is_question(x)}
+            answers = {y for x, y in a.enabling if x == m and not a.is_question(y)}
             others = [x for x in a.moves if x not in answers]
             moves = [m] + rng.sample(others, min(rng.randrange(0, 6), len(others)))
             rng.shuffle(moves)
