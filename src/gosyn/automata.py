@@ -11,13 +11,16 @@ face of another: a linked output/input pair becomes an internal event, and
 the internal events are then hidden by a subset construction.  Hiding can
 expose divergence (an internal loop that never offers an external event
 again); that is reported rather than silently producing a stuck machine.
+
+State 0 is the initial state of every machine, here and in the clocked
+machines built from these, and state ids are ``0 .. n - 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Optional
 
 from .arena import Arena, Move
 from .plays import decide
@@ -56,27 +59,19 @@ def explore(start: Hashable, row_of: Callable) -> tuple[list, dict]:
     return rows, index
 
 
-def initial_first(states: Iterable, initial) -> dict:
-    """State ids: ``initial`` is 0, the other states follow in ascending order."""
-    return {s: k for k, s in enumerate([initial, *sorted(set(states) - {initial})])}
-
-
 class StrategyAutomaton:
-    def __init__(self, arena: Arena, transitions: dict[int, dict[Move, int]], initial: int = 0):
+    def __init__(self, arena: Arena, transitions: dict[int, dict[Move, int]]):
         self.arena = arena
-        self.initial = initial
         self.transitions = transitions
         self._check()
 
     def _check(self) -> None:
-        states = set(self.transitions)
-        states.add(self.initial)
         moveset = set(self.arena.moves)
         for s, row in self.transitions.items():
             for m, d in row.items():
                 if m not in moveset:
                     raise ValueError(f"transition on unknown move {m!r}")
-                if d not in self.transitions and d != self.initial:
+                if d not in self.transitions and d != 0:
                     # target must at least exist as a (possibly empty) row
                     raise ValueError(f"transition {s} --{self.arena.name(m)}--> {d}: no such state")
 
@@ -103,30 +98,30 @@ class StrategyAutomaton:
             s: {move_map[m]: d for m, d in row.items()}
             for s, row in self.transitions.items()
         }
-        return StrategyAutomaton(arena, trans, self.initial)
+        return StrategyAutomaton(arena, trans)
 
     def trimmed(self) -> "StrategyAutomaton":
-        """Canonical renumbering: :func:`explore` from the initial state,
+        """Canonical renumbering: :func:`explore` from state 0,
         successors numbered in ``arena.moves`` order, rows kept in their order."""
         def row_of(s, number):
             row = self.transitions.get(s, {})
             ids = {m: number(row[m]) for m in self.arena.moves if m in row}
             return {m: ids[m] for m in row}
 
-        rows, _ = explore(self.initial, row_of)
-        return StrategyAutomaton(self.arena, dict(enumerate(rows)), 0)
+        rows, _ = explore(0, row_of)
+        return StrategyAutomaton(self.arena, dict(enumerate(rows)))
 
     def __repr__(self) -> str:
         return f"StrategyAutomaton({self.arena!r}, {self.n_states} states)"
 
 
-def from_rows(arena: Arena, rows: dict[int, dict[str, int]], initial: int = 0) -> StrategyAutomaton:
+def from_rows(arena: Arena, rows: dict[int, dict[str, int]]) -> StrategyAutomaton:
     """Build an automaton from port names; handy for the fixed constants."""
     trans = {
         s: {arena.by_name(n): d for n, d in row.items()}
         for s, row in rows.items()
     }
-    return StrategyAutomaton(arena, trans, initial)
+    return StrategyAutomaton(arena, trans)
 
 
 def relay(arena: Arena, twins: dict[Move, Move]) -> StrategyAutomaton:
@@ -161,7 +156,7 @@ def relay(arena: Arena, twins: dict[Move, Move]) -> StrategyAutomaton:
         return row
 
     rows, _ = explore(((), None), row_of)
-    return StrategyAutomaton(arena, dict(enumerate(rows)), 0)
+    return StrategyAutomaton(arena, dict(enumerate(rows)))
 
 
 @dataclass
@@ -222,7 +217,7 @@ def synchronize_and_hide(
             row[relabel_b[mb]] = number((sa, db))
         return taus, row
 
-    product, _ = explore((a.initial, b.initial), product_row)
+    product, _ = explore((0, 0), product_row)
     tau, ext = zip(*product)
     _check_divergence(tau, ext, a)
 
@@ -248,7 +243,7 @@ def synchronize_and_hide(
 
     rows, _ = explore(closure(frozenset({0})), row_of)
     hidden = sum(len(v) for v in tau)
-    out = StrategyAutomaton(out_arena, dict(enumerate(rows)), 0)
+    out = StrategyAutomaton(out_arena, dict(enumerate(rows)))
     return out, SyncStats(len(product), hidden, tuple(stalls))
 
 
@@ -297,11 +292,11 @@ def glue_pair(
     trans: dict[Hashable, dict[Move, Hashable]] = {}
     for side, m, relabel in ((0, a, relabel_a), (1, b, relabel_b)):
         tag: dict[int, Hashable] = {s: (side, s) for s in m.transitions}
-        tag[m.initial] = 0
+        tag[0] = 0
         for s, row in m.transitions.items():
             dst = trans.setdefault(tag[s], {})
             for mv, d in row.items():
                 mm = relabel[mv]
                 if dst.setdefault(mm, tag[d]) != tag[d]:
                     raise ValueError(f"pair components clash on {out_arena.name(mm)} at the idle state")
-    return StrategyAutomaton(out_arena, trans, 0).trimmed()
+    return StrategyAutomaton(out_arena, trans).trimmed()

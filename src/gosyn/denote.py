@@ -134,13 +134,15 @@ def _keys(ty: Type) -> list[tuple[tuple[int, ...], str]]:
     return [(path, token) for path, token, _, _ in type_ports(ty)[0]]
 
 
-def identity_strategy(ty: Type, var: str) -> StrategyAutomaton:
-    """``x : ty  |-  x : ty`` as a forwarder between the two faces."""
-    a = term_arena(ty, [(var, ty)])
+def forwarder(ty: Type, var: str, var_ty: Type, prefix: tuple[int, ...] = ()) -> StrategyAutomaton:
+    """``var : var_ty  |-  ty`` as a relay: port ``p`` of the result face is
+    twinned with port ``prefix + p`` of ``var``'s face, where half ``which``
+    of a product face has the prefix ``(which,)``."""
+    a = term_arena(ty, [(var, var_ty)])
     twins: dict[Move, Move] = {}
     for p, tok in _keys(ty):
-        twins[Move("ret", p, tok)] = Move(var, p, tok)
-        twins[Move(var, p, tok)] = Move("ret", p, tok)
+        twins[Move("ret", p, tok)] = Move(var, prefix + p, tok)
+        twins[Move(var, prefix + p, tok)] = Move("ret", p, tok)
     return relay(a, twins)
 
 
@@ -197,27 +199,17 @@ def lambda_strategy(body: StrategyAutomaton, var: str, var_ty: Type,
     return body.remapped(out, move_map)
 
 
-def projection_strategy(which: int, lty: Type, rty: Type, var: str) -> StrategyAutomaton:
-    """Forwarder from a product face to one of its halves."""
-    ty = (lty, rty)[which]
-    a = term_arena(ty, [(var, Prod(lty, rty))])
-    twins: dict[Move, Move] = {}
-    for p, tok in _keys(ty):
-        twins[Move("ret", p, tok)] = Move(var, (which,) + p, tok)
-        twins[Move(var, (which,) + p, tok)] = Move("ret", p, tok)
-    return relay(a, twins)
-
-
 def project_strategy(m: StrategyAutomaton, which: int,
                      out_ctx: tuple[tuple[str, Type], ...]) -> StrategyAutomaton:
     pty = m.arena.face("ret").ty
     assert isinstance(pty, Prod)
-    proj = projection_strategy(which, pty.left, pty.right, "_p")
+    half = (pty.left, pty.right)[which]
+    proj = forwarder(half, "_p", pty, (which,))
     link = {
         Move("_p", p, tok): Move("ret", p, tok)
         for p, tok in _keys(pty)
     }
-    out = term_arena((pty.left, pty.right)[which], out_ctx)
+    out = term_arena(half, out_ctx)
     relabel_a = {mm: mm for mm in proj.arena.moves if mm.face == "ret"}
     relabel_b = {mm: mm for mm in m.arena.moves if mm.face != "ret"}
     auto, stats = synchronize_and_hide(proj, m, link, out, relabel_a, relabel_b)
@@ -259,7 +251,7 @@ def diagonal(ty: Type) -> StrategyAutomaton:
         return row
 
     rows, _ = explore(start, row_of)
-    return StrategyAutomaton(sa, dict(enumerate(rows)), 0)
+    return StrategyAutomaton(sa, dict(enumerate(rows)))
 
 
 # ------------------------------------------------------------ the semantics
@@ -268,7 +260,7 @@ def denote(t: Typed) -> StrategyAutomaton:
     """Automaton of a typed term; its arena is the term's interface."""
     term = t.term
     if isinstance(term, Var):
-        return identity_strategy(t.ty, term.name)
+        return forwarder(t.ty, term.name, t.ty)
     if isinstance(term, Const):
         return const_automaton(term.name)
     if isinstance(term, App):

@@ -101,7 +101,7 @@ def manager_machine(ty: Type) -> SyncMachine:
                 f"serves one opening request per client, this type has {len(init)}")
     base = round_abstract(diagonal(ty))
     for init in inits:
-        if frozenset(init) not in base.transitions[base.initial]:
+        if frozenset(init) not in base.transitions[0]:
             raise DesignError(
                 f"the duplicator for {type_to_str(ty)} does not serve an opening request when idle")
     return base

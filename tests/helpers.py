@@ -53,10 +53,10 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from gosyn.arena import Arena, Face, Move, arena_of_type, term_arena
-from gosyn.automata import StrategyAutomaton, initial_first, synchronize_and_hide
+from gosyn.automata import StrategyAutomaton, synchronize_and_hide
 from gosyn.denote import diagonal
 from gosyn.netlist import (EAnd, EConst, ENot, EOr, EVar, Expr, NetModule, _reduced_support,
                            eand, eor, synthesis_view)
@@ -366,7 +366,7 @@ def language(auto: StrategyAutomaton, max_len: int, limit: int = 500_000) -> set
         for m, d in auto.transitions[s].items():
             go(d, prefix + (auto.arena.name(m),))
 
-    go(auto.initial, ())
+    go(0, ())
     return out
 
 
@@ -407,7 +407,7 @@ def compose_oracle(a: StrategyAutomaton, b: StrategyAutomaton, link: dict,
             if len(prefix) < max_len:
                 go(sa, db, prefix + (out_arena.name(relabel_b[mb]),))
 
-    go(a.initial, b.initial, ())
+    go(0, 0, ())
     return out
 
 
@@ -643,14 +643,14 @@ def reference_round_abstract(auto: StrategyAutomaton) -> SyncMachine:
     the library's cascade-proposed sets must reproduce.
     """
     ins = [m for m in auto.arena.moves if auto.arena.is_input(m)]
-    if auto.outputs_from(auto.initial):
+    if auto.outputs_from(0):
         raise ValueError("initial state must be quiescent")
 
     subsets = [frozenset(c) for k in range(1, len(ins) + 1)
                for c in itertools.combinations(ins, k)]
 
-    index: dict[int, int] = {auto.initial: 0}
-    order = [auto.initial]
+    index: dict[int, int] = {0: 0}
+    order = [0]
     table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {}
     k = 0
     while k < len(order):
@@ -682,10 +682,15 @@ def reference_round_abstract(auto: StrategyAutomaton) -> SyncMachine:
             row[inputs] = (emitted, index[target])
         table[index[s]] = row
         k += 1
-    return SyncMachine(auto.arena, table, 0)
+    return SyncMachine(auto.arena, table)
 
 
 # ------------------------------------------------ reference round pruning
+
+def initial_first(states: Iterable) -> dict:
+    """State ids: state 0 keeps 0, the other states follow in ascending order."""
+    return {s: k for k, s in enumerate([0, *sorted(set(states) - {0})])}
+
 
 def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
     """Rounds admissible in some reachable protocol context, found depth first.
@@ -693,11 +698,11 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
     Every (machine state, pending-forest key) pair is expanded once, each
     round decided from the key with its moves sorted by ``arena.rank``;
     kept rounds and reached states are then renumbered with
-    the initial state first, as ``prune_inadmissible`` does.
+    state 0 first, as ``prune_inadmissible`` does.
     """
     keep: set = set()
     reach: set = set()
-    start = (m.initial, ())
+    start = (0, ())
     seen = {start}
     work = [start]
     while work:
@@ -712,12 +717,11 @@ def reference_prune_inadmissible(m: SyncMachine) -> SyncMachine:
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
-    order = [m.initial] + sorted(reach - {m.initial})
-    perm = {s: k for k, s in enumerate(order)}
+    perm = initial_first(reach)
     table = {perm[s]: {i: (o, perm[d]) for i, (o, d) in m.transitions[s].items()
                        if (s, i) in keep}
-             for s in order}
-    return SyncMachine(m.arena, table, 0)
+             for s in perm}
+    return SyncMachine(m.arena, table)
 
 
 def reference_synthesis_view(m: SyncMachine) -> tuple[SyncMachine, dict]:
@@ -729,7 +733,7 @@ def reference_synthesis_view(m: SyncMachine) -> tuple[SyncMachine, dict]:
     inits = frozenset(x for x in m.arena.initials if m.arena.is_input(x))
     table = {s: {i: e for i, e in row.items() if len(i & inits) <= 1}
              for s, row in m.transitions.items()}
-    return SyncMachine(m.arena, table, m.initial), contexts
+    return SyncMachine(m.arena, table), contexts
 
 
 # ------------------------------------------------------------ reference arena
@@ -894,7 +898,7 @@ def reference_relay(arena: Arena, twins: dict) -> StrategyAutomaton:
             row[m] = index[nxt]
         trans[k] = row
         k += 1
-    return StrategyAutomaton(arena, trans, 0)
+    return StrategyAutomaton(arena, trans)
 
 
 # ------------------------------------------------ reference cone evaluation
@@ -930,7 +934,7 @@ def reference_netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
     arena = machine.arena
     in_ports, out_ports = arena.input_names(), arena.output_names()
     states = sorted(machine.transitions)
-    order = initial_first(states, machine.initial)
+    order = initial_first(states)
     bit = {s: f"st{order[s]}" for s in states}
     single = len(states) == 1
 
@@ -1063,10 +1067,12 @@ def from_dict(d: dict):
     kind = d.get("kind")
     if kind == "arena":
         return _arena_from(d)
+    if kind in ("strategy_automaton", "sync_machine") and d["initial"] != 0:
+        raise ValueError(f"initial state {d['initial']}: every machine starts in state 0")
     if kind == "strategy_automaton":
         arena = _arena_from(d)
         trans: dict[int, dict[Move, int]] = {}
-        states = {d["initial"]}
+        states = {0}
         for t in d["transitions"]:
             states.add(t["from"])
             states.add(t["to"])
@@ -1074,11 +1080,11 @@ def from_dict(d: dict):
             trans[s] = {}
         for t in d["transitions"]:
             trans[t["from"]][arena.by_name(t["move"])] = t["to"]
-        return StrategyAutomaton(arena, trans, d["initial"])
+        return StrategyAutomaton(arena, trans)
     if kind == "sync_machine":
         arena = _arena_from(d)
         table: dict[int, dict[frozenset, tuple[frozenset, int]]] = {}
-        states = {d["initial"]}
+        states = {0}
         for r in d["rounds"]:
             states.add(r["state"])
             states.add(r["to"])
@@ -1088,7 +1094,7 @@ def from_dict(d: dict):
             ins = frozenset(arena.by_name(n) for n in r["in"])
             outs = frozenset(arena.by_name(n) for n in r["out"])
             table[r["state"]][ins] = (outs, r["to"])
-        return SyncMachine(arena, table, d["initial"])
+        return SyncMachine(arena, table)
     if kind == "netlist":
         return NetModule(
             name=d["name"],

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import SHARED_TYPES, arena_tables, reference_arena, reference_sharing_names
 from gosyn.arena import Arena, Face, Move, arena_of_type, sharing_arena, term_arena
-from gosyn.denote import identity_strategy
+from gosyn.denote import forwarder
 from gosyn.syntax import Com, parse_type
 
 
@@ -232,7 +232,7 @@ def test_sharing_and_identity_build_one_arena_each(monkeypatch):
     monkeypatch.setattr(Arena, "__init__", counted)
     for s in SHARED_TYPES:
         t = parse_type(s)
-        for build in (lambda: sharing_arena(t), lambda: identity_strategy(t, "x")):
+        for build in (lambda: sharing_arena(t), lambda: forwarder(t, "x", t)):
             built.clear()
             build()
             assert len(built) == 1, s

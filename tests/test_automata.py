@@ -1,4 +1,4 @@
-"""Strategy automata: relays, composition, hiding, and the trace oracle."""
+"""Strategy automata: relays, composition, hiding, the trace oracle, and state numbering."""
 
 import importlib
 import random
@@ -6,17 +6,20 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import apply_oracle, language, random_program, random_term, to_source
+from helpers import SHARED_TYPES, apply_oracle, language, random_program, random_term, to_source
+from test_pins import PROGRAMS
 
 from gosyn.arena import Move, arena_of_type, term_arena
 from gosyn.automata import (
     CompositionStall, DivergenceDetected, StrategyAutomaton, from_rows, glue_pair, relay,
     synchronize_and_hide,
 )
-from gosyn.denote import denote, identity_strategy, interpret
+from gosyn.denote import const_automaton, denote, diagonal, forwarder, interpret
 from gosyn.design import compile_design
+from gosyn.netlist import synthesis_view
 from gosyn.plays import check_play
-from gosyn.syntax import Arrow, Com, parse, parse_type
+from gosyn.syncmin import minimize_under_protocol, round_abstract
+from gosyn.syntax import CONSTANTS, Arrow, Com, Prod, parse, parse_type
 from gosyn.typecheck import typecheck
 
 COM = Com()
@@ -43,13 +46,14 @@ def test_outputs_from_is_each_rows_outputs_built_once():
         assert m.outputs_from(s) is m.outputs_from(s)
 
 def test_copycat_forwards_both_ways():
-    cc = identity_strategy(COM, "x")
+    cc = forwarder(COM, "x", COM)
     assert language(cc, 4) == {
         (), ("q1",), ("q1", "q2"), ("q1", "q2", "a2"), ("q1", "q2", "a2", "a1")}
 
 
 def test_relay_stays_inside_the_protocol():
-    cc = identity_strategy(parse_type("com -> com"), "f")
+    t = parse_type("com -> com")
+    cc = forwarder(t, "f", t)
     for tr in language(cc, 8):
         assert check_play(cc.arena, tr).ok
 
@@ -102,15 +106,56 @@ def test_glue_pair_rejects_idle_clashes():
 
 def test_trimmed_renumbers_breadth_first():
     a = arena_of_type(COM)
-    m = StrategyAutomaton(a, {5: {a.by_name("q"): 9}, 9: {a.by_name("a"): 5}}, initial=5)
+    m = StrategyAutomaton(a, {0: {a.by_name("q"): 9}, 9: {a.by_name("a"): 0}})
     t = m.trimmed()
-    assert t.initial == 0
     assert sorted(t.transitions) == [0, 1]
     assert language(t, 4) == language(m, 4)
 
 
+def _numbered_graphs() -> list[tuple]:
+    """(label, machine, whether every state must be reachable from state 0)."""
+    graphs = [(name, const_automaton(name), True) for name in CONSTANTS]
+    for ty in map(parse_type, SHARED_TYPES):
+        graphs += [(f"forwarder {ty}", forwarder(ty, "x", ty), True),
+                   (f"diagonal {ty}", diagonal(ty), True)]
+        if isinstance(ty, Prod):
+            graphs += [(f"projection {which} {ty}",
+                        forwarder((ty.left, ty.right)[which], "p", ty, (which,)), True)
+                       for which in (0, 1)]
+    rng = random.Random(7)
+    blocks = [(f"random block {k}", random_program(rng, depth=3)) for k in range(30)]
+    for name, source in [*PROGRAMS.items(), *blocks]:
+        try:
+            auto = interpret(source)
+        except CompositionStall:
+            continue  # cell_fst
+        raw = round_abstract(auto)
+        small = minimize_under_protocol(raw)
+        # a closed cover need not keep every class reachable
+        graphs += [(f"{name} denote", auto, True), (f"{name} round_abstract", raw, True),
+                   (f"{name} minimized", small, False),
+                   (f"{name} synthesis_view", synthesis_view(small)[0], True)]
+    return graphs
+
+
+def test_state_0_is_initial_and_ids_run_from_0():
+    graphs = _numbered_graphs()
+    assert len(graphs) > 200
+    for label, m, reach_all in graphs:
+        n = m.n_states
+        assert n and sorted(m.transitions) == list(range(n)), label  # so state 0 has a row
+        target = (lambda e: e) if isinstance(m, StrategyAutomaton) else (lambda e: e[1])
+        seen, work = {0}, [0]
+        while work:
+            for d in map(target, m.transitions[work.pop()].values()):
+                if d not in seen:
+                    seen.add(d)
+                    work.append(d)
+        assert not reach_all or len(seen) == n, label
+
+
 def _layout(m: StrategyAutomaton) -> tuple:
-    return m.initial, [(s, list(row.items())) for s, row in m.transitions.items()]
+    return [(s, list(row.items())) for s, row in m.transitions.items()]
 
 
 def test_hiding_numbers_states_as_trimmed_does(monkeypatch):

@@ -123,5 +123,5 @@ def test_cover_cliffs_minimize_quickly(criterion):
 
 @pytest.mark.parametrize("ty", ["com", "com -> com", "cell"])
 def test_a_machine_with_no_rounds_stays_one_state(ty):
-    m = minimize_under_protocol(SyncMachine(arena_of_type(parse_type(ty)), {0: {}}, 0))
-    assert (m.transitions, m.initial) == ({0: {}}, 0)
+    m = minimize_under_protocol(SyncMachine(arena_of_type(parse_type(ty)), {0: {}}))
+    assert m.transitions == {0: {}}

@@ -120,8 +120,8 @@ def test_interpretations_stay_inside_their_protocol(seed):
 def test_every_machine_state_is_reachable(seed):
     rng = random.Random(seed)
     m = interpret(random_program(rng, depth=2))
-    seen = {m.initial}
-    work = [m.initial]
+    seen = {0}
+    work = [0]
     while work:
         s = work.pop()
         for dst in m.transitions[s].values():

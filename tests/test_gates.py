@@ -29,10 +29,10 @@ on the three larger managers.
 import functools
 import random
 
-from helpers import SHARED_TYPES, care_sets, random_program, reference_netlist_of
+from helpers import SHARED_TYPES, care_sets, initial_first, random_program, reference_netlist_of
 from test_pins import PROGRAMS
 from gosyn import netlist
-from gosyn.automata import CompositionStall, initial_first
+from gosyn.automata import CompositionStall
 from gosyn.denote import interpret
 from gosyn.design import DesignError, clock_block, compile_design, manager_machine
 from gosyn.netlist import _cubes, netlist_of, synthesis_view
@@ -81,7 +81,7 @@ def _pulse_sets(inputs: tuple) -> list[dict]:
 def _cared(m) -> dict[str, set[frozenset]]:
     """Per state bit, the names of the input sets that state is cared for on."""
     view, _ = synthesis_view(m)
-    order = initial_first(view.transitions, view.initial)
+    order = initial_first(view.transitions)
     return {f"st{order[s]}": {frozenset(map(view.arena.name, i)) for i in care}
             for s, care in care_sets(view).items()}
 
@@ -106,15 +106,15 @@ def test_the_modules_cover_designs_managers_and_random_blocks():
 
 def test_state_bits_are_the_views_own_ids():
     # netlist_of names bit ``st{s}`` after state ``s`` of the view, which
-    # prune_inadmissible numbers initial-first
+    # prune_inadmissible numbers with state 0 first
     big = [(label, m) for label, m in _managers()
            if len(m.arena.input_names()) > MAX_MANAGER_INPUTS]
     assert len(big) == 3
     for label, m in (*_machines(), *big):
         view, contexts = synthesis_view(m)
         n = len(view.transitions)
-        assert (sorted(view.transitions), view.initial, sorted(contexts)) == \
-            (list(range(n)), 0, list(range(n))), label
+        assert sorted(view.transitions) == sorted(contexts) == list(range(n)), label
+        assert contexts[0][0] == (), label  # the walk starts at state 0 with nothing pending
         gates = netlist_of(m)
         assert gates.state_bits == (tuple(f"st{s}" for s in range(n)) if n > 1 else ()), label
         assert gates.reset_state() == {b: b == "st0" for b in gates.state_bits}, label
@@ -147,7 +147,7 @@ def test_a_state_bit_moves_only_by_its_rows():
             continue
         arena = view.arena
         states = sorted(view.transitions)
-        order = initial_first(states, view.initial)
+        order = initial_first(states)
         bit = {s: f"st{order[s]}" for s in states}
         for s in states:
             here = {b: b == bit[s] for b in gates.state_bits}

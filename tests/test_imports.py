@@ -8,8 +8,8 @@ the tracer wraps there, and a marked name the tracer does not wrap in its
 module fails the check.  Every name ``gosyn.__all__`` exports resolves, once.
 No module reads a private field (``_name``, not a dunder) of anything but
 ``self`` or ``cls``: each object keeps its own.  Every private module-level
-name is read in its own module, so none is left behind when its last
-reader goes.
+name is read in its own module, and every public one is read by some
+module or exported, so none is left behind when its last reader goes.
 """
 
 import ast
@@ -149,9 +149,8 @@ def test_no_private_field_reads(path):
     assert _private_reads(path) == []
 
 
-def _unread_private_names(path: Path) -> list[str]:
-    """Private module-level names (``_name``, not a dunder) that their module never reads."""
-    tree = ast.parse(path.read_text())
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """The line of each module-level function, class and assigned name."""
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -160,8 +159,14 @@ def _unread_private_names(path: Path) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
                            if isinstance(n, ast.Name))
+    return defined
+
+
+def _unread_private_names(path: Path) -> list[str]:
+    """Private module-level names (``_name``, not a dunder) that their module never reads."""
+    tree = ast.parse(path.read_text())
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return sorted(f"{path.name}:{line} {name}" for name, line in defined.items()
+    return sorted(f"{path.name}:{line} {name}" for name, line in _defined(tree).items()
                   if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
@@ -175,3 +180,32 @@ def test_unread_private_name_check_sees_module_level_names(tmp_path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_private_module_names_are_read(path):
     assert _unread_private_names(path) == []
+
+
+def _unread_public_names(paths: list[Path], exported) -> list[str]:
+    """Public module-level names that no module reads, bare or as an attribute,
+    imports or exports."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set(exported)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return sorted(f"{path.name}:{line} {name}" for path, tree in trees.items()
+                  for name, line in _defined(tree).items()
+                  if not name.startswith("_") and name not in read)
+
+
+def test_unread_public_name_check_sees_every_module(tmp_path):
+    (tmp_path / "a.py").write_text("A = B = 1\n\ndef f():\n    return A\n\nclass K:\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import f\n\ndef g(x):\n    return f(x.K)\n\nC = 2\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _unread_public_names(paths, {"g"}) == ["a.py:1 B", "b.py:6 C"]
+
+
+def test_public_module_names_are_read_or_exported():
+    assert _unread_public_names(SOURCES, gosyn.__all__) == []

@@ -33,7 +33,7 @@ CLIFFS = (chain(5, ";"), chain(4, "||"), "fn v : exp -> ((v and v) and v) and v"
 
 
 def _shape(m) -> tuple:
-    return m.describe(), m.n_states, m.initial
+    return m.describe(), m.n_states
 
 
 def _check_prune(source: str) -> None:
