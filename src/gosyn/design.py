@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .arena import Arena, Move, arena_of_type, sharing_arena
 from .denote import denote, diagonal
-from .netlist import (NetModule, emit_verilog, expr_vars, module_header, netlist_of,
+from .netlist import (NetModule, emit_verilog, module_header, netlist_of,
                       verilog_name)
 from .syncmin import SyncMachine, minimize_under_protocol, round_abstract
 from .syntax import (Lam, ParseError, Term, Type, Var, map_subterms, parse, parse_type,
@@ -344,14 +344,16 @@ def _check_comb_cycles(design: Design, mods: dict[str, NetModule]) -> None:
     """No combinational loop through output logic and ties.
 
     Register inputs do not count; only the cone from input pins to output
-    assigns inside each block, chained through ties, must be acyclic.
+    assigns inside each block, chained through ties, must be acyclic.  An
+    output reads the inputs of its own expression and of every wire it
+    reads, transitively.
     """
     # dependency inside a block: output port -> input ports it reads
     reads: dict[PortRef, set[PortRef]] = {}
     for iname, mod in mods.items():
         for o, e in mod.assigns:
             reads[PortRef(iname, o)] = {
-                PortRef(iname, v) for v in expr_vars(e) if v in mod.inputs}
+                PortRef(iname, v) for v in mod.reads(e) if v in mod.inputs}
     drivers = design.drivers_of()
 
     color: dict[PortRef, int] = {}

@@ -10,7 +10,8 @@ an acknowledgement often combinationally depends on a request in the same
 cycle, and keeping the request out of the answer's support is what keeps
 tied-together netlists acyclic.
 
-The logic is two-level.  Each output cone computes the same Boolean
+Every sum is two-level, and each one that two or more terms read is built
+once and shared as a wire.  Each output cone computes the same Boolean
 function as the sum of one minterm per round over its reduced support, on
 every state code, one-hot or not.  The next-state cones honour a care-set
 contract instead: in one-hot state ``s``, on each input set of ``s``'s
@@ -37,6 +38,14 @@ logic small.
   reduced support, exactly.
 - States whose cube sums into one target, or for one output, are equal
   share one term, ``(st_a | st_b) & f``.
+- A sum that costs an operator and that two or more terms of the module
+  read, a sum of input cubes or an OR of state bits, is built once as a
+  wire ``w_k`` that they all read (:class:`_Sums`).  This is the first
+  step of multi-level synthesis (Brayton, Rudell, Sangiovanni-Vincentelli
+  and Wang, *MIS: a multiple-level logic optimization system*, IEEE TCAD
+  1987), and it changes no cone's function: the clocked ``par4`` block's
+  four next-state cones read four wires over ``a2``-``a5`` instead of
+  rebuilding them.
 
 A machine with a single state needs no clock at all and comes out as pure
 continuous assignments.
@@ -112,18 +121,19 @@ def expr_to_verilog(e: Expr, rename) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def expr_to_python(e: Expr) -> str:
-    """A Python expression over the dict ``v``; every net is named through repr()."""
+def expr_to_python(e: Expr, local: dict[str, str]) -> str:
+    """A Python expression over the dict ``v``, every net named through
+    repr(), except that the nets in ``local`` are read as those variables."""
     if isinstance(e, EVar):
-        return f"v[{e.name!r}]"
+        return local.get(e.name) or f"v[{e.name!r}]"
     if isinstance(e, EConst):
         return repr(e.val)
     if isinstance(e, ENot):
-        return f"(not {expr_to_python(e.x)})"
+        return f"(not {expr_to_python(e.x, local)})"
     if isinstance(e, EAnd):
-        return "(" + (" and ".join(map(expr_to_python, e.xs)) or "True") + ")"
+        return "(" + (" and ".join(expr_to_python(x, local) for x in e.xs) or "True") + ")"
     if isinstance(e, EOr):
-        return "(" + (" or ".join(map(expr_to_python, e.xs)) or "False") + ")"
+        return "(" + (" or ".join(expr_to_python(x, local) for x in e.xs) or "False") + ")"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -137,6 +147,11 @@ def expr_vars(e: Expr) -> set[str]:
     return set().union(*(expr_vars(x) for x in e.xs))
 
 
+def _reads(e: Expr, through: dict[str, set[str]]) -> set[str]:
+    """The nets ``e`` reads, each wire in ``through`` replaced by what it reads."""
+    return set().union(*(through.get(v, (v,)) for v in expr_vars(e)))
+
+
 def verilog_name(port: str) -> str:
     """Map a port name to a Verilog identifier (the prime becomes a p)."""
     return port.replace("'", "p")
@@ -146,7 +161,15 @@ def verilog_name(port: str) -> str:
 
 @dataclass
 class NetModule:
-    """One synchronous block: combinational outputs plus one-hot state."""
+    """One synchronous block: combinational outputs plus one-hot state.
+
+    ``wires`` are the sums that two or more terms read, each built once, in
+    definition order: a wire reads only inputs, state bits and earlier
+    wires, and the cones read them by name.  A wire is named ``w_`` and a
+    number.  That names no state bit, and no port of an arena: a standard
+    port name holds no ``_``, and a sharing arena's starts with an
+    upper-case letter.  :func:`emit_verilog` checks the names after renaming.
+    """
 
     name: str
     inputs: tuple[str, ...]
@@ -154,6 +177,7 @@ class NetModule:
     state_bits: tuple[str, ...]          # empty = purely combinational
     assigns: tuple[tuple[str, Expr], ...]
     nexts: tuple[tuple[str, Expr], ...]
+    wires: tuple[tuple[str, Expr], ...] = ()
 
     @property
     def clocked(self) -> bool:
@@ -162,11 +186,23 @@ class NetModule:
     def reset_state(self) -> dict[str, bool]:
         return {b: i == 0 for i, b in enumerate(self.state_bits)}
 
+    def reads(self, e: Expr) -> set[str]:
+        """The inputs and state bits ``e`` reads, itself or through wires."""
+        return _reads(e, self._wire_reads)
+
+    @cached_property
+    def _wire_reads(self) -> dict[str, set[str]]:
+        through: dict[str, set[str]] = {}
+        for w, e in self.wires:
+            through[w] = _reads(e, through)
+        return through
+
     def eval(self, state: dict[str, bool], pulses: dict[str, bool]):
         """One cycle: returns (output pulses, next state bits).
 
-        The cones are compiled into one Python function once per module, on
-        its first evaluation, rather than walked as expression trees.
+        The wires and cones are compiled into one Python function once per
+        module, on its first evaluation, rather than walked as expression
+        trees.
         """
         env = dict(state)
         env.update({p: pulses.get(p, False) for p in self.inputs})
@@ -174,11 +210,19 @@ class NetModule:
 
     @cached_property
     def _cones(self):
-        """``lambda v: ({output: value}, {state bit: next value})`` for every cone."""
+        """``cones(v) -> ({output: value}, {state bit: next value})``, which
+        computes the wires first, as local variables."""
+        local = {w: f"w{k}" for k, (w, _) in enumerate(self.wires)}
+
         def body(pairs) -> str:
-            return "{" + ", ".join(f"{n!r}: {expr_to_python(e)}" for n, e in pairs) + "}"
-        src = f"lambda v: ({body(self.assigns)}, {body(self.nexts)})"
-        return eval(compile(src, f"<cones of {self.name}>", "eval"))
+            return "{" + ", ".join(f"{n!r}: {expr_to_python(e, local)}" for n, e in pairs) + "}"
+        src = "\n    ".join(["def cones(v):",
+                             *(f"{local[w]} = {expr_to_python(e, local)}" for w, e in self.wires),
+                             f"return ({body(self.assigns)}, {body(self.nexts)})"])
+        space: dict = {}
+        exec(compile(src, f"<cones of {self.name}>", "exec"), space)
+        # the function's globals are ``space``; taking it out of them leaves no cycle
+        return space.pop("cones")
 
 
 def _cubes(full: int, on: Iterable[int], off: Optional[Iterable[int]] = None
@@ -467,11 +511,63 @@ def care_sets(view: SyncMachine, contexts: dict[int, tuple]) -> dict[int, set[in
     return care
 
 
-def _terms(bits: list[Expr], f: Expr) -> list[Expr]:
-    """``(b1 | b2 | ...) & f`` as terms of a sum, with no gate for a constant-true ``f``."""
-    if f == EConst(True):
-        return list(bits)
-    return [_gate(eor(bits), f)]
+_TRUE = ((0, 0),)   # the sum of the one cube that cares for no input, constant true
+
+
+class _Sums:
+    """The cones of one module, with each sum that two or more terms read
+    built once, as a wire.
+
+    A term is ``(states, cubes, negated)``: the OR of the states' bits AND
+    the sum of the input cubes, or its complement.  A term with no states
+    is its cube sum alone, and a constant-true sum leaves the state bits as
+    terms of their own.  A sum of cubes is keyed by its cube tuple and an
+    OR of state bits by its tuple of states.  Cones are noted as they are
+    built (:meth:`note`), since a sum is a wire only once all its readers
+    are known, then written (:meth:`cone`), which names the wires in the
+    order they are first read.  A sum becomes a wire when it costs at least
+    one operator and two or more terms read it.
+    """
+
+    def __init__(self, literals: list[tuple[Expr, Expr]], bit: list[str]):
+        self.literals, self.bit = literals, bit
+        self.reads: dict[tuple, int] = {}
+        self.built: dict[tuple, Expr] = {}
+        self.wires: list[tuple[str, Expr]] = []
+
+    def note(self, terms: list[tuple]) -> list[tuple]:
+        reads = self.reads
+        for states, cubes, negated in terms:
+            if len(states) > 1 and (cubes != _TRUE or negated):
+                reads[states] = reads.get(states, 0) + 1
+            if _size(cubes) > 1:
+                reads[cubes] = reads.get(cubes, 0) + 1
+        return terms
+
+    def _sum(self, key: tuple, is_states: bool) -> Expr:
+        got = self.built.get(key)
+        if got is None:
+            got = (eor(EVar(self.bit[s]) for s in key) if is_states
+                   else _sop(self.literals, key))
+            if self.reads.get(key, 0) > 1:
+                w = f"w_{len(self.wires)}"
+                self.wires.append((w, got))
+                got = EVar(w)
+            self.built[key] = got
+        return got
+
+    def cone(self, terms: list[tuple]) -> Expr:
+        out: list[Expr] = []
+        for states, cubes, negated in terms:
+            if states and cubes == _TRUE and not negated:
+                out += [EVar(self.bit[s]) for s in states]
+                continue
+            x = self._sum(states, True) if states else None
+            f = self._sum(cubes, False)
+            if negated:
+                f = f.x if isinstance(f, ENot) else ENot(f)
+            out.append(f if x is None else _gate(x, f))
+        return eor(out)
 
 
 def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
@@ -495,12 +591,12 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
             for s in states}
     outs_of = {(s, i): outs for s in states for i, outs, _ in rows[s]}
     enablers = [mask(arena.enablers_of(arena.by_name(v))) >> len(in_ports) for v in in_ports]
-    literals = [(ENot(EVar(v)), EVar(v)) for v in in_ports]
+    sums = _Sums([(ENot(EVar(v)), EVar(v)) for v in in_ports], bit)
     full = (1 << len(in_ports)) - 1
 
     # output logic with per-output support reduction; states with equal
     # cube sums share one term
-    assigns: list[tuple[str, Expr]] = []
+    outputs: list[list[tuple]] = []
     for k, o in enumerate(out_ports):
         entries: dict[int, tuple[set, set]] = {}
         for s in states:
@@ -517,27 +613,25 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
             if s in entries and entries[s][0]:
                 cubes = _cubes(cared, {i & cared for i in entries[s][0]})
                 sharing.setdefault(tuple(cubes), []).append(s)
-        terms = []
-        for cubes, shared in sharing.items():
-            f = _sop(literals, cubes)
-            terms += [f] if single else _terms([EVar(bit[s]) for s in shared], f)
-        assigns.append((o, eor(terms)))
+        outputs.append(sums.note([(() if single else tuple(shared), cubes, False)
+                                  for cubes, shared in sharing.items()]))
 
     if single:
-        return NetModule(name, in_ports, out_ports, (), tuple(assigns), ())
+        return NetModule(name, in_ports, out_ports, (),
+                         tuple(zip(out_ports, map(sums.cone, outputs))), (), tuple(sums.wires))
 
     # next-state: each bit is entered from other states and holds unless one
     # of its own rows leaves it; a state's input sets outside its care set
     # are don't-cares, and sources with equal entry cubes share one term
     care = care_sets(machine, contexts)
-    summed: dict[tuple, list[tuple[int, int]]] = {}
+    summed: dict[tuple, tuple[tuple[int, int], ...]] = {}
 
-    def cubes_of(on: set[int], off: set[int]) -> list[tuple[int, int]]:
+    def cubes_of(on: set[int], off: set[int]) -> tuple[tuple[int, int], ...]:
         """:func:`_cubes` over all inputs, once per (ON, OFF) pair: a state
         that leaves for one target enters it on the cubes it leaves on."""
         key = (frozenset(on), frozenset(off))
         if key not in summed:
-            summed[key] = _cubes(full, on, off)
+            summed[key] = tuple(_cubes(full, on, off))
         return summed[key]
 
     into: dict[int, dict[int, set[int]]] = {d: {} for d in states}
@@ -547,30 +641,28 @@ def netlist_of(machine: SyncMachine, name: str = "top") -> NetModule:
             if to != s:
                 into[to].setdefault(s, set()).add(i)
                 leaving[s].add(i)
-    nexts: list[tuple[str, Expr]] = []
+    entering: list[list[tuple]] = []
     for d in states:
         sharing = {}
         for s, ms in into[d].items():
-            sharing.setdefault(tuple(cubes_of(ms, care[s] - ms)), []).append(s)
-        terms = []
-        for cubes, shared in sharing.items():
-            terms += _terms([EVar(bit[s]) for s in shared], _sop(literals, cubes))
+            sharing.setdefault(cubes_of(ms, care[s] - ms), []).append(s)
+        terms = [(tuple(shared), cubes, False) for cubes, shared in sharing.items()]
         if not leaving[d]:
-            terms.append(EVar(bit[d]))
+            terms.append(((d,), _TRUE, False))
         else:
             # hold on ~leave or on stay, whichever has fewer literals
             stays = care[d] - leaving[d]
             leave, stay = cubes_of(leaving[d], stays), cubes_of(stays, leaving[d])
             if _size(stay) < _size(leave):
                 if stay:
-                    terms += _terms([EVar(bit[d])], _sop(literals, stay))
-            elif leave != [(0, 0)]:
-                leave = _sop(literals, leave)
-                terms.append(_gate(EVar(bit[d]), leave.x if isinstance(leave, ENot)
-                                   else ENot(leave)))
-        nexts.append((bit[d], eor(terms)))
+                    terms.append(((d,), stay, False))
+            elif leave != _TRUE:
+                terms.append(((d,), leave, True))
+        entering.append(sums.note(terms))
 
-    return NetModule(name, in_ports, out_ports, tuple(bit), tuple(assigns), tuple(nexts))
+    assigns = tuple(zip(out_ports, map(sums.cone, outputs)))
+    nexts = tuple(zip(bit, map(sums.cone, entering)))
+    return NetModule(name, in_ports, out_ports, tuple(bit), assigns, nexts, tuple(sums.wires))
 
 
 def module_header(name: str, clocked: bool, inputs: Iterable[str],
@@ -595,18 +687,21 @@ def emit_verilog(mod: NetModule, rename: Callable[[str], str] = lambda p: p) -> 
     def rn(p: str) -> str:
         return verilog_name(rename(p))
 
-    mangled = [rn(p) for p in mod.inputs + mod.outputs] + list(mod.state_bits)
+    mangled = ([rn(p) for p in mod.inputs + mod.outputs] + list(mod.state_bits)
+               + [w for w, _ in mod.wires])
     if len(set(mangled)) != len(mangled):
         raise ValueError(f"signal names collide after mangling: {sorted(mangled)}")
 
     lines = module_header(verilog_name(mod.name), mod.clocked,
                           map(rn, mod.inputs), map(rn, mod.outputs))
-    if mod.clocked:
+    if mod.clocked or mod.wires:
         lines.append("")
-        for b in mod.state_bits:
-            lines.append(f"  reg {b};")
-        for b, e in mod.nexts:
-            lines.append(f"  wire {b}_next = {expr_to_verilog(e, rn)};")
+    for b in mod.state_bits:
+        lines.append(f"  reg {b};")
+    for w, e in mod.wires:
+        lines.append(f"  wire {w} = {expr_to_verilog(e, rn)};")
+    for b, e in mod.nexts:
+        lines.append(f"  wire {b}_next = {expr_to_verilog(e, rn)};")
     lines.append("")
     for o, e in mod.assigns:
         lines.append(f"  assign {rn(o)} = {expr_to_verilog(e, rn)};")

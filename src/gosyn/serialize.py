@@ -122,6 +122,9 @@ def to_dict(x: Serializable) -> dict:
             "inputs": list(x.inputs),
             "outputs": list(x.outputs),
             "state_bits": list(x.state_bits),
+            "wires": [
+                {"target": t, "expr": _expr_dict(e)} for t, e in x.wires
+            ],
             "assigns": [
                 {"target": t, "expr": _expr_dict(e)} for t, e in x.assigns
             ],
@@ -183,7 +186,9 @@ def emit_dot(x, name: str = "g") -> str:
             lines.append(f"  {_q(p)} [shape=plaintext];")
         for b in x.state_bits:
             lines.append(f"  {_q(b)} [shape=box style=rounded];")
-        for tgt, e in x.assigns + x.nexts:
+        for w, _ in x.wires:
+            lines.append(f"  {_q(w)} [shape=ellipse];")
+        for tgt, e in x.wires + x.assigns + x.nexts:
             for v in sorted(expr_vars(e)):
                 lines.append(f"  {_q(v)} -> {_q(tgt)};")
 

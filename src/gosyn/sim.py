@@ -7,8 +7,15 @@ round, and the clock edge commits the next state.
 
 The settle loop stamps each pulse with the iteration that produced it, so a
 round can be replayed as a causally ordered move list: environment pulses
-first, then everything a given wave of outputs enabled.  Concatenating the
-per-cycle orders yields the linear trace a waveform viewer would show.
+first, then everything a given wave of outputs enabled.  Monitors decide
+each round in that order.  The report gives each boundary round in port
+rank order instead, inputs first.  Every boundary input of a round pulses
+at stamp 0, and no output of a round justifies another output of the same
+round, so stamps only order outputs among themselves; and a stamp counts
+the ties a pulse crossed inside the device, so two devices with the same
+boundary behaviour but different structure would order their rounds
+differently.  Concatenating the per-cycle boundary rounds yields the
+linear trace a waveform viewer would show.
 
 The settle loop only does work where pulses change: within a cycle, pulses
 only accumulate and a unit's preview is a pure function of its state and
@@ -85,7 +92,7 @@ class SimReport:
     status: str                                   # Completed | Deadlock | Race | ProtocolViolation
     cycles: int                                   # cycles simulated
     cycle: Optional[int]                          # cycle the status was decided on
-    trace: tuple[tuple[str, ...], ...]            # boundary round per cycle, causal order
+    trace: tuple[tuple[str, ...], ...]            # boundary round per cycle, in port rank
     instance_traces: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
     race_ports: tuple[str, ...] = ()
     violation: Optional[Violation] = None
@@ -282,7 +289,7 @@ class _Outcome(NamedTuple):
     """What one cycle does; a pure function of the cycle's key (see :func:`simulate`)."""
 
     deferred: bool                             # the offered stimulus round was held back
-    trace: tuple[str, ...]                     # the boundary round, causally ordered
+    trace: tuple[str, ...]                     # the boundary round, in port rank
     rounds: tuple[tuple[str, ...], ...]        # per scope, its round
     wave: Optional[dict[str, bool]]            # pulses per net "inst.port"/"port"; VCD only
     keys: tuple                                # per scope, its pending-forest key after it
@@ -372,8 +379,9 @@ def _cycle(dev: _Device, offered: tuple[str, ...], states: tuple, keys: tuple,
                      for i, pulses in stamp.items()}
             break
 
-    # -- 4. the observed rounds, causally ordered
-    boundary = _round_of(stamp[None], dev.ports)
+    # -- 4. the observed rounds, causally ordered; the boundary's as reported,
+    # in port rank
+    boundary = tuple(sorted([p for p in stamp[None] if p in dev.ports], key=dev.ports.get))
     rounds = tuple([_round_of(stamp[s.prefix], s.rank) for s in scopes])
     wave = ({f"{i}.{p}" if i else p: True for i, here in stamp.items() for p in here}
             if vcd else None)

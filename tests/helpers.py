@@ -1103,6 +1103,7 @@ def from_dict(d: dict):
             state_bits=tuple(d["state_bits"]),
             assigns=tuple((a["target"], _expr_from(a["expr"])) for a in d["assigns"]),
             nexts=tuple((n["target"], _expr_from(n["expr"])) for n in d["nexts"]),
+            wires=tuple((w["target"], _expr_from(w["expr"])) for w in d["wires"]),
         )
     raise ValueError(f"unknown kind {kind!r}")
 

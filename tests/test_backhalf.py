@@ -11,7 +11,8 @@ once its search meets a refused move; the rounds of the ``shared_twice``
 demo, simulated or checked as a trace, never do, so they never pay for it.
 
 A parameter used three or more times gets a chain of call managers that
-share one machine, clocked and synthesized once.
+share one machine, clocked and synthesized once.  The cycle check follows
+an output through the wires it reads, so a loop through a wire is refused.
 
 Support reduction buckets each state's ON rounds by their projection, so a
 ``seq16`` design, whose one block has hundreds of rounds, synthesizes in a
@@ -28,9 +29,9 @@ from helpers import chain, expr_eval, grow_stimulus, random_program
 from gosyn import design as design_module, plays
 from gosyn.arena import sharing_arena
 from gosyn.denote import interpret
-from gosyn.design import (DesignError, clock_block, compile_design, design_verilog,
-                          netlists_of_design)
-from gosyn.netlist import emit_verilog, module_header, netlist_of
+from gosyn.design import (Design, DesignError, PortRef, _check_comb_cycles, clock_block,
+                          compile_design, design_verilog, netlists_of_design)
+from gosyn.netlist import EAnd, EVar, NetModule, emit_verilog, module_header, netlist_of
 from gosyn.plays import check_sync_trace
 from gosyn.sim import parse_stimulus, simulate
 from gosyn.syncmin import equivalent_under_protocol, minimize_under_protocol, round_abstract
@@ -147,6 +148,8 @@ def test_compiled_cones_agree_with_the_reference_evaluator():
                 for on in itertools.combinations(mod.inputs, k):
                     pulses = {p: p in on for p in mod.inputs}
                     env = {**state, **pulses}
+                    for w, e in mod.wires:
+                        env[w] = expr_eval(e, env)
                     want = ({o: expr_eval(e, env) for o, e in mod.assigns},
                             {b: expr_eval(e, env) for b, e in mod.nexts})
                     assert mod.eval(state, pulses) == want, f"{mod.name}: {state} {on}"
@@ -181,6 +184,16 @@ def test_a_chain_of_managers_is_clocked_and_synthesized_once(monkeypatch):
             mods = netlists_of_design(design)
             assert [m.name for m in mods] == [f"top_{n}" for n in sorted(design.instances)]
         assert calls["netlist_of"] == 2
+
+
+def test_a_combinational_cycle_through_a_wire_is_refused():
+    # x's output reads its input only through a wire, y passes its input on
+    x = NetModule("x", ("a",), ("b",), (), (("b", EVar("w_0")),), (),
+                  (("w_0", EAnd((EVar("a"), EVar("a")))),))
+    y = NetModule("y", ("c",), ("d",), (), (("d", EVar("c")),), ())
+    ties = [(PortRef("x", "b"), PortRef("y", "c")), (PortRef("y", "d"), PortRef("x", "a"))]
+    with pytest.raises(DesignError, match=r"^combinational cycle: x\.b -> y\.d -> x\.b$"):
+        _check_comb_cycles(Design("loopy", {}, ties, [], []), {"x": x, "y": y})
 
 
 def test_instances_are_named_as_their_modules_are_declared():

@@ -24,18 +24,28 @@ managers of the pinned shared types with at most nine inputs, and thirty
 random depth-3 blocks.  That each state bit is named after its state's id
 in ``synthesis_view``, which numbers the initial state 0, is also checked
 on the three larger managers.
+
+A sum that two or more terms read is built once, as a wire: each wire of
+these modules is declared once, read at least twice, and reads only
+inputs, state bits and earlier wires.  Wires are named ``w_0``, ``w_1``,
+... in that order, a prefix no port and no state bit starts with, and a
+port renamed onto a wire collides.
 """
 
 import functools
 import random
+from collections import Counter
 
-from helpers import SHARED_TYPES, care_sets, initial_first, random_program, reference_netlist_of
+import pytest
+
+from helpers import (SHARED_TYPES, care_sets, chain, initial_first, random_program,
+                     reference_netlist_of)
 from test_pins import PROGRAMS
 from gosyn import netlist
 from gosyn.automata import CompositionStall
 from gosyn.denote import interpret
 from gosyn.design import DesignError, clock_block, compile_design, manager_machine
-from gosyn.netlist import _cubes, netlist_of, synthesis_view
+from gosyn.netlist import EVar, ENot, _cubes, emit_verilog, netlist_of, synthesis_view
 from gosyn.syntax import parse_type
 
 MAX_MANAGER_INPUTS = 9
@@ -157,6 +167,40 @@ def test_a_state_bit_moves_only_by_its_rows():
                 to = s if row is None else row[1]
                 _, nxt = gates.eval(here, pulses)
                 assert nxt == {b: b == bit[to] for b in gates.state_bits}, (label, s, pulses)
+
+
+def _reads(e) -> list[str]:
+    """Every net ``e`` reads, once per place it reads it."""
+    if isinstance(e, EVar):
+        return [e.name]
+    if isinstance(e, ENot):
+        return _reads(e.x)
+    return [v for x in getattr(e, "xs", ()) for v in _reads(x)]
+
+
+def test_each_wire_is_a_sum_read_twice_over_earlier_nets():
+    for label, m in _machines():
+        gates = netlist_of(m)
+        names = [w for w, _ in gates.wires]
+        assert len(set(names)) == len(names), label
+        nets = gates.inputs + gates.outputs + gates.state_bits
+        assert not any(p.startswith("w_") for p in nets), label
+        known = set(gates.inputs) | set(gates.state_bits)
+        for k, (w, e) in enumerate(gates.wires):
+            assert w == f"w_{k}", (label, w)
+            assert set(_reads(e)) <= known, (label, w)
+            known.add(w)
+        reads = Counter(v for _, e in gates.wires + gates.assigns + gates.nexts
+                        for v in _reads(e))
+        assert all(reads[w] >= 2 for w in names), label
+
+
+def test_a_port_renamed_onto_a_wire_collides():
+    gates = netlist_of(clock_block(interpret(chain(4, "||"))))
+    assert gates.wires
+    first = gates.inputs[0]
+    with pytest.raises(ValueError, match="collide"):
+        emit_verilog(gates, lambda p: gates.wires[0][0] if p == first else p)
 
 
 def _holds(cube: tuple, m: int) -> bool:

@@ -4,7 +4,9 @@ The VCD goldens in ``tests/golden`` pin ``gosyn sim --vcd`` on the
 ``shared_twice`` design and the dump of the gate-level ``loop.sci`` netlist
 byte for byte, idle cycle included.  A digest pins the reports of several
 hundred runs: plain, padded, repeated and random stimuli, in safe and
-unsafe mode, ending in every status and in every kind of violation.
+unsafe mode, ending in every status and in every kind of violation.  A
+report gives each boundary round in port rank, inputs first, and the
+concatenated rounds of a safe-mode run pass ``plays.check_play``.
 
 A unit is previewed again within a cycle only when its input pulses grow;
 a counter on the machine units' previews checks that the settle loop skips
@@ -29,12 +31,15 @@ import random
 import sys
 from pathlib import Path
 
-from helpers import reference_preview
+from helpers import chain, grow_stimulus, random_program, reference_preview
 from gosyn import plays, sim
+from gosyn.automata import CompositionStall
 from gosyn.cli import main
-from gosyn.design import clock_block, compile_design, manager_machine, parse_wire_file
+from gosyn.design import (DesignError, clock_block, compile_design, manager_machine,
+                          parse_wire_file)
 from gosyn.denote import denote
 from gosyn.netlist import NetModule, netlist_of
+from gosyn.plays import check_play
 from gosyn.syncmin import round_abstract
 from gosyn.syntax import parse, parse_type
 from gosyn.typecheck import typecheck
@@ -197,7 +202,7 @@ def test_reports_match_their_pinned_digest(tmp_path):
     # race cycle shows only the pulses up to the racing scope's openings
     blob = json.dumps(list(_runs(tmp_path)), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "a4e582078ed0f30da47488553c98a704cbacc8b466f65bb0ba4121c1e1ddc2b2")
+        "9f808fa5cce9a483c3c562d37753e07f81e96d562a501b33f483ac62085bbcc9")
 
 
 RACES = (("fn c : com -> fn d : com -> <c, d>", [("q1", "q2")]),
@@ -211,6 +216,29 @@ def _race_reports(source: str, stim) -> list:
     return [sim.simulate(machine, stim),
             sim.simulate(netlist_of(machine), stim, arena=machine.arena),
             sim.simulate(compile_design(source), stim)]
+
+
+def test_a_safe_mode_trace_is_a_play():
+    # a report gives each boundary round in port rank, not in the order the
+    # rounds settled in; concatenated, a safe-mode run's rounds still pass
+    # the play checker
+    rng = random.Random(19)
+    sources = [chain(3, "||"), chain(4, "||"), chain(3, ";"),
+               *((DEMOS / f"{n}.sci").read_text() for n in ("loop", "shared_twice"))]
+    sources += [random_program(rng, depth=3) for _ in range(12)]
+    checked = 0
+    for source in sources:
+        try:
+            design = compile_design(source)
+        except (CompositionStall, DesignError):
+            continue
+        for _ in range(3):
+            report = grow_stimulus(design, design.boundary, rng, rounds=16)[1]
+            if report.status != "Race":
+                play = [p for r in report.trace for p in r]
+                assert check_play(design.boundary, play).ok, (source, report.trace)
+                checked += 1
+    assert checked >= 40
 
 
 def test_two_openings_of_any_interface_race_at_every_level():
